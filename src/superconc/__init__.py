@@ -54,4 +54,19 @@ from .scantest import (
 )
 from .experiments import ExperimentConfig, run, validate
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CovarianceModel", "check_hypotheses", "evaluate", "gram_matrix",
+    "SampleBatch", "CoupledBatch", "evolve_pair", "sample_field_grid",
+    "sample_sequence",
+    "gumbel_cdf", "gumbel_sf", "ks_to_gumbel", "centering_gap", "max_argmax",
+    "norm_constants", "sample_maxima",
+    "BoundReport", "Covering", "build_sequence_covering", "correlated_bound",
+    "field_bound", "find_sign_vectors", "gaussian_tail_curve", "sequence_bound",
+    "tail_curve", "verify_covering",
+    "LaplaceCheck", "TailEstimate", "coupled_max_correlation", "estimate_tail",
+    "estimate_var_max", "fit_tail_rate", "laplace_check",
+    "RiskReport", "ScanClass", "decision", "disjoint_class", "estimate_E0max",
+    "estimate_risk", "scan_statistic", "sliding_class", "threshold_prop51",
+    "threshold_prop52",
+    "ExperimentConfig", "run", "validate",
+]

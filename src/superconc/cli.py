@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .covariance import CovarianceModel
 from .covering import correlated_bound, field_bound, sequence_bound, tail_curve
-from .experiments import ExperimentConfig, SchemaError, fmt, run, validate
+from .experiments import ExperimentConfig, SchemaError, fmt, json_default, run, validate
 from .sampler import dump_paths, sample_field_grid, sample_sequence
 
 
@@ -25,7 +25,10 @@ def _load_model(spec: str | None) -> CovarianceModel:
     text = spec
     if not spec.lstrip().startswith("{"):
         text = Path(spec).read_text()
-    return CovarianceModel.from_json(text)
+    try:
+        return CovarianceModel.from_json(text)
+    except (ValueError, KeyError) as exc:
+        raise SchemaError(f"--cov: {exc}") from exc
 
 
 def _progress(msg: str):
@@ -33,18 +36,8 @@ def _progress(msg: str):
 
 
 def _emit(obj):
-    import numpy as np
-
-    def default(o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        raise TypeError(f"unserializable {type(o)}")
-
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True, default=default) + "\n")
+    text = json.dumps(obj, indent=2, sort_keys=True, default=json_default)
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_sample(args) -> int:

@@ -90,6 +90,12 @@ class CovarianceModel:
     @classmethod
     def from_json(cls, text: str) -> "CovarianceModel":
         obj = json.loads(text)
+        unknown = sorted(set(obj) - {"kind", "params", "table"})
+        if unknown:
+            raise ValueError(
+                f"unknown covariance model key(s) {unknown}; model parameters "
+                'belong under "params"'
+            )
         params = obj.get("params", {})
         table = obj.get("table")
         if table is not None:

@@ -26,11 +26,10 @@ from .covering import (
     tail_curve,
 )
 from .extremes import centering_gap, ks_to_gumbel, sample_maxima
-from .sampler import capacity_bytes
+from .sampler import CHOLESKY_MAX_N, DRAW_BYTES_PER_ELEM, capacity_bytes
 from .scantest import (
     ScanClass,
     disjoint_class,
-    estimate_E0max,
     estimate_risk,
     sliding_class,
     threshold_table,
@@ -132,28 +131,26 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(
             f"field 'params.alpha': {alpha} outside the admissible range (0, 1)"
         )
-    # memory estimate for the largest grid cell (chunked generation)
+    # memory of the largest cell at its smallest embedding (2^d n); sequence
+    # chunks shrink to fit the cap, so there one path has to fit
     if config.kind == "field_bound":
-        extent = config.params.get("extent", 100.0)
-        spacing = config.params.get("spacing", 1.0)
-        d = int(config.params.get("d", 1))
+        p = config.params
+        d = int(p.get("d", 1))
+        extent, spacing = p.get("extent", 100.0), p.get("spacing", 1.0)
         extents = extent if np.iterable(extent) else [extent] * d
         npts = int(np.prod([math.floor(e / spacing) + 1 for e in extents]))
-        need = min(config.batch, 400) * npts * 16 + npts * npts * 8
-        if need > capacity_bytes():
-            diags.append(
-                f"capacity: field grid of {npts} points needs ~{need} bytes, "
-                f"cap is {capacity_bytes()}"
-            )
+        rows, what = int(p.get("growth_batch", 400)), f"field grid of {npts} points"
     elif config.sizes and all(s >= 1 for s in config.sizes):
-        n = max(config.sizes)
-        chunk = max(1, min(config.batch, (1 << 24) // n))
-        need = chunk * n * 32
-        if need > capacity_bytes():
-            diags.append(
-                f"capacity: largest cell (n={n}) needs ~{need} bytes per chunk, "
-                f"cap is {capacity_bytes()}"
-            )
+        d, npts = 1, max(config.sizes)
+        rows, what = 1, f"largest cell (n={npts}) per path"
+    else:
+        return diags
+    elems = 2**d * npts if npts > CHOLESKY_MAX_N else npts
+    need = rows * elems * DRAW_BYTES_PER_ELEM
+    if need > capacity_bytes():
+        diags.append(
+            f"capacity: {what} needs ~{need} bytes, cap is {capacity_bytes()}"
+        )
     return diags
 
 
@@ -175,17 +172,20 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, obj):
-    def default(o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        raise TypeError(f"unserializable {type(o)}")
+def json_default(o):
+    """``json.dumps`` hook for numpy scalars and arrays."""
+    if isinstance(o, np.integer):
+        return int(o)
+    if isinstance(o, np.floating):
+        return float(o)
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"unserializable {type(o)}")
 
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=default) + "\n")
+
+def _write_json(path: Path, obj):
+    text = json.dumps(obj, indent=2, sort_keys=True, default=json_default)
+    path.write_text(text + "\n")
 
 
 def _run_variance_scaling(cfg):
@@ -296,9 +296,8 @@ def _run_scan_risk(cfg):
         c=p.get("c"), trials=trials, seed=cfg.seed, delta_target=delta,
     )
     deltas = p.get("delta_grid", [1.0 / math.log(cls.N), 0.2, 0.1, 0.05, 0.01])
-    e0max, _ = estimate_E0max(cls, max(trials, 10**4), cfg.seed)
     table_c = float(p.get("table_c", 1.0))
-    rows = threshold_table(cls.K, cls.N, e0max, deltas, c=table_c)
+    rows = threshold_table(cls.K, cls.N, report.e0max, deltas, c=table_c)
     summary = report.to_dict()
     summary["table_c"] = table_c
     summary["N"] = cls.N

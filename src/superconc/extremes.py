@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampler import SampleBatch
+from .sampler import SampleBatch, capacity_bytes, draw_rows, make_plan
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -106,21 +106,22 @@ def sample_maxima(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (maxima, argmax) of a sequence batch, generated in chunks.
 
-    Streams are keyed by absolute path index, so the result is identical
-    to a single unchunked call while keeping each chunk inside the memory
-    cap.
+    The covariance is factored once for all chunks.  Streams are keyed by
+    absolute path index, so the result is identical to a single unchunked
+    call.  The default chunk holds at most 2**24 elements of draw work and
+    stays inside the memory cap.
     """
-    from .sampler import sample_sequence
-
+    plan = make_plan(model, (n,), method=method)
     if chunk is None:
-        chunk = max(1, min(batch, (1 << 24) // max(n, 1)))
+        chunk = max(1, min(batch, (1 << 24) // plan.row_elems,
+                           capacity_bytes() // plan.row_bytes))
     maxima = np.empty(batch)
     argmax = np.empty(batch, dtype=np.int64)
     done = 0
     while done < batch:
         b = min(chunk, batch - done)
-        sb = sample_sequence(model, n, b, seed, method, stream_offset=done)
-        maxima[done : done + b] = sb.paths.max(axis=1)
-        argmax[done : done + b] = sb.paths.argmax(axis=1)
+        paths = draw_rows(plan, b, seed, done)
+        maxima[done : done + b] = paths.max(axis=1)
+        argmax[done : done + b] = paths.argmax(axis=1)
         done += b
     return maxima, argmax

@@ -25,16 +25,3 @@ def normal_rows(seed: int, rows: int, cols: int, offset: int = 0) -> np.ndarray:
         out[i] = stream_generator(seed, offset + i).standard_normal(cols)
     return out
 
-
-def complex_normal_rows(seed: int, rows: int, cols: int, offset: int = 0) -> np.ndarray:
-    """(rows, cols) complex entries with iid N(0,1) real and imaginary parts.
-
-    Each row consumes 2*cols normals from its own stream (real block then
-    imaginary block), so real and complex consumers of the same stream
-    never alias.
-    """
-    out = np.empty((rows, cols), dtype=complex)
-    for i in range(rows):
-        z = stream_generator(seed, offset + i).standard_normal(2 * cols)
-        out[i] = z[:cols] + 1j * z[cols:]
-    return out

@@ -1,11 +1,16 @@
 """Exact samplers for stationary Gaussian sequences and grid fields.
 
-Two exact methods:
+A sequence is the 1-d lattice at spacing 1, a grid field the lattice of its
+grid.  :func:`make_plan` factors a lattice once into a :class:`LatticePlan`
+and :func:`draw_rows` samples it as often as needed.  Two exact methods:
 
 * ``cholesky`` — factor the gram matrix; reference method, always exact
   when the factorization succeeds.
-* ``circulant`` — embed the Toeplitz gram into a nonnegative-definite
-  circulant and diagonalize by FFT; the fast path for long sequences.
+* ``circulant`` — embed the gram into a nonnegative-definite (block)
+  circulant C whose eigenvalues lambda are the FFT of its first row, then
+  draw with real noise xi as X = C^{1/2} xi = irfftn(sqrt(lambda) *
+  rfftn(xi)) and crop to the lattice (Wood & Chan 1994; Dietrich & Newsam
+  1997); the fast path for large lattices.
 
 Each path draws from its own counter-based stream (see :mod:`superconc.rng`),
 so batches are bit-reproducible regardless of chunking or scheduling.
@@ -22,12 +27,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .covariance import CovarianceModel, evaluate, gram_matrix, toeplitz_lags
+from .covariance import CovarianceModel, evaluate, gram_matrix
 
 DEFAULT_CAP_BYTES = 2**31
 CHOLESKY_MAX_N = 2048  # default method switches to circulant above this
 EMBED_REL_TOL = 1e-10
 EMBED_MAX_DOUBLINGS = 6
+# working bytes per element of one path while it is drawn: noise and product
+# take 16, a 2-d embedding's noise, spectrum and transform about 24
+DRAW_BYTES_PER_ELEM = 32
 
 
 def capacity_bytes() -> int:
@@ -52,7 +60,7 @@ class DecompositionError(ValueError):
 class EmbeddingError(ValueError):
     """Circulant embedding has a significantly negative eigenvalue."""
 
-    def __init__(self, worst: float, sizes: list[int]):
+    def __init__(self, worst: float, sizes: list[tuple[int, ...]]):
         self.worst = worst
         self.sizes = sizes
         super().__init__(
@@ -103,6 +111,32 @@ def _check_capacity(nbytes: int):
         )
 
 
+@dataclass(frozen=True, eq=False)
+class LatticePlan:
+    """A lattice factored once: the Cholesky lower factor of the gram, or
+    sqrt(lambda) on the rfftn half-spectrum of the circulant embedding of
+    ``embed_shape``; no factor for the iid model, whose gram is the identity.
+    """
+
+    method: str
+    shape: tuple[int, ...]
+    factor: np.ndarray | None
+    embed_shape: tuple[int, ...] | None = None
+
+    @property
+    def n(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def row_elems(self) -> int:
+        """Elements per path of a draw: m for a circulant, else n."""
+        return math.prod(self.embed_shape) if self.embed_shape else self.n
+
+    @property
+    def row_bytes(self) -> int:
+        return DRAW_BYTES_PER_ELEM * self.row_elems
+
+
 def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(gram)
@@ -120,36 +154,80 @@ def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
 
 
 def circulant_embedding(
-    model: CovarianceModel, n: int, spacing: float = 1.0
+    model: CovarianceModel, shape, spacing: float = 1.0
 ) -> tuple[np.ndarray, int]:
-    """Nonnegative eigenvalue vector of a circulant embedding of the gram.
+    """Nonnegative eigenvalues of a circulant embedding of the lattice gram.
 
-    Starts from the even size 2n (first row phi(0..n) followed by its
-    reflection) and doubles the padding until the FFT eigenvalues are
-    nonnegative within a relative tolerance, clipping residual roundoff.
+    ``shape`` is the lattice, an int for a sequence.  The embedding starts
+    at twice the lattice per axis and doubles until the FFT eigenvalues are
+    nonnegative within a relative tolerance; residual roundoff is clipped.
+    Returns the eigenvalues, shaped like the embedding, and their count m.
     """
+    shape = tuple(int(s) for s in np.atleast_1d(shape))
     tried = []
     worst = math.inf
     for k in range(EMBED_MAX_DOUBLINGS + 1):
-        m = 2 * n * 2**k
-        wrapped = np.minimum(np.arange(m), m - np.arange(m))
-        row = np.atleast_1d(evaluate(model, spacing * wrapped.astype(float)))
-        eig = np.fft.fft(row).real
-        tried.append(m)
+        ms = tuple(2 * s * 2**k for s in shape)
+        sq = sum(np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in ms)))
+        eig = np.fft.fftn(evaluate(model, spacing * np.sqrt(sq))).real
+        tried.append(ms)
         neg = float(eig.min())
         worst = min(worst, neg)
         if neg >= -EMBED_REL_TOL * float(eig.max()):
-            return np.clip(eig, 0.0, None), m
+            return np.clip(eig, 0.0, None), eig.size
     raise EmbeddingError(worst, tried)
 
 
-def _circulant_paths(eig, m, batch, seed, offset, out_cols):
-    """Sample rows from the circulant with eigenvalues ``eig`` (length m)."""
-    _check_capacity(batch * m * 16 + batch * m * 16)
-    eps = rng.complex_normal_rows(seed, batch, m, offset=offset)
-    amp = np.sqrt(eig / m)
-    x = np.fft.fft(amp * eps, axis=1).real
-    return np.ascontiguousarray(x[:, :out_cols])
+def _lattice_points(shape, spacing: float = 1.0) -> np.ndarray:
+    """Points spacing * index of a regular lattice, one row each, C order."""
+    axes = np.meshgrid(*(spacing * np.arange(s) for s in shape), indexing="ij")
+    return np.column_stack([a.ravel() for a in axes])
+
+
+def make_plan(
+    model: CovarianceModel,
+    shape: tuple[int, ...],
+    spacing: float = 1.0,
+    method: str | None = None,
+) -> LatticePlan:
+    """Factor the gram of the lattice of ``shape`` at ``spacing`` once."""
+    if min(shape) < 1:
+        raise ValueError("the lattice needs at least one point per axis")
+    n = math.prod(shape)
+    if method is None:
+        method = "circulant" if n > CHOLESKY_MAX_N else "cholesky"
+    if method not in ("cholesky", "circulant"):
+        raise ValueError(f"unknown method {method!r}")
+
+    if model.kind == "iid":
+        # gram is the identity; both factorizations reduce to raw noise
+        return LatticePlan(method, shape, None)
+    if method == "cholesky":
+        _check_capacity(2 * n * n * 8)
+        gram = gram_matrix(model, _lattice_points(shape, spacing))
+        return LatticePlan(method, shape, _cholesky_factor(gram))
+    eig, _ = circulant_embedding(model, shape, spacing)
+    half = eig[..., : eig.shape[-1] // 2 + 1]
+    return LatticePlan(method, shape, np.sqrt(half), eig.shape)
+
+
+def draw_rows(plan: LatticePlan, batch: int, seed: int, offset: int = 0) -> np.ndarray:
+    """(batch, n) exact draws from the plan; row i uses stream offset + i."""
+    if batch < 1:
+        raise ValueError("batch must be positive")
+    _check_capacity(batch * plan.row_bytes)
+    if plan.embed_shape is None:
+        noise = rng.normal_rows(seed, batch, plan.n, offset=offset)
+        return noise if plan.factor is None else noise @ plan.factor.T
+    ms = plan.embed_shape
+    axes = tuple(range(1, len(ms) + 1))
+    # rebinding x frees the noise, then the spectrum, as soon as each is used
+    x = rng.normal_rows(seed, batch, plan.row_elems, offset=offset).reshape(batch, *ms)
+    x = np.fft.rfftn(x, axes=axes)
+    x *= plan.factor
+    x = np.fft.irfftn(x, s=ms, axes=axes)
+    crop = (slice(None),) + tuple(slice(0, s) for s in plan.shape)
+    return np.ascontiguousarray(x[crop]).reshape(batch, plan.n)
 
 
 def sample_sequence(
@@ -161,27 +239,9 @@ def sample_sequence(
     stream_offset: int = 0,
 ) -> SampleBatch:
     """Exact draws from N(0, Gamma) with Gamma[i, j] = phi(|i - j|)."""
-    if n < 1 or batch < 1:
-        raise ValueError("n and batch must be positive")
-    if method is None:
-        method = "circulant" if n > CHOLESKY_MAX_N else "cholesky"
-    if method not in ("cholesky", "circulant"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if model.kind == "iid":
-        # gram is the identity; both factorizations reduce to raw noise
-        _check_capacity(batch * n * 8)
-        paths = rng.normal_rows(seed, batch, n, offset=stream_offset)
-    elif method == "cholesky":
-        _check_capacity(batch * n * 8 + 2 * n * n * 8)
-        lower = _cholesky_factor(gram_matrix(model, np.arange(n)))
-        noise = rng.normal_rows(seed, batch, n, offset=stream_offset)
-        paths = noise @ lower.T
-    else:
-        eig, m = circulant_embedding(model, n)
-        paths = _circulant_paths(eig, m, batch, seed, stream_offset, n)
-
-    return SampleBatch(paths, model, seed, method, stream_offset)
+    plan = make_plan(model, (n,), method=method)
+    paths = draw_rows(plan, batch, seed, stream_offset)
+    return SampleBatch(paths, model, seed, plan.method, stream_offset)
 
 
 def grid_points(d: int, extent, spacing: float) -> tuple[np.ndarray, GridGeometry]:
@@ -196,30 +256,8 @@ def grid_points(d: int, extent, spacing: float) -> tuple[np.ndarray, GridGeometr
     shape = tuple(int(math.floor(e / spacing + 1e-9)) + 1 for e in extents)
     if any(s < 2 for s in shape):
         raise ValueError("extent/spacing must yield at least 2 points per axis")
-    axes = [spacing * np.arange(s) for s in shape]
-    if d == 1:
-        pts = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([g0.ravel(), g1.ravel()])
-    return pts, GridGeometry(d=d, spacing=spacing, extent=extents, shape=shape)
-
-
-def _circulant_embedding_2d(model, shape, spacing):
-    tried = []
-    worst = math.inf
-    for k in range(EMBED_MAX_DOUBLINGS + 1):
-        ms = tuple(2 * s * 2**k for s in shape)
-        w0 = np.minimum(np.arange(ms[0]), ms[0] - np.arange(ms[0]))
-        w1 = np.minimum(np.arange(ms[1]), ms[1] - np.arange(ms[1]))
-        dist = spacing * np.sqrt(w0[:, None] ** 2.0 + w1[None, :] ** 2.0)
-        eig = np.fft.fft2(evaluate(model, dist)).real
-        tried.append(ms)
-        neg = float(eig.min())
-        worst = min(worst, neg)
-        if neg >= -EMBED_REL_TOL * float(eig.max()):
-            return np.clip(eig, 0.0, None), ms
-    raise EmbeddingError(worst, tried)
+    geom = GridGeometry(d=d, spacing=spacing, extent=extents, shape=shape)
+    return _lattice_points(shape, spacing), geom
 
 
 def sample_field_grid(
@@ -233,36 +271,10 @@ def sample_field_grid(
     stream_offset: int = 0,
 ) -> SampleBatch:
     """Exact draw of the field restricted to a regular grid (flattened C-order)."""
-    pts, geom = grid_points(d, extent, spacing)
-    npts = pts.shape[0]
-    if method is None:
-        method = "circulant" if npts > CHOLESKY_MAX_N else "cholesky"
-    if method not in ("cholesky", "circulant"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if model.kind == "iid":
-        _check_capacity(batch * npts * 8)
-        paths = rng.normal_rows(seed, batch, npts, offset=stream_offset)
-    elif method == "cholesky":
-        _check_capacity(batch * npts * 8 + 2 * npts * npts * 8)
-        lower = _cholesky_factor(gram_matrix(model, pts))
-        noise = rng.normal_rows(seed, batch, npts, offset=stream_offset)
-        paths = noise @ lower.T
-    elif d == 1:
-        eig, m = circulant_embedding(model, geom.shape[0], spacing=spacing)
-        paths = _circulant_paths(eig, m, batch, seed, stream_offset, geom.shape[0])
-    else:
-        eig, ms = _circulant_embedding_2d(model, geom.shape, spacing)
-        mtot = ms[0] * ms[1]
-        _check_capacity(2 * batch * mtot * 16)
-        eps = rng.complex_normal_rows(seed, batch, mtot, offset=stream_offset)
-        amp = np.sqrt(eig / mtot)
-        x = np.fft.fft2(amp[None, :, :] * eps.reshape(batch, *ms), axes=(1, 2)).real
-        paths = np.ascontiguousarray(
-            x[:, : geom.shape[0], : geom.shape[1]].reshape(batch, npts)
-        )
-
-    return SampleBatch(paths, model, seed, method, stream_offset, geometry=geom)
+    _, geom = grid_points(d, extent, spacing)
+    plan = make_plan(model, geom.shape, spacing, method)
+    paths = draw_rows(plan, batch, seed, stream_offset)
+    return SampleBatch(paths, model, seed, plan.method, stream_offset, geometry=geom)
 
 
 def evolve_pair(batch: SampleBatch, t: float, seed2: int) -> CoupledBatch:
@@ -277,19 +289,12 @@ def evolve_pair(batch: SampleBatch, t: float, seed2: int) -> CoupledBatch:
     if t == 0:
         evolved = replace(batch, paths=batch.paths.copy(), seed=seed2)
         return CoupledBatch(batch, evolved, 0.0)
-    if batch.geometry is None:
-        fresh = sample_sequence(
-            batch.model, batch.n, batch.batch, seed2, batch.method, batch.stream_offset
-        )
-    else:
-        g = batch.geometry
-        fresh = sample_field_grid(
-            batch.model, g.d, g.extent, g.spacing, batch.batch, seed2,
-            batch.method, batch.stream_offset,
-        )
-    mixed = math.exp(-t) * batch.paths + math.sqrt(-math.expm1(-2 * t)) * fresh.paths
-    evolved = replace(fresh, paths=mixed)
-    return CoupledBatch(batch, evolved, float(t))
+    g = batch.geometry
+    plan = make_plan(batch.model, g.shape if g else (batch.n,),
+                     g.spacing if g else 1.0, batch.method)
+    fresh = draw_rows(plan, batch.batch, seed2, batch.stream_offset)
+    mixed = math.exp(-t) * batch.paths + math.sqrt(-math.expm1(-2 * t)) * fresh
+    return CoupledBatch(batch, replace(batch, paths=mixed, seed=seed2), float(t))
 
 
 # ---------------------------------------------------------------------------

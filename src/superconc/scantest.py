@@ -49,9 +49,6 @@ class ScanClass:
     def K(self) -> int:
         return self.sets.shape[1]
 
-    def key(self) -> tuple:
-        return (self.n, self.sets.shape, self.sets.tobytes())
-
 
 def disjoint_class(N: int, K: int, n: int | None = None) -> ScanClass:
     """N disjoint blocks of K consecutive indices."""
@@ -133,18 +130,11 @@ def _null_scan_maxima(cls: ScanClass, trials: int, seed: int,
     return out
 
 
-_E0MAX_CACHE: dict[tuple, tuple[float, float]] = {}
-
-
 def estimate_E0max(cls: ScanClass, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of E_0[max_S X_S] with its standard error."""
-    key = (cls.key(), trials, seed)
-    if key not in _E0MAX_CACHE:
-        maxima = _null_scan_maxima(cls, trials, seed)
-        mean = _stable_mean(maxima)
-        se = float(np.std(maxima, ddof=1)) / math.sqrt(trials)
-        _E0MAX_CACHE[key] = (mean, se)
-    return _E0MAX_CACHE[key]
+    maxima = _null_scan_maxima(cls, trials, seed)
+    se = float(np.std(maxima, ddof=1)) / math.sqrt(trials)
+    return _stable_mean(maxima), se
 
 
 def calibrate_c(cls: ScanClass, trials: int = 10**4, seed: int = 0) -> float:

@@ -135,6 +135,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_bad_cov_exit_code(tmp_path, capsys):
+    flat = '{"kind": "ornstein_uhlenbeck", "rate": 2.0}'
+    assert main(["--out", str(tmp_path / "p.bin"), "sample", "--cov", flat,
+                 "--n", "4", "--batch", "1"]) == 2
+    assert "config error: --cov" in capsys.readouterr().err
+
+
 def test_invalid_config_kind_exit_code(tmp_path, capsys):
     cfg_file = tmp_path / "bad2.json"
     cfg_file.write_text(json.dumps({"kind": "nope"}))

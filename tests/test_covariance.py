@@ -95,6 +95,13 @@ def test_json_round_trip(model):
     assert json.loads(again) == json.loads(model.to_json())
 
 
+def test_from_json_rejects_parameters_outside_params():
+    with pytest.raises(ValueError, match="rate"):
+        CovarianceModel.from_json('{"kind": "ornstein_uhlenbeck", "rate": 2.0}')
+    nested = '{"kind": "ornstein_uhlenbeck", "params": {"rate": 2.0}}'
+    assert CovarianceModel.from_json(nested).rate == 2.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from(["ornstein_uhlenbeck", "gaussian_smooth", "power_decay", "log_decay"]),

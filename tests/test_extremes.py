@@ -14,6 +14,7 @@ from superconc.extremes import (
     norm_constants,
     sample_maxima,
 )
+from superconc import sampler
 from superconc.sampler import sample_sequence
 
 
@@ -100,11 +101,32 @@ def test_max_argmax_first_tie():
     assert summ.argmax_hist.sum() == 2
 
 
-def test_sample_maxima_chunk_invariance(ou):
-    m1, a1 = sample_maxima(ou, 20, 30, seed=6)
-    m2, a2 = sample_maxima(ou, 20, 30, seed=6, chunk=7)
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+def test_sample_maxima_chunk_invariance(ou, method):
+    m1, a1 = sample_maxima(ou, 20, 30, seed=6, method=method)
+    m2, a2 = sample_maxima(ou, 20, 30, seed=6, method=method, chunk=7)
     assert np.array_equal(m1, m2)
     assert np.array_equal(a1, a2)
+
+
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+def test_sample_maxima_factors_once(ou, method, monkeypatch):
+    calls = []
+    for name in ("_cholesky_factor", "circulant_embedding"):
+        fn = getattr(sampler, name)
+        monkeypatch.setattr(sampler, name,
+                            lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
+    sample_maxima(ou, 20, 30, seed=6, method=method, chunk=7)
+    assert len(calls) == 1
+
+
+def test_sample_maxima_chunks_fit_a_low_cap(ou, monkeypatch):
+    # one default chunk of 2000 paths would need ~32 MB; the cap is 1 MiB
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(2**20))
+    m, a = sample_maxima(ou, 256, 2000, seed=1, method="circulant")
+    direct = sample_sequence(ou, 256, 5, seed=1, method="circulant", stream_offset=1995)
+    assert np.array_equal(m[-5:], direct.paths.max(axis=1))
+    assert np.array_equal(a[-5:], direct.paths.argmax(axis=1))
 
 
 def test_sample_maxima_matches_direct(ou):
