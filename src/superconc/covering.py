@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .covariance import CovarianceModel, check_hypotheses, evaluate, gram_matrix
+from .covariance import CovarianceModel, check_hypotheses, evaluate
 from .extremes import max_argmax, sample_maxima
 from .sampler import sample_field_grid, grid_points
 
@@ -475,8 +475,9 @@ def find_sign_vectors(
     tries = 0
     pair_tests = 0
     pair_pass = 0
+    streams = rng.generators(seed, 0, max_tries)
     while found < N_target and tries < max_tries:
-        g = rng.stream_generator(seed, tries)
+        g = next(streams)
         cand = (g.integers(0, 2, size=n) * 2 - 1).astype(np.int8)
         tries += 1
         if found:

@@ -5,11 +5,103 @@ Philox counter-based generator keyed by (seed, stream).  One stream per
 path / trial makes batches reproducible under chunked or concurrent
 generation: the result depends only on the absolute stream index, never
 on scheduling or chunk boundaries.
+
+Stream s is exactly numpy's ``Philox(SeedSequence(seed, spawn_key=(s,)))``.
+``stream_keys`` runs the SeedSequence hash for a whole block of streams in
+one pass of uint32 array arithmetic, and ``generators`` rekeys one Philox
+per call with those keys instead of building a SeedSequence, a Philox and
+a Generator for every stream.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+MASK32 = 0xFFFFFFFF
+
+KEY_BLOCK = 4096  # streams keyed per pass in ``generators``
+
+
+def _seed_words(seed: int) -> list[int]:
+    """Seed as little-endian uint32 words, zero-padded to the pool as numpy
+    pads the run entropy of a spawned SeedSequence."""
+    n = operator.index(seed)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & MASK32]
+    while n > MASK32:
+        n >>= 32
+        words.append(n & MASK32)
+    return words + [0] * (POOL_SIZE - len(words))
+
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> np.uint32(16))
+
+
+def _pool_keys(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence pool, then generate_state(2, uint64), for each entropy row."""
+    hash_const = INIT_A
+
+    # the hash constant advances the same way for every row, so it stays scalar
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ np.uint32(hash_const)
+        hash_const = (hash_const * MULT_A) & MASK32
+        return _xorshift(v * np.uint32(hash_const))
+
+    def mix(x, y):
+        return _xorshift(np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y)
+
+    # the run entropy is padded to at least POOL_SIZE words, so it fills the pool
+    pool = [hashmix(entropy[:, i]) for i in range(POOL_SIZE)]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(POOL_SIZE, entropy.shape[1]):
+        for dst in range(POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    words = np.empty((entropy.shape[0], 4), dtype=np.uint64)
+    hash_const = INIT_B
+    for i in range(4):
+        v = pool[i] ^ np.uint32(hash_const)
+        hash_const = (hash_const * MULT_B) & MASK32
+        words[:, i] = _xorshift(v * np.uint32(hash_const))
+    # uint64 word j is uint32 words 2j (low half) and 2j + 1 (high half)
+    return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+
+
+def stream_keys(seed: int, streams) -> np.ndarray:
+    """(len(streams), 2) uint64 Philox keys; row i is the key of streams[i].
+
+    Row i equals ``SeedSequence(entropy=seed, spawn_key=(streams[i],))
+    .generate_state(2, np.uint64)``.  A negative seed or stream raises
+    ``ValueError``, as it does in SeedSequence.
+    """
+    run = _seed_words(seed)
+    streams = np.asarray(streams).reshape(-1)
+    if streams.size and streams.min() < 0:
+        raise ValueError("expected non-negative integer")
+    keys = np.empty((streams.size, 2), dtype=np.uint64)
+    small = streams <= MASK32
+    entropy = np.empty((int(small.sum()), len(run) + 1), dtype=np.uint32)
+    entropy[:, :-1] = run
+    entropy[:, -1] = streams[small]
+    keys[small] = _pool_keys(entropy)
+    # a stream of 2^32 or more is a multi-word spawn key; these are rare
+    for i in np.flatnonzero(~small):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(streams[i]),))
+        keys[i] = ss.generate_state(2, np.uint64)
+    return keys
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
@@ -18,10 +110,29 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def generators(seed: int, start: int, stop: int):
+    """Yield the generator of each stream start, start + 1, ..., stop - 1.
+
+    Each yielded generator equals ``stream_generator(seed, s)`` at its
+    start.  It is one Generator rekeyed in turn, so use it before taking
+    the next; each call owns its own, so concurrent calls are independent.
+    """
+    bg = np.random.Philox(key=0)
+    g = np.random.Generator(bg)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for lo in range(start, stop, KEY_BLOCK):
+        for key in stream_keys(seed, np.arange(lo, min(lo + KEY_BLOCK, stop))):
+            bg.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": zeros, "key": key},
+                "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+            yield g
+
+
 def normal_rows(seed: int, rows: int, cols: int, offset: int = 0) -> np.ndarray:
     """(rows, cols) standard normals, row i drawn from stream offset+i."""
     out = np.empty((rows, cols))
-    for i in range(rows):
-        out[i] = stream_generator(seed, offset + i).standard_normal(cols)
+    for i, g in enumerate(generators(seed, offset, offset + rows)):
+        g.standard_normal(cols, out=out[i])
     return out
-

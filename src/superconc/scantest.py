@@ -21,6 +21,7 @@ from .extremes import _stable_mean
 from .verify import fit_tail_rate, tail_from_deviations
 
 MAX_ALTERNATIVES = 64
+SCAN_BLOCK_ELEMS = 2**16  # normals drawn per block of null trials (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,15 @@ def _null_scan_maxima(cls: ScanClass, trials: int, seed: int,
                       offset: int = 0, mu: float = 0.0,
                       shifted: np.ndarray | None = None) -> np.ndarray:
     out = np.empty(trials)
-    for t in range(trials):
-        x = rng.stream_generator(seed, offset + t).standard_normal(cls.n)
+    block = max(1, SCAN_BLOCK_ELEMS // cls.n)
+    for lo in range(0, trials, block):
+        x = rng.normal_rows(seed, min(block, trials - lo), cls.n, offset=offset + lo)
         if shifted is not None:
-            x[shifted] += mu
-        out[t] = set_sums(x, cls).max()
+            x[:, shifted] += mu
+        # one row at a time: a batched 3-d set sum rounds differently
+        for i, row in enumerate(x):
+            out[lo + i] = set_sums(row, cls).max()
+        del x, row  # free this block before the next one is drawn
     return out
 
 

@@ -150,6 +150,28 @@ def test_gram_matrix_structure(ou):
     assert g[0, 3] == pytest.approx(math.exp(-3.0))
 
 
+def _dense_gram(model, points):
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    gram = np.atleast_2d(evaluate(model, 0.5 * (dist + dist.T)))
+    np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+@pytest.mark.parametrize("model", [
+    CovarianceModel("iid"),
+    CovarianceModel("ornstein_uhlenbeck", rate=0.7),
+    CovarianceModel("gaussian_smooth", lam2=0.3),
+    CovarianceModel("power_decay", amp=2.0, alpha_cov=1.5),
+    CovarianceModel("log_decay", amp=3.0),
+    CovarianceModel("table", table=((0.0, 1.0), (1.5, 0.4), (3000.0, 0.0))),
+], ids=lambda m: m.kind)
+@pytest.mark.parametrize("n", [1, 2, 257, 2049])
+def test_gram_matrix_toeplitz_equals_dense(model, n):
+    for points in (np.arange(n), 5.0 + np.arange(n)[:, None]):
+        assert np.array_equal(gram_matrix(model, points), _dense_gram(model, points))
+
+
 def test_gram_matrix_planar_points(gs):
     pts = np.array([[0.0, 0.0], [3.0, 4.0]])
     g = gram_matrix(gs, pts)

@@ -231,6 +231,39 @@ def test_find_sign_vectors_deterministic():
     assert a.tries == b.tries
 
 
+def _reference_sign_vectors(n, N_target, threshold, seed, max_tries):
+    from superconc import rng
+
+    kept, tries, pair_tests, pair_pass = [], 0, 0, 0
+    while len(kept) < N_target and tries < max_tries:
+        g = rng.stream_generator(seed, tries)
+        cand = (g.integers(0, 2, size=n) * 2 - 1).astype(np.int8)
+        tries += 1
+        dots = np.array([int(v.astype(np.int64) @ cand.astype(np.int64)) for v in kept])
+        pair_tests += len(kept)
+        pair_pass += int(np.sum(np.abs(dots) <= threshold))
+        if np.all(np.abs(dots) <= threshold):
+            kept.append(cand)
+    return np.array(kept, dtype=np.int8).reshape(-1, n), tries, pair_tests, pair_pass
+
+
+@pytest.mark.parametrize("n, N_target, threshold, seed, max_tries", [
+    (64, 8, 64 ** (2 / 3), 5, 10**5),
+    (33, 40, 12.0, 2, 10**5),
+    (100, 50, 1.0, 0, 4200),  # saturates past one block of stream keys
+])
+def test_find_sign_vectors_matches_stream_generator_loop(n, N_target, threshold, seed,
+                                                         max_tries):
+    res = find_sign_vectors(n, N_target, threshold=threshold, seed=seed,
+                            max_tries=max_tries)
+    vectors, tries, pair_tests, pair_pass = _reference_sign_vectors(
+        n, N_target, threshold, seed, max_tries)
+    assert np.array_equal(res.vectors, vectors) and res.vectors.dtype == np.int8
+    assert (res.tries, res.accepted, res.saturated, res.pair_tests, res.pair_pass) == (
+        tries, len(vectors), len(vectors) < N_target, pair_tests, pair_pass)
+    assert res.threshold == threshold
+
+
 def test_find_sign_vectors_verified():
     res = find_sign_vectors(64, 8, seed=5)
     assert res.threshold == pytest.approx(64 ** (2 / 3))

@@ -154,6 +154,35 @@ def test_disjoint_null_scan_matches_scaled_extremes(iid):
     assert abs(np.var(scan) - np.var(ref)) <= 4 * v_se
 
 
+def _reference_null_scan_maxima(cls, trials, seed, offset=0, mu=0.0, shifted=None):
+    from superconc import rng
+
+    out = np.empty(trials)
+    for t in range(trials):
+        x = rng.stream_generator(seed, offset + t).standard_normal(cls.n)
+        if shifted is not None:
+            x[shifted] += mu
+        out[t] = set_sums(x, cls).max()
+    return out
+
+
+@pytest.mark.parametrize("block_rows, trials", [(7, 23), (7, 7), (None, 5)])
+@pytest.mark.parametrize("shift", [False, True])
+def test_null_scan_maxima_blocks_match_per_trial_streams(monkeypatch, block_rows, trials,
+                                                         shift):
+    from superconc import scantest
+
+    cls = sliding_class(60, 5)
+    if block_rows is None:
+        trials += scantest.SCAN_BLOCK_ELEMS // cls.n  # one full default block and a tail
+    else:
+        monkeypatch.setattr(scantest, "SCAN_BLOCK_ELEMS", block_rows * cls.n)
+    kw = {"mu": 0.8, "shifted": cls.sets[17]} if shift else {}
+    got = scantest._null_scan_maxima(cls, trials, seed=9, offset=4 * 10**6, **kw)
+    ref = _reference_null_scan_maxima(cls, trials, seed=9, offset=4 * 10**6, **kw)
+    assert np.array_equal(got, ref)
+
+
 def test_estimate_E0max_cached():
     cls = disjoint_class(4, 4)
     a = estimate_E0max(cls, 10**4, seed=0)
