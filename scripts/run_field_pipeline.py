@@ -13,7 +13,7 @@ from superconc.experiments import ExperimentConfig, run
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--extent", type=float, default=100.0)
-    ap.add_argument("--d", type=int, default=1, choices=[1, 2])
+    ap.add_argument("--d", type=int, default=1, choices=[1, 2, 3])
     ap.add_argument("--lam2", type=float, default=2.0,
                     help="second spectral moment of the smooth covariance")
     ap.add_argument("--seed", type=int, default=0)

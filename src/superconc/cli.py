@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, default=1024)
     s.add_argument("--batch", type=int, default=100)
     s.add_argument("--method", choices=["cholesky", "circulant"])
-    s.add_argument("--d", type=int, choices=[1, 2])
+    s.add_argument("--d", type=int, choices=[1, 2, 3])
     s.add_argument("--extent", type=float, default=10.0)
     s.add_argument("--spacing", type=float, default=1.0)
     s.set_defaults(fn=_cmd_sample)
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="monte_carlo")
     b.add_argument("--c", type=float, default=1.0)
     b.add_argument("--eps", type=float, default=0.1)
-    b.add_argument("--d", type=int, choices=[1, 2])
+    b.add_argument("--d", type=int, choices=[1, 2, 3])
     b.add_argument("--extent", type=float, default=100.0)
     b.add_argument("--spacing", type=float, default=1.0)
     b.add_argument("--batch", type=int, default=10**4)

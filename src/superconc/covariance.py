@@ -65,10 +65,6 @@ class CovarianceModel:
             if any(abs(v) > 1.0 + 1e-12 for _, v in self.table):
                 raise ValueError("|phi| must not exceed 1")
 
-    @property
-    def declared_nonincreasing(self) -> bool:
-        return self.kind in NONINCREASING_KINDS
-
     def to_json(self) -> str:
         obj: dict = {"kind": self.kind}
         params = {}

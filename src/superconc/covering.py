@@ -24,8 +24,8 @@ import numpy as np
 
 from . import rng
 from .covariance import CovarianceModel, check_hypotheses, evaluate
-from .extremes import max_argmax, sample_maxima
-from .sampler import sample_field_grid, grid_points
+from .extremes import _stable_mean, sample_maxima
+from .sampler import box_extents, grid_geometry, grid_points
 
 # default Sudakov minoration constant: E[max] >= c_sud * delta_gap * sqrt(log n)
 DEFAULT_C_SUD = 1.0 / math.sqrt(2.0 * math.pi * math.log(2.0))
@@ -89,20 +89,18 @@ def verify_covering(cov: Covering, gram: np.ndarray, r0: float):
     n = gram.shape[0]
     if cov.n != n:
         raise ValueError("covering size does not match gram dimension")
-    member = np.zeros((n, len(cov.blocks)), dtype=bool)
-    for b, idx in enumerate(cov.blocks):
-        member[idx, b] = True
-
-    counts = member.sum(axis=1)
+    counts = np.zeros(n, dtype=np.int64)
+    for idx in cov.blocks:
+        counts[idx] += 1  # an index repeated within a block counts once
     if counts.max(initial=0) > cov.multiplicity:
         return False, ("multiplicity", int(np.argmax(counts)))
 
-    shared = member @ member.T  # (i, j) -> number of common blocks
     # pairs whose correlation exceeds r0 must share a block; ties at r0 are
     # separated (matters when phi underflows to 0 at large lags)
-    need = gram > r0
-    np.fill_diagonal(need, False)
-    bad = need & (shared == 0)
+    bad = gram > r0
+    np.fill_diagonal(bad, False)
+    for idx in cov.blocks:
+        bad[np.ix_(idx, idx)] = False
     if bad.any():
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         return False, ("pair", int(i), int(j))
@@ -270,29 +268,26 @@ def covering_number_box(extent, d: int) -> int:
     For d = 1 and A = [0, T] this is T/2 (radius-1 balls are length-2
     intervals).
     """
-    extents = [float(e) for e in (extent if np.iterable(extent) else [extent] * d)]
-    if len(extents) != d:
-        raise ValueError("extent must give one length per axis")
-    return int(np.prod([math.ceil(e / 2.0) for e in extents]))
+    return int(np.prod([math.ceil(e / 2.0) for e in box_extents(d, extent)]))
 
 
 def greedy_net(points: np.ndarray, s0: float) -> np.ndarray:
     """Indices of a maximal s0-separated subset, grown greedily in order.
 
     Kept points are mutually separated by distance > s0; maximality means
-    every input point is within s0 of some kept point.
+    every input point is within s0 of some kept point.  A point is kept
+    when it is still free, and keeping it takes every later point within
+    s0 of it out of the free set.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    free = np.ones(pts.shape[0], dtype=bool)
     kept: list[int] = []
     for i in range(pts.shape[0]):
-        if not kept:
+        if free[i]:
             kept.append(i)
-            continue
-        d2 = np.sum((pts[kept] - pts[i]) ** 2, axis=1)
-        if np.all(d2 > s0 * s0):
-            kept.append(i)
+            free[i:] &= np.sum((pts[i:] - pts[i]) ** 2, axis=1) > s0 * s0
     return np.array(kept)
 
 
@@ -343,21 +338,14 @@ def estimate_field_growth(
 
     Returns (c1, c2, regression slope, per-scale (N, mean sup) data).
     """
-    extents = np.array(
-        [float(e) for e in (extent if np.iterable(extent) else [extent] * d)]
-    )
     data = []
-    cell = 0
-    scale = extents.copy()
-    while True:
-        n_a = covering_number_box(scale, d)
-        if n_a <= 1 or any(s < spacing for s in scale):
-            break
-        sb = sample_field_grid(model, d, scale, spacing, batch, seed,
-                               stream_offset=cell * batch)
-        data.append((n_a, max_argmax(sb).mean))
+    scale = np.array(box_extents(d, extent))
+    while (n_a := covering_number_box(scale, d)) > 1 and min(scale) >= spacing:
+        shape = grid_geometry(d, scale, spacing).shape
+        maxima, _ = sample_maxima(model, shape, batch, seed, spacing=spacing,
+                                  stream_offset=len(data) * batch)
+        data.append((n_a, _stable_mean(maxima)))
         scale = scale / 2.0
-        cell += 1
     if len(data) < 2:
         raise ValueError("need at least 2 dyadic scales with N(A) > 1")
     xs = np.array([math.sqrt(math.log(n_a)) for n_a, _ in data])

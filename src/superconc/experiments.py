@@ -26,7 +26,7 @@ from .covering import (
     tail_curve,
 )
 from .extremes import centering_gap, ks_to_gumbel, sample_maxima
-from .sampler import CHOLESKY_MAX_N, DRAW_BYTES_PER_ELEM, capacity_bytes
+from .sampler import capacity_bytes, grid_geometry, path_bytes
 from .scantest import (
     ScanClass,
     disjoint_class,
@@ -36,10 +36,10 @@ from .scantest import (
 )
 from .verify import (
     estimate_tail,
+    estimate_var_max,
     fit_gaussian_rate,
     fit_tail_rate,
     laplace_check,
-    variance_with_se,
 )
 
 EXPERIMENT_KINDS = (
@@ -131,25 +131,27 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(
             f"field 'params.alpha': {alpha} outside the admissible range (0, 1)"
         )
-    # memory of the largest cell at its smallest embedding (2^d n); sequence
-    # chunks shrink to fit the cap, so there one path has to fit
+    # chunks of paths shrink to fit the cap, so one path of the largest
+    # lattice has to fit
     if config.kind == "field_bound":
         p = config.params
-        d = int(p.get("d", 1))
-        extent, spacing = p.get("extent", 100.0), p.get("spacing", 1.0)
-        extents = extent if np.iterable(extent) else [extent] * d
-        npts = int(np.prod([math.floor(e / spacing) + 1 for e in extents]))
-        rows, what = int(p.get("growth_batch", 400)), f"field grid of {npts} points"
+        try:
+            shape = grid_geometry(int(p.get("d", 1)), p.get("extent", 100.0),
+                                  float(p.get("spacing", 1.0))).shape
+        except (TypeError, ValueError) as exc:
+            diags.append(f"field 'params': {exc}")
+            return diags
+        what = f"field grid of {math.prod(shape)} points"
     elif config.sizes and all(s >= 1 for s in config.sizes):
-        d, npts = 1, max(config.sizes)
-        rows, what = 1, f"largest cell (n={npts}) per path"
+        shape = (max(config.sizes),)
+        what = f"largest cell (n={shape[0]})"
     else:
         return diags
-    elems = 2**d * npts if npts > CHOLESKY_MAX_N else npts
-    need = rows * elems * DRAW_BYTES_PER_ELEM
+    need = path_bytes(shape)
     if need > capacity_bytes():
         diags.append(
-            f"capacity: {what} needs ~{need} bytes, cap is {capacity_bytes()}"
+            f"capacity: one path of the {what} needs ~{need} bytes, "
+            f"cap is {capacity_bytes()}"
         )
     return diags
 
@@ -191,8 +193,7 @@ def _write_json(path: Path, obj):
 def _run_variance_scaling(cfg):
     def cell(item):
         i, n = item
-        maxima, _ = sample_maxima(cfg.model, n, cfg.batch, _cell_seed(cfg.seed, i))
-        var, se = variance_with_se(maxima)
+        var, se = estimate_var_max(cfg.model, n, cfg.batch, _cell_seed(cfg.seed, i))
         return n, var, se, var * math.log(n)
 
     rows = _map_cells(cell, list(enumerate(cfg.sizes)), cfg.jobs)

@@ -9,16 +9,12 @@ import numpy as np
 
 from .sampler import SampleBatch, capacity_bytes, draw_rows, make_plan
 
-QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
-
 
 @dataclass
 class ExtremeSummary:
     maxima: np.ndarray
     argmax: np.ndarray
     mean: float
-    var: float
-    quantiles: dict[float, float]
     argmax_hist: np.ndarray = field(repr=False)
 
 
@@ -26,24 +22,15 @@ def _stable_mean(x: np.ndarray) -> float:
     return math.fsum(x) / len(x)
 
 
-def _stable_var(x: np.ndarray, mean: float) -> float:
-    if len(x) < 2:
-        return 0.0
-    return math.fsum((x - mean) ** 2) / (len(x) - 1)
-
-
 def max_argmax(batch: SampleBatch) -> ExtremeSummary:
-    """Per-path maximum and first-attaining index, plus batch aggregates."""
+    """Per-path maximum and first-attaining index, their mean and histogram."""
     paths = batch.paths
     if paths.size == 0:
         raise ValueError("empty batch")
     maxima = paths.max(axis=1)
     argmax = paths.argmax(axis=1)  # ties -> smallest index
-    mean = _stable_mean(maxima)
-    var = _stable_var(maxima, mean)
-    quants = {q: float(np.quantile(maxima, q)) for q in QUANTILE_LEVELS}
     hist = np.bincount(argmax, minlength=paths.shape[1])
-    return ExtremeSummary(maxima, argmax, mean, var, quants, hist)
+    return ExtremeSummary(maxima, argmax, _stable_mean(maxima), hist)
 
 
 @dataclass(frozen=True)
@@ -101,17 +88,19 @@ def centering_gap(maxima, n: int) -> float:
 
 
 def sample_maxima(
-    model, n: int, batch: int, seed: int, method: str | None = None,
-    chunk: int | None = None,
+    model, n: int | tuple[int, ...], batch: int, seed: int, method: str | None = None,
+    chunk: int | None = None, spacing: float = 1.0, stream_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (maxima, argmax) of a sequence batch, generated in chunks.
+    """Per-path (maxima, argmax) of a batch on a lattice of ``n`` points, or
+    of shape ``n`` (argmax then indexes the C-order grid), drawn in chunks.
 
-    The covariance is factored once for all chunks.  Streams are keyed by
-    absolute path index, so the result is identical to a single unchunked
-    call.  The default chunk holds at most 2**24 elements of draw work and
-    stays inside the memory cap.
+    The covariance is factored once for all chunks.  Path i draws from
+    stream ``stream_offset + i``, so the result is identical to a single
+    unchunked call.  The default chunk holds at most 2**24 elements of draw
+    work and stays inside the memory cap.
     """
-    plan = make_plan(model, (n,), method=method)
+    shape = tuple(n) if np.iterable(n) else (n,)
+    plan = make_plan(model, shape, spacing, method)
     if chunk is None:
         chunk = max(1, min(batch, (1 << 24) // plan.row_elems,
                            capacity_bytes() // plan.row_bytes))
@@ -120,7 +109,7 @@ def sample_maxima(
     done = 0
     while done < batch:
         b = min(chunk, batch - done)
-        paths = draw_rows(plan, b, seed, done)
+        paths = draw_rows(plan, b, seed, stream_offset + done)
         maxima[done : done + b] = paths.max(axis=1)
         argmax[done : done + b] = paths.argmax(axis=1)
         done += b

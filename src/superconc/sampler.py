@@ -184,6 +184,18 @@ def _lattice_points(shape, spacing: float = 1.0) -> np.ndarray:
     return np.column_stack([a.ravel() for a in axes])
 
 
+def _default_method(n: int) -> str:
+    return "circulant" if n > CHOLESKY_MAX_N else "cholesky"
+
+
+def path_bytes(shape) -> int:
+    """Working bytes to draw one path of the lattice with the default method,
+    at its smallest embedding (twice the lattice per axis) for a circulant."""
+    n = math.prod(shape)
+    elems = 2 ** len(shape) * n if _default_method(n) == "circulant" else n
+    return DRAW_BYTES_PER_ELEM * elems
+
+
 def make_plan(
     model: CovarianceModel,
     shape: tuple[int, ...],
@@ -195,7 +207,7 @@ def make_plan(
         raise ValueError("the lattice needs at least one point per axis")
     n = math.prod(shape)
     if method is None:
-        method = "circulant" if n > CHOLESKY_MAX_N else "cholesky"
+        method = _default_method(n)
     if method not in ("cholesky", "circulant"):
         raise ValueError(f"unknown method {method!r}")
 
@@ -244,20 +256,31 @@ def sample_sequence(
     return SampleBatch(paths, model, seed, plan.method, stream_offset)
 
 
-def grid_points(d: int, extent, spacing: float) -> tuple[np.ndarray, GridGeometry]:
-    """Regular grid over [0, extent_i] per axis, including both endpoints."""
-    if d not in (1, 2):
-        raise ValueError("only d in {1, 2} is supported")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+def box_extents(d: int, extent) -> tuple[float, ...]:
+    """Per-axis lengths of a box given one length or one per axis."""
     extents = tuple(float(e) for e in (extent if np.iterable(extent) else [extent] * d))
     if len(extents) != d:
         raise ValueError("extent must give one length per axis")
+    return extents
+
+
+def grid_geometry(d: int, extent, spacing: float) -> GridGeometry:
+    """Regular grid over [0, extent_i] per axis, including both endpoints."""
+    if d < 1:
+        raise ValueError("the grid needs at least one dimension")
+    if spacing <= 0:
+        raise ValueError("spacing must be positive")
+    extents = box_extents(d, extent)
     shape = tuple(int(math.floor(e / spacing + 1e-9)) + 1 for e in extents)
     if any(s < 2 for s in shape):
         raise ValueError("extent/spacing must yield at least 2 points per axis")
-    geom = GridGeometry(d=d, spacing=spacing, extent=extents, shape=shape)
-    return _lattice_points(shape, spacing), geom
+    return GridGeometry(d=d, spacing=spacing, extent=extents, shape=shape)
+
+
+def grid_points(d: int, extent, spacing: float) -> tuple[np.ndarray, GridGeometry]:
+    """Points of :func:`grid_geometry`'s grid, one row each, C order."""
+    geom = grid_geometry(d, extent, spacing)
+    return _lattice_points(geom.shape, spacing), geom
 
 
 def sample_field_grid(
@@ -271,7 +294,7 @@ def sample_field_grid(
     stream_offset: int = 0,
 ) -> SampleBatch:
     """Exact draw of the field restricted to a regular grid (flattened C-order)."""
-    _, geom = grid_points(d, extent, spacing)
+    geom = grid_geometry(d, extent, spacing)
     plan = make_plan(model, geom.shape, spacing, method)
     paths = draw_rows(plan, batch, seed, stream_offset)
     return SampleBatch(paths, model, seed, plan.method, stream_offset, geometry=geom)

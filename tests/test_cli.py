@@ -142,6 +142,13 @@ def test_bad_cov_exit_code(tmp_path, capsys):
     assert "config error: --cov" in capsys.readouterr().err
 
 
+def test_field_config_bad_spacing_exit_code(tmp_path, capsys):
+    cfg_file = tmp_path / "spacing0.json"
+    cfg_file.write_text(json.dumps({"kind": "field_bound", "params": {"spacing": 0.0}}))
+    assert main(["--config", str(cfg_file)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_invalid_config_kind_exit_code(tmp_path, capsys):
     cfg_file = tmp_path / "bad2.json"
     cfg_file.write_text(json.dumps({"kind": "nope"}))

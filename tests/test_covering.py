@@ -16,6 +16,7 @@ from superconc.covering import (
     correlated_bound,
     covering_number_box,
     crossover_window,
+    estimate_field_growth,
     field_bound,
     find_sign_vectors,
     gaussian_tail_curve,
@@ -100,6 +101,96 @@ def test_verify_covering_multiplicity_witness(iid):
     ok, witness = verify_covering(cov, gram_matrix(iid, np.arange(n)), 0.5)
     assert not ok
     assert witness[0] == "multiplicity"
+
+
+def _verify_covering_pairwise(cov, gram, r0):
+    """Reference check: one pass over every index, then over every pair."""
+    n = gram.shape[0]
+    members = [set(int(i) for i in b) for b in cov.blocks]
+    counts = [sum(i in m for m in members) for i in range(n)]
+    if max(counts, default=0) > cov.multiplicity:
+        return False, ("multiplicity", counts.index(max(counts)))
+    for i in range(n):
+        for j in range(n):
+            if i != j and gram[i, j] > r0 and not any(i in m and j in m for m in members):
+                return False, ("pair", i, j)
+    return True, None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_verify_covering_matches_pairwise_reference(seed):
+    rs = np.random.default_rng(seed)
+    n = int(rs.integers(8, 40))
+    a = rs.uniform(-1.0, 1.0, (n, n))
+    gram = (a + a.T) / 2  # symmetric; the check never needs it positive definite
+    np.fill_diagonal(gram, 1.0)
+    blocks = [rs.choice(n, size=int(rs.integers(1, n)), replace=True)  # repeats
+              for _ in range(int(rs.integers(1, 12)))]
+    if seed % 3 == 0:
+        blocks = [b for k, b in enumerate(blocks) if k % 2]  # dropped blocks
+    if seed % 4 == 1:
+        blocks += [np.array([n - 1])] * 4  # an over-covered index
+    for mult in (1, 2, 3, 16):
+        cov = Covering(blocks, multiplicity=mult, n=n)
+        for r0 in (0.0, 0.6, 0.9, 1.0):
+            assert verify_covering(cov, gram, r0) == _verify_covering_pairwise(cov, gram, r0)
+
+
+def test_verify_covering_matches_pairwise_reference_on_sequence_blocks(ou):
+    n = 64
+    cov = build_sequence_covering(n, 0.5)
+    g = gram_matrix(ou, np.arange(n))
+    r0 = float(evaluate(ou, 8.0))
+    for drop in range(len(cov.blocks)):
+        broken = Covering(cov.blocks[:drop] + cov.blocks[drop + 1:], multiplicity=3, n=n)
+        assert verify_covering(broken, g, r0) == _verify_covering_pairwise(broken, g, r0)
+    assert verify_covering(cov, g, r0) == (True, None)
+
+
+def _greedy_net_per_candidate(points, s0):
+    """Reference: test each candidate against every point kept so far."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    kept = []
+    for i in range(pts.shape[0]):
+        if not kept or np.all(np.sum((pts[kept] - pts[i]) ** 2, axis=1) > s0 * s0):
+            kept.append(i)
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_net_matches_per_candidate_reference(d, seed):
+    rs = np.random.default_rng(seed)
+    pts = rs.uniform(0.0, 10.0, (300, d))
+    if d == 1:
+        pts = pts[:, 0]
+    for s0 in (0.05, 0.7, 2.0, 15.0):
+        assert np.array_equal(greedy_net(pts, s0), _greedy_net_per_candidate(pts, s0))
+
+
+@pytest.mark.parametrize("d, extent, spacing", [
+    (1, 40.0, 1.0), (1, 4.0, 0.1), (2, 12.0, 1.0), (2, [9.0, 5.0], 1.0), (3, 4.0, 1.0),
+])
+def test_greedy_net_matches_reference_at_lattice_ties(d, extent, spacing):
+    from superconc.sampler import grid_points
+
+    pts, _ = grid_points(d, extent, spacing)
+    # s0 equal to a lattice distance: pairs at exactly s0 are kept apart or
+    # not by the same float comparison; sqrt(k)**2 rounds above k for some
+    # k and below it for others
+    for k in (0, 1, 2, 3, 4, 5, 6, 9, 13, 18):
+        s0 = spacing * math.sqrt(k)
+        assert np.array_equal(greedy_net(pts, s0), _greedy_net_per_candidate(pts, s0))
+
+
+def test_field_growth_under_a_low_cap_matches_uncapped(monkeypatch):
+    smooth = CovarianceModel("gaussian_smooth", lam2=2.0)
+    want = estimate_field_growth(smooth, 2, 60.0, batch=40, seed=3)
+    # 40 rows of the 61 x 61 circulant draw need ~19 MB; one row is ~0.5 MB
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(16 * 10**6))
+    assert estimate_field_growth(smooth, 2, 60.0, batch=40, seed=3) == want
 
 
 def test_singleton_covering():

@@ -72,6 +72,22 @@ def test_validate_capacity_estimate(tmp_path, monkeypatch):
     assert any(d.startswith("capacity") for d in diags)
 
 
+def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):
+    field = dict(kind="field_bound", params={"d": 2, "extent": 96.0, "growth_batch": 400})
+    # one path of the 97 x 97 grid needs ~1.2 MB; 400 rows would need ~480 MB
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(2 * 10**6))
+    assert validate(_cfg(tmp_path, **field)) == []
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(10**6))
+    assert any(d.startswith("capacity") for d in validate(_cfg(tmp_path, **field)))
+
+
+@pytest.mark.parametrize("params", [{"spacing": 0.0}, {"d": 0}, {"d": 2, "extent": [4.0]},
+                                    {"extent": 0.5}])
+def test_validate_bad_field_grid(tmp_path, params):
+    diags = validate(_cfg(tmp_path, kind="field_bound", params=params))
+    assert len(diags) == 1 and diags[0].startswith("field 'params'")
+
+
 def test_validate_bad_batch_and_sizes(tmp_path):
     diags = validate(_cfg(tmp_path, batch=0, sizes=(0,)))
     assert any("batch" in d for d in diags)

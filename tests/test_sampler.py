@@ -135,18 +135,22 @@ def test_grid_points_2d():
 
 def test_grid_points_validation():
     with pytest.raises(ValueError):
-        grid_points(3, 4.0, 1.0)
+        grid_points(0, 4.0, 1.0)
     with pytest.raises(ValueError):
         grid_points(1, 4.0, 0.0)
     with pytest.raises(ValueError):
         grid_points(1, 0.5, 1.0)  # fewer than 2 points
 
 
-@pytest.mark.parametrize("method", ["cholesky", "circulant"])
-def test_field_covariance_2d(gs, method):
+@pytest.mark.parametrize(
+    "d, method",
+    [(2, "cholesky"), (2, "circulant"), (3, "cholesky"), (3, "circulant")],
+    ids=["cholesky", "circulant", "3d-cholesky", "3d-circulant"],
+)
+def test_field_covariance_2d(gs, d, method):
     batch = 30000
-    b = sample_field_grid(gs, 2, [2.0, 2.0], 1.0, batch, seed=4, method=method)
-    pts, _ = grid_points(2, [2.0, 2.0], 1.0)
+    b = sample_field_grid(gs, d, [2.0] * d, 1.0, batch, seed=4, method=method)
+    pts, _ = grid_points(d, [2.0] * d, 1.0)
     emp = b.paths.T @ b.paths / batch
     g = gram_matrix(gs, pts)
     se = np.sqrt((1 + g**2) / batch)
