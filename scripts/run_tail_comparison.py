@@ -7,11 +7,10 @@ exponential bound is the sharper of the two.
 
 import argparse
 import json
-from pathlib import Path
 
-from superconc.covariance import CovarianceModel
+from superconc.cli import load_model
 from superconc.covering import crossover_window
-from superconc.experiments import ExperimentConfig, run
+from superconc.experiments import ExperimentConfig, SchemaError, run
 
 
 def main() -> int:
@@ -21,11 +20,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--t-max", type=float, default=2.0)
     ap.add_argument("--out", default="out/tail_comparison")
-    ap.add_argument("--cov", help="covariance model JSON (default iid)")
+    ap.add_argument("--cov", help="covariance model JSON, inline or a file (default iid)")
     args = ap.parse_args()
 
-    model = (CovarianceModel.from_json(Path(args.cov).read_text()) if args.cov
-             else CovarianceModel("iid"))
+    try:
+        model = load_model(args.cov)
+    except SchemaError as exc:
+        ap.error(str(exc))
     cfg = ExperimentConfig(
         kind="tail_bounds", model=model, sizes=(args.n,), batch=args.batch,
         seed=args.seed, out=args.out,

@@ -8,10 +8,9 @@ the superconcentration signature.
 
 import argparse
 import json
-from pathlib import Path
 
-from superconc.covariance import CovarianceModel
-from superconc.experiments import ExperimentConfig, run
+from superconc.cli import load_model
+from superconc.experiments import ExperimentConfig, SchemaError, run
 
 
 def main() -> int:
@@ -22,11 +21,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--out", default="out/variance_scaling")
-    ap.add_argument("--cov", help="covariance model JSON (default iid)")
+    ap.add_argument("--cov", help="covariance model JSON, inline or a file (default iid)")
     args = ap.parse_args()
 
-    model = (CovarianceModel.from_json(Path(args.cov).read_text()) if args.cov
-             else CovarianceModel("iid"))
+    try:
+        model = load_model(args.cov)
+    except SchemaError as exc:
+        ap.error(str(exc))
     cfg = ExperimentConfig(
         kind="variance_scaling", model=model, sizes=tuple(args.sizes),
         batch=args.batch, seed=args.seed, out=args.out, jobs=args.jobs,

@@ -3,19 +3,12 @@
 __version__ = "0.1.0"
 
 from .covariance import CovarianceModel, check_hypotheses, evaluate, gram_matrix
-from .sampler import (
-    SampleBatch,
-    CoupledBatch,
-    evolve_pair,
-    sample_field_grid,
-    sample_sequence,
-)
+from .sampler import SampleBatch, sample_field_grid, sample_sequence
 from .extremes import (
     gumbel_cdf,
     gumbel_sf,
     ks_to_gumbel,
     centering_gap,
-    max_argmax,
     norm_constants,
     sample_maxima,
 )
@@ -34,7 +27,6 @@ from .covering import (
 from .verify import (
     LaplaceCheck,
     TailEstimate,
-    coupled_max_correlation,
     estimate_tail,
     estimate_var_max,
     fit_tail_rate,
@@ -43,11 +35,9 @@ from .verify import (
 from .scantest import (
     RiskReport,
     ScanClass,
-    decision,
     disjoint_class,
     estimate_E0max,
     estimate_risk,
-    scan_statistic,
     sliding_class,
     threshold_prop51,
     threshold_prop52,
@@ -56,17 +46,15 @@ from .experiments import ExperimentConfig, run, validate
 
 __all__ = [
     "CovarianceModel", "check_hypotheses", "evaluate", "gram_matrix",
-    "SampleBatch", "CoupledBatch", "evolve_pair", "sample_field_grid",
-    "sample_sequence",
-    "gumbel_cdf", "gumbel_sf", "ks_to_gumbel", "centering_gap", "max_argmax",
+    "SampleBatch", "sample_field_grid", "sample_sequence",
+    "gumbel_cdf", "gumbel_sf", "ks_to_gumbel", "centering_gap",
     "norm_constants", "sample_maxima",
     "BoundReport", "Covering", "build_sequence_covering", "correlated_bound",
     "field_bound", "find_sign_vectors", "gaussian_tail_curve", "sequence_bound",
     "tail_curve", "verify_covering",
-    "LaplaceCheck", "TailEstimate", "coupled_max_correlation", "estimate_tail",
-    "estimate_var_max", "fit_tail_rate", "laplace_check",
-    "RiskReport", "ScanClass", "decision", "disjoint_class", "estimate_E0max",
-    "estimate_risk", "scan_statistic", "sliding_class", "threshold_prop51",
-    "threshold_prop52",
+    "LaplaceCheck", "TailEstimate", "estimate_tail", "estimate_var_max",
+    "fit_tail_rate", "laplace_check",
+    "RiskReport", "ScanClass", "disjoint_class", "estimate_E0max",
+    "estimate_risk", "sliding_class", "threshold_prop51", "threshold_prop52",
     "ExperimentConfig", "run", "validate",
 ]

@@ -19,15 +19,15 @@ from .experiments import ExperimentConfig, SchemaError, fmt, json_default, run, 
 from .sampler import dump_paths, sample_field_grid, sample_sequence
 
 
-def _load_model(spec: str | None) -> CovarianceModel:
+def load_model(spec: str | None) -> CovarianceModel:
+    """The covariance model of a ``--cov`` value: inline JSON, a JSON file,
+    or iid when absent.  Errors are :class:`SchemaError` naming ``--cov``."""
     if spec is None:
         return CovarianceModel("iid")
-    text = spec
-    if not spec.lstrip().startswith("{"):
-        text = Path(spec).read_text()
     try:
+        text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
         return CovarianceModel.from_json(text)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise SchemaError(f"--cov: {exc}") from exc
 
 
@@ -41,7 +41,7 @@ def _emit(obj):
 
 
 def _cmd_sample(args) -> int:
-    model = _load_model(args.cov)
+    model = load_model(args.cov)
     if args.d:
         batch = sample_field_grid(
             model, args.d, args.extent, args.spacing, args.batch, args.seed,
@@ -56,7 +56,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    model = _load_model(args.cov)
+    model = load_model(args.cov)
     if args.pipeline == "sequence":
         report = sequence_bound(
             model, args.n, args.alpha, rho_source=args.rho,
@@ -86,7 +86,7 @@ def _cmd_bound(args) -> int:
 def _experiment_cmd(args, kind: str, params: dict, sizes=None) -> int:
     cfg = ExperimentConfig(
         kind=kind,
-        model=_load_model(getattr(args, "cov", None)),
+        model=load_model(getattr(args, "cov", None)),
         sizes=tuple(sizes or [1024]),
         batch=getattr(args, "batch", 10**4),
         seed=args.seed,

@@ -113,7 +113,6 @@ class RhoEstimate:
     source: str  # "analytic" | "monte_carlo"
     se: float = 0.0
     eta: float | None = None
-    block_index: int | None = None
     degenerate: bool = False  # rho >= 1: 1/log(1/rho) blows up
 
 
@@ -124,11 +123,9 @@ def rho_monte_carlo(cov: Covering, argmax_indices) -> RhoEstimate:
     if npaths < MC_RHO_MIN_PATHS:
         raise ValueError(f"Monte Carlo rho needs >= {MC_RHO_MIN_PATHS} paths")
     hist = np.bincount(idx, minlength=cov.n)
-    probs = np.array([hist[b].sum() / npaths for b in cov.blocks])
-    k = int(np.argmax(probs))
-    rho = float(probs[k])
+    rho = float(max(hist[b].sum() for b in cov.blocks) / npaths)
     se = math.sqrt(max(rho * (1 - rho), 1.0 / npaths) / npaths)
-    return RhoEstimate(rho, "monte_carlo", se=se, block_index=k, degenerate=rho >= 1.0)
+    return RhoEstimate(rho, "monte_carlo", se=se, degenerate=rho >= 1.0)
 
 
 def sudakov_exponent(delta: float, c_sud: float = DEFAULT_C_SUD) -> float:
@@ -227,27 +224,22 @@ def sequence_bound(
     phi1 = evaluate(model, 1.0)
     delta = 2.0 * (1.0 - phi1)
 
+    m = int(math.floor(n**alpha))
     if model.kind == "iid":
-        cov = singleton_covering(n)
-        m = int(math.floor(n**alpha))
-        r0 = 0.0
-        if rho_source == "monte_carlo":
-            _, argmax = sample_maxima(model, n, batch, seed, method)
-            rho = rho_monte_carlo(cov, argmax)
-        else:
-            # argmax is uniform by exchangeability: rho = 1/n exactly
-            rho = RhoEstimate(1.0 / n, "analytic", eta=None)
+        cov, r0 = singleton_covering(n), 0.0
     else:
         cov = build_sequence_covering(n, alpha)
-        m = int(math.floor(n**alpha))
         cov.r0 = r0 = float(evaluate(model, float(m)))
-        if rho_source == "monte_carlo":
-            _, argmax = sample_maxima(model, n, batch, seed, method)
-            rho = rho_monte_carlo(cov, argmax)
-        elif rho_source == "analytic":
-            rho = rho_analytic_sequence(n, alpha, delta, c_sud)
-        else:
-            raise ValueError(f"unknown rho source {rho_source!r}")
+    if rho_source == "monte_carlo":
+        _, argmax = sample_maxima(model, n, batch, seed, method)
+        rho = rho_monte_carlo(cov, argmax)
+    elif model.kind == "iid":
+        # argmax is uniform by exchangeability: rho = 1/n exactly
+        rho = RhoEstimate(1.0 / n, "analytic")
+    elif rho_source == "analytic":
+        rho = rho_analytic_sequence(n, alpha, delta, c_sud)
+    else:
+        raise ValueError(f"unknown rho source {rho_source!r}")
 
     K = bound_scale(r0, rho.rho)
     K_paper = max(float(evaluate(model, float(n) ** alpha)), 1.0 / math.log(n))
@@ -292,18 +284,28 @@ def greedy_net(points: np.ndarray, s0: float) -> np.ndarray:
 
 
 def verify_net(points: np.ndarray, net_idx: np.ndarray, s0: float):
-    """Exhaustive separation + maximality check; returns (ok, witness)."""
+    """Exhaustive separation + maximality check; returns (ok, witness).
+
+    Distances are taken from one net point at a time, so memory stays at a
+    few arrays of n points.  The separation witness is the closest net pair,
+    first in row-major order; the maximality witness is the first point
+    farthest from the net.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     net = pts[net_idx]
-    dn = np.sqrt(np.sum((net[:, None, :] - net[None, :, :]) ** 2, axis=-1))
-    np.fill_diagonal(dn, np.inf)
-    if dn.min(initial=np.inf) <= s0:
-        i, j = np.unravel_index(int(np.argmin(dn)), dn.shape)
-        return False, ("separation", int(net_idx[i]), int(net_idx[j]))
-    dall = np.sqrt(np.sum((pts[:, None, :] - net[None, :, :]) ** 2, axis=-1))
-    nearest = dall.min(axis=1)
+    best, pair = np.inf, (0, 0)
+    for i in range(len(net) - 1):
+        row = np.sqrt(np.sum((net[i + 1:] - net[i]) ** 2, axis=1))
+        j = int(np.argmin(row))
+        if row[j] < best:  # strict: an earlier row keeps a tie
+            best, pair = row[j], (i, i + 1 + j)
+    if best <= s0:
+        return False, ("separation", int(net_idx[pair[0]]), int(net_idx[pair[1]]))
+    nearest = np.full(pts.shape[0], np.inf)
+    for p in net:
+        np.minimum(nearest, np.sqrt(np.sum((pts - p) ** 2, axis=1)), out=nearest)
     if np.any(nearest > s0):
         return False, ("maximality", int(np.argmax(nearest)))
     return True, None

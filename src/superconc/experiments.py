@@ -22,11 +22,10 @@ from .covering import (
     field_bound,
     find_sign_vectors,
     gaussian_tail_curve,
-    sequence_bound,
     tail_curve,
 )
 from .extremes import centering_gap, ks_to_gumbel, sample_maxima
-from .sampler import capacity_bytes, grid_geometry, path_bytes
+from .sampler import capacity_bytes, grid_geometry, plan_bytes
 from .scantest import (
     ScanClass,
     disjoint_class,
@@ -131,8 +130,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(
             f"field 'params.alpha': {alpha} outside the admissible range (0, 1)"
         )
-    # chunks of paths shrink to fit the cap, so one path of the largest
-    # lattice has to fit
+    # chunks of paths shrink to fit the cap, so each lattice has to fit its
+    # factor and one path
     if config.kind == "field_bound":
         p = config.params
         try:
@@ -141,17 +140,16 @@ def validate(config: ExperimentConfig) -> list[str]:
         except (TypeError, ValueError) as exc:
             diags.append(f"field 'params': {exc}")
             return diags
-        what = f"field grid of {math.prod(shape)} points"
+        shapes = [shape]
     elif config.sizes and all(s >= 1 for s in config.sizes):
-        shape = (max(config.sizes),)
-        what = f"largest cell (n={shape[0]})"
+        shapes = [(s,) for s in config.sizes]
     else:
         return diags
-    need = path_bytes(shape)
+    need, shape = max((plan_bytes(config.model, s), s) for s in shapes)
     if need > capacity_bytes():
         diags.append(
-            f"capacity: one path of the {what} needs ~{need} bytes, "
-            f"cap is {capacity_bytes()}"
+            f"capacity: factoring the lattice of {math.prod(shape)} points and "
+            f"drawing one path needs ~{need} bytes, cap is {capacity_bytes()}"
         )
     return diags
 
@@ -228,9 +226,9 @@ def _run_tail_bounds(cfg):
         _cell_seed(cfg.seed, 0),
     )
     K = float(p.get("K", 1.0 / math.log(n)))
-    exp_fit = fit_tail_rate(tail, K)
+    fit = fit_tail_rate(tail, K)
     gauss_fit = fit_gaussian_rate(tail)
-    bound = tail_curve(K, exp_fit.rate, t_grid) if exp_fit.rate > 0 else np.full_like(t_grid, np.nan)
+    bound = tail_curve(K, fit.rate, t_grid) if fit.rate > 0 else np.full_like(t_grid, np.nan)
     gbound = gaussian_tail_curve(t_grid)
     rows = [
         (t_grid[i], tail.survival[i], tail.lo[i], tail.hi[i], bound[i], gbound[i])
@@ -238,7 +236,7 @@ def _run_tail_bounds(cfg):
     ]
     summary = {
         "n": n, "K": K, "center": tail.center, "center_value": tail.center_value,
-        "c_hat": exp_fit.rate, "r2": exp_fit.r2, "exp_fit_ok": exp_fit.ok,
+        "c_hat": fit.rate, "r2": fit.r2, "exp_fit_ok": fit.ok,
         "gaussian_rate": gauss_fit.rate, "gaussian_r2": gauss_fit.r2,
     }
     return ["t", "survival", "lo", "hi", "bound", "gaussian_bound"], rows, summary

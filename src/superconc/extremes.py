@@ -3,34 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import SampleBatch, capacity_bytes, draw_rows, make_plan
-
-
-@dataclass
-class ExtremeSummary:
-    maxima: np.ndarray
-    argmax: np.ndarray
-    mean: float
-    argmax_hist: np.ndarray = field(repr=False)
+from .sampler import capacity_bytes, draw_rows, make_plan
 
 
 def _stable_mean(x: np.ndarray) -> float:
     return math.fsum(x) / len(x)
-
-
-def max_argmax(batch: SampleBatch) -> ExtremeSummary:
-    """Per-path maximum and first-attaining index, their mean and histogram."""
-    paths = batch.paths
-    if paths.size == 0:
-        raise ValueError("empty batch")
-    maxima = paths.max(axis=1)
-    argmax = paths.argmax(axis=1)  # ties -> smallest index
-    hist = np.bincount(argmax, minlength=paths.shape[1])
-    return ExtremeSummary(maxima, argmax, _stable_mean(maxima), hist)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,13 +93,6 @@ class SampleBatch:
     @property
     def batch(self) -> int:
         return self.paths.shape[0]
-
-
-@dataclass
-class CoupledBatch:
-    base: SampleBatch
-    evolved: SampleBatch
-    t: float
 
 
 def _check_capacity(nbytes: int):
@@ -188,12 +181,19 @@ def _default_method(n: int) -> str:
     return "circulant" if n > CHOLESKY_MAX_N else "cholesky"
 
 
-def path_bytes(shape) -> int:
-    """Working bytes to draw one path of the lattice with the default method,
-    at its smallest embedding (twice the lattice per axis) for a circulant."""
+def _cholesky_bytes(n: int) -> int:
+    return 2 * n * n * 8  # the gram and its lower factor
+
+
+def plan_bytes(model: CovarianceModel, shape) -> int:
+    """Working bytes to factor the lattice with the default method and draw
+    one path: the gram and its Cholesky factor (none for the iid model), or
+    one path at the smallest embedding (twice the lattice per axis)."""
     n = math.prod(shape)
-    elems = 2 ** len(shape) * n if _default_method(n) == "circulant" else n
-    return DRAW_BYTES_PER_ELEM * elems
+    if _default_method(n) == "circulant":
+        return DRAW_BYTES_PER_ELEM * 2 ** len(shape) * n
+    factor = 0 if model.kind == "iid" else _cholesky_bytes(n)
+    return max(factor, DRAW_BYTES_PER_ELEM * n)
 
 
 def make_plan(
@@ -215,7 +215,7 @@ def make_plan(
         # gram is the identity; both factorizations reduce to raw noise
         return LatticePlan(method, shape, None)
     if method == "cholesky":
-        _check_capacity(2 * n * n * 8)
+        _check_capacity(_cholesky_bytes(n))
         gram = gram_matrix(model, _lattice_points(shape, spacing))
         return LatticePlan(method, shape, _cholesky_factor(gram))
     eig, _ = circulant_embedding(model, shape, spacing)
@@ -298,26 +298,6 @@ def sample_field_grid(
     plan = make_plan(model, geom.shape, spacing, method)
     paths = draw_rows(plan, batch, seed, stream_offset)
     return SampleBatch(paths, model, seed, plan.method, stream_offset, geometry=geom)
-
-
-def evolve_pair(batch: SampleBatch, t: float, seed2: int) -> CoupledBatch:
-    """Couple the batch with its semigroup evolution at time t.
-
-    evolved = e^{-t} * base + sqrt(1 - e^{-2t}) * independent copy,
-    entrywise.  The evolved marginal law equals the base law and
-    Cov(base_i, evolved_j) = e^{-t} Gamma_{ij}.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        evolved = replace(batch, paths=batch.paths.copy(), seed=seed2)
-        return CoupledBatch(batch, evolved, 0.0)
-    g = batch.geometry
-    plan = make_plan(batch.model, g.shape if g else (batch.n,),
-                     g.spacing if g else 1.0, batch.method)
-    fresh = draw_rows(plan, batch.batch, seed2, batch.stream_offset)
-    mixed = math.exp(-t) * batch.paths + math.sqrt(-math.expm1(-2 * t)) * fresh
-    return CoupledBatch(batch, replace(batch, paths=mixed, seed=seed2), float(t))
 
 
 # ---------------------------------------------------------------------------

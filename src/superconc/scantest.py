@@ -2,7 +2,7 @@
 
 The test statistic is the maximum of the set sums X_S, S in the class.
 The null is an iid standard normal vector; under the alternative one set
-has its coordinates shifted by mu.  The decision rule rejects when
+has its coordinates shifted by mu.  The test rejects the null when
 2 max_S X_S >= mu K + E_0[max_S X_S].  Two acceptance thresholds for mu
 are provided: a Gaussian-concentration threshold and a sharper one based
 on the exponential concentration of the maximum, which needs the tail
@@ -74,21 +74,6 @@ def set_sums(x: np.ndarray, cls: ScanClass) -> np.ndarray:
     if x.ndim == 1:
         return x[cls.sets].sum(axis=1)
     return x[:, cls.sets].sum(axis=2)
-
-
-def scan_statistic(x, cls: ScanClass) -> tuple[float, int]:
-    """Maximum set sum and the first set index attaining it."""
-    sums = set_sums(np.asarray(x, dtype=float), cls)
-    if sums.ndim != 1:
-        raise ValueError("scan_statistic takes a single vector")
-    k = int(np.argmax(sums))
-    return float(sums[k]), k
-
-
-def decision(x, cls: ScanClass, tau: float) -> int:
-    """1 (reject the null) iff the scan statistic reaches tau."""
-    value, _ = scan_statistic(x, cls)
-    return int(value >= tau)
 
 
 def threshold_prop51(K: int, delta: float, e0max: float) -> float:
@@ -193,7 +178,6 @@ def estimate_risk(
     trials: int = 2000,
     seed: int = 0,
     delta_target: float | None = None,
-    e0max_trials: int | None = None,
 ) -> RiskReport:
     """Monte Carlo risk (type I plus averaged type II) of the scan test.
 
@@ -204,7 +188,7 @@ def estimate_risk(
     """
     if threshold_kind not in ("prop51", "prop52"):
         raise ValueError("threshold kind must be 'prop51' or 'prop52'")
-    e0max, e0se = estimate_E0max(cls, e0max_trials or max(trials, 10**4), seed)
+    e0max, e0se = estimate_E0max(cls, max(trials, 10**4), seed)
 
     c_used = c
     if mu is None:

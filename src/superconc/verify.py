@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extremes import _stable_mean, norm_constants, sample_maxima
-from .sampler import CoupledBatch
 
 FIT_SURVIVAL_MIN = 1e-3
 FIT_SURVIVAL_MAX = 0.3
@@ -72,8 +71,6 @@ class TailEstimate:
     center_value: float
     sample_size: int
     low_resolution: np.ndarray = field(repr=False, default=None)
-    exp_fit: FitResult | None = None
-    gaussian_fit: FitResult | None = None
 
 
 def tail_from_deviations(dev: np.ndarray, t_grid, center: str,
@@ -144,14 +141,12 @@ def fit_tail_rate(
     y = -np.log(tail.survival[mask] / 6.0)
     x = t / math.sqrt(K)
     rate, intercept, r2 = _linear_fit(x, y)
-    fit = FitResult(
+    return FitResult(
         rate=rate, intercept=intercept, r2=r2,
         ok=(rate > 0 and r2 >= FIT_R2_OK and intercept >= FIT_INTERCEPT_MIN),
         n_points=int(mask.sum()), t_range=(float(t.min()), float(t.max())),
         form="exponential", K=K,
     )
-    tail.exp_fit = fit
-    return fit
 
 
 def fit_gaussian_rate(
@@ -164,14 +159,12 @@ def fit_gaussian_rate(
     y = -np.log(tail.survival[mask] / 2.0)
     x = t**2 / 2.0
     rate, intercept, r2 = _linear_fit(x, y)
-    fit = FitResult(
+    return FitResult(
         rate=rate, intercept=intercept, r2=r2,
         ok=(rate > 0 and r2 >= FIT_R2_OK),
         n_points=int(mask.sum()), t_range=(float(t.min()), float(t.max())),
         form="gaussian",
     )
-    tail.gaussian_fit = fit
-    return fit
 
 
 @dataclass
@@ -231,11 +224,3 @@ def laplace_check(
     c_hat = float(np.nanmax(margin))
     return LaplaceCheck(thetas, margin, se, overflow, c_hat, K)
 
-
-def coupled_max_correlation(coupled: CoupledBatch) -> float:
-    """Empirical correlation of the base and evolved per-path maxima."""
-    m0 = coupled.base.paths.max(axis=1)
-    m1 = coupled.evolved.paths.max(axis=1)
-    if np.allclose(m0, m1):
-        return 1.0
-    return float(np.corrcoef(m0, m1)[0, 1])

@@ -142,6 +142,36 @@ def test_bad_cov_exit_code(tmp_path, capsys):
     assert "config error: --cov" in capsys.readouterr().err
 
 
+def test_missing_cov_file_exit_code(tmp_path, capsys):
+    assert main(["--out", str(tmp_path / "p.bin"), "sample", "--cov",
+                 str(tmp_path / "absent.json"), "--n", "4", "--batch", "1"]) == 2
+    assert "config error: --cov" in capsys.readouterr().err
+
+
+# the gram and its Cholesky factor need 16 n^2 bytes: 67 MB at n = 2048 and
+# 66 MB for a 45 x 45 grid, while one path needs under 70 KB
+LOW_CAP = str(20 * 10**6)
+
+
+def test_sequence_factor_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
+    assert main(["--out", str(tmp_path / "vs"), "verify", "variance_scaling",
+                 "--cov", OU_JSON, "--sizes", "2048"]) == 2
+    assert "config error: capacity" in capsys.readouterr().err
+
+
+def test_field_factor_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
+    cfg_file = tmp_path / "field44.json"
+    cfg_file.write_text(json.dumps({
+        "kind": "field_bound", "out": str(tmp_path / "f"),
+        "model": {"kind": "gaussian_smooth", "params": {"lam2": 2.0}},
+        "params": {"d": 2, "extent": 44.0},
+    }))
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
+    assert main(["--config", str(cfg_file)]) == 2
+    assert "config error: capacity" in capsys.readouterr().err
+
+
 def test_field_config_bad_spacing_exit_code(tmp_path, capsys):
     cfg_file = tmp_path / "spacing0.json"
     cfg_file.write_text(json.dumps({"kind": "field_bound", "params": {"spacing": 0.0}}))

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superconc.covariance import CovarianceModel, evaluate, gram_matrix
+from superconc.extremes import sample_maxima
 from superconc.covering import (
     DEFAULT_C_SUD,
     Covering,
+    MC_RHO_MIN_PATHS,
     HypothesisError,
     TrivialCoveringError,
     bound_scale,
@@ -240,6 +242,22 @@ def test_sequence_bound_iid_analytic(iid):
     assert not rep.degenerate
 
 
+@pytest.mark.parametrize("kind", ["iid", "ornstein_uhlenbeck"])
+def test_sequence_bound_monte_carlo_rho_is_the_largest_block_share(kind):
+    model = CovarianceModel(kind)
+    n, batch = 256, MC_RHO_MIN_PATHS
+    rep = sequence_bound(model, n, 0.5, rho_source="monte_carlo", batch=batch, seed=4)
+    _, argmax = sample_maxima(model, n, batch, 4)
+    hist = np.bincount(argmax, minlength=n)
+    assert rep.rho_source == "monte_carlo"
+    assert rep.rho == max(hist[b].sum() for b in rep.covering.blocks) / batch
+
+
+def test_sequence_bound_unknown_rho_source(ou):
+    with pytest.raises(ValueError, match="unknown rho source 'bogus'"):
+        sequence_bound(ou, 256, 0.5, rho_source="bogus")
+
+
 def test_sequence_bound_rejects_bad_phi1():
     slow = CovarianceModel("power_decay", amp=1.0, alpha_cov=2.0)  # phi(1) = 1/2
     with pytest.raises(HypothesisError, match="phi\\(1\\)"):
@@ -279,6 +297,67 @@ def test_verify_net_witnesses():
     # not maximal: point 3 is uncovered
     ok, w = verify_net(pts, np.array([0]), 2.0)
     assert not ok and w[0] == "maximality"
+
+
+def _verify_net_dense(points, net_idx, s0):
+    """Reference: all net-net and point-net distances at once."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    net = pts[net_idx]
+    dn = np.sqrt(np.sum((net[:, None, :] - net[None, :, :]) ** 2, axis=-1))
+    np.fill_diagonal(dn, np.inf)
+    if dn.min(initial=np.inf) <= s0:
+        i, j = np.unravel_index(int(np.argmin(dn)), dn.shape)
+        return False, ("separation", int(net_idx[i]), int(net_idx[j]))
+    dall = np.sqrt(np.sum((pts[:, None, :] - net[None, :, :]) ** 2, axis=-1))
+    nearest = dall.min(axis=1)
+    if np.any(nearest > s0):
+        return False, ("maximality", int(np.argmax(nearest)))
+    return True, None
+
+
+def _candidate_nets(net, n, rs):
+    """The net itself, with a point dropped, with a duplicate, with an extra point."""
+    yield net
+    if len(net) > 1:
+        yield np.delete(net, rs.integers(len(net)))
+    yield np.append(net, net[rs.integers(len(net))])
+    yield np.sort(np.append(net, rs.integers(n)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("spacing", [1.0, 0.5, 0.1])
+def test_verify_net_matches_dense_reference(d, spacing):
+    rs = np.random.default_rng(d * 10 + int(10 * spacing))
+    for _ in range(4):
+        pts = rs.uniform(0.0, 10.0 * spacing, (150, d))
+        if d == 1:
+            pts = pts[:, 0]
+        for s0 in (0.3 * spacing, spacing, 2.5 * spacing):
+            net = greedy_net(pts, s0)
+            for cand in _candidate_nets(net, 150, rs):
+                for s in (0.75 * s0, s0, 1.5 * s0):
+                    assert verify_net(pts, cand, s) == _verify_net_dense(pts, cand, s)
+
+
+@pytest.mark.parametrize("d, extent, spacing", [
+    (1, 40.0, 1.0), (1, 4.0, 0.1), (2, 12.0, 1.0), (2, [9.0, 5.0], 1.0), (3, 4.0, 1.0),
+])
+def test_verify_net_matches_dense_reference_at_lattice_ties(d, extent, spacing):
+    from superconc.sampler import grid_points
+
+    pts, _ = grid_points(d, extent, spacing)
+    rs = np.random.default_rng(d)
+    # net and check radii equal to lattice distances: a pair at exactly s0
+    # fails separation and a point at exactly s0 passes maximality
+    ks = (1, 2, 3, 4, 5, 9, 13)
+    for k in ks:
+        net = greedy_net(pts, spacing * math.sqrt(k))
+        for cand in _candidate_nets(net, len(pts), rs):
+            for k2 in ks:
+                s = spacing * math.sqrt(k2)
+                assert verify_net(pts, cand, s) == _verify_net_dense(pts, cand, s)
 
 
 def test_net_ball_covering_covers_everything():

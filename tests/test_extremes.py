@@ -10,7 +10,6 @@ from superconc.extremes import (
     gumbel_cdf,
     gumbel_sf,
     ks_to_gumbel,
-    max_argmax,
     norm_constants,
     sample_maxima,
 )
@@ -86,19 +85,6 @@ def test_ks_exact_statistic_oracle():
 def test_centering_gap_positive(rng_np):
     m = rng_np.standard_normal(300) + 3.0
     assert centering_gap(m, 1000) > 0
-
-
-def test_max_argmax_first_tie():
-    paths = np.array([[1.0, 3.0, 3.0, 0.0], [2.0, 2.0, 1.0, 2.0]])
-    from superconc.sampler import SampleBatch
-    from superconc.covariance import CovarianceModel
-
-    sb = SampleBatch(paths, CovarianceModel("iid"), 0, "cholesky")
-    summ = max_argmax(sb)
-    assert list(summ.argmax) == [1, 0]
-    assert summ.maxima[0] == 3.0
-    assert summ.mean == pytest.approx(np.mean([3.0, 2.0]))
-    assert summ.argmax_hist.sum() == 2
 
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])

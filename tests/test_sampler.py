@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from superconc.sampler import (
     EmbeddingError,
     circulant_embedding,
     dump_paths,
-    evolve_pair,
     grid_points,
     load_paths,
     sample_field_grid,
@@ -161,29 +158,6 @@ def test_field_1d_matches_sequence_for_unit_spacing(ou):
     f = sample_field_grid(ou, 1, 9.0, 1.0, 4, seed=2, method="circulant")
     s = sample_sequence(ou, 10, 4, seed=2, method="circulant")
     assert np.array_equal(f.paths, s.paths)
-
-
-def test_evolve_pair_zero_time(ou):
-    base = sample_sequence(ou, 8, 5, seed=1)
-    pair = evolve_pair(base, 0.0, seed2=2)
-    assert np.array_equal(pair.base.paths, pair.evolved.paths)
-    assert pair.evolved.paths is not pair.base.paths
-
-
-def test_evolve_pair_cross_covariance(iid):
-    base = sample_sequence(iid, 2, 60000, seed=1)
-    t = 0.7
-    pair = evolve_pair(base, t, seed2=99)
-    x = pair.base.paths[:, 0]
-    y = pair.evolved.paths[:, 0]
-    assert np.var(y) == pytest.approx(1.0, abs=0.03)
-    assert np.mean(x * y) == pytest.approx(math.exp(-t), abs=0.03)
-
-
-def test_evolve_pair_negative_time(ou):
-    base = sample_sequence(ou, 4, 2, seed=0)
-    with pytest.raises(ValueError):
-        evolve_pair(base, -0.1, seed2=1)
 
 
 def test_dump_load_round_trip(tmp_path, ou):

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from superconc.scantest import (
     ScanClass,
     calibrate_c,
-    decision,
     disjoint_class,
     estimate_E0max,
     estimate_risk,
-    scan_statistic,
     set_sums,
     sliding_class,
     threshold_prop51,
@@ -53,32 +51,6 @@ def test_set_sums_vector_and_matrix():
     out = set_sums(xs, cls)
     assert out.shape == (2, 2)
     assert list(out[1]) == [-3.0, -7.0]
-
-
-def test_scan_statistic_first_argmax():
-    cls = disjoint_class(2, 2)
-    value, k = scan_statistic(np.array([2.0, 1.0, 1.5, 1.5]), cls)
-    assert value == 3.0 and k == 0  # tie broken toward the first set
-
-
-def test_decision_boundary_inclusive():
-    cls = disjoint_class(2, 2)
-    x = np.array([1.0, 1.0, 0.0, 0.0])
-    assert decision(x, cls, 2.0) == 1  # >= tau rejects
-    assert decision(x, cls, 2.0 + 1e-12) == 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=11), st.floats(min_value=0, max_value=3))
-def test_decision_monotone_in_x(i, bump):
-    cls = disjoint_class(3, 4)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(12)
-    tau = 1.0
-    before = decision(x, cls, tau)
-    x2 = x.copy()
-    x2[i] += bump
-    assert decision(x2, cls, tau) >= before
 
 
 def test_threshold_prop51_worked_example():

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superconc.sampler import evolve_pair, sample_sequence
 from superconc.verify import (
     FIT_R2_OK,
     TailEstimate,
-    coupled_max_correlation,
     estimate_tail,
     estimate_var_max,
     fit_gaussian_rate,
@@ -178,17 +176,3 @@ def test_laplace_rejects_bad_K(rng_np):
     with pytest.raises(ValueError):
         laplace_check(rng_np.standard_normal(100), K=0.0)
 
-
-def test_coupled_max_correlation_degenerate(ou):
-    base = sample_sequence(ou, 16, 200, seed=0)
-    pair = evolve_pair(base, 0.0, seed2=1)
-    assert coupled_max_correlation(pair) == 1.0
-
-
-def test_coupled_max_correlation_decays(ou):
-    base = sample_sequence(ou, 16, 4000, seed=0)
-    near = coupled_max_correlation(evolve_pair(base, 0.05, seed2=1))
-    far = coupled_max_correlation(evolve_pair(base, 3.0, seed2=1))
-    assert near > 0.8
-    assert abs(far) < 0.2
-    assert near > far
