@@ -28,7 +28,6 @@ from .verify import (
     LaplaceCheck,
     TailEstimate,
     estimate_tail,
-    estimate_var_max,
     fit_tail_rate,
     laplace_check,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "BoundReport", "Covering", "build_sequence_covering", "correlated_bound",
     "field_bound", "find_sign_vectors", "gaussian_tail_curve", "sequence_bound",
     "tail_curve", "verify_covering",
-    "LaplaceCheck", "TailEstimate", "estimate_tail", "estimate_var_max",
+    "LaplaceCheck", "TailEstimate", "estimate_tail",
     "fit_tail_rate", "laplace_check",
     "RiskReport", "ScanClass", "disjoint_class", "estimate_E0max",
     "estimate_risk", "sliding_class", "threshold_prop51", "threshold_prop52",

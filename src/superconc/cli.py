@@ -16,7 +16,7 @@ from pathlib import Path
 from .covariance import CovarianceModel
 from .covering import correlated_bound, field_bound, sequence_bound, tail_curve
 from .experiments import ExperimentConfig, SchemaError, fmt, json_default, run, validate
-from .sampler import dump_paths, sample_field_grid, sample_sequence
+from .sampler import CapacityError, dump_paths, sample_field_grid, sample_sequence
 
 
 def load_model(spec: str | None) -> CovarianceModel:
@@ -111,8 +111,6 @@ def _run_config(cfg: ExperimentConfig) -> int:
 
 def _cmd_verify(args) -> int:
     params = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
     if args.theta_points is not None:
         params["theta_points"] = args.theta_points
     if args.t_max is not None:
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cov")
     v.add_argument("--sizes", type=int, nargs="+", default=[64, 1024])
     v.add_argument("--batch", type=int, default=10**4)
-    v.add_argument("--alpha", type=float)
     v.add_argument("--theta-points", type=int)
     v.add_argument("--t-max", type=float)
     v.set_defaults(fn=_cmd_verify)
@@ -252,6 +249,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SchemaError as exc:
         _progress(f"config error: {exc}")
+        return 2
+    except CapacityError as exc:
+        _progress(f"config error: capacity: {exc}")
         return 2
 
 

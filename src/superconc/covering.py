@@ -217,7 +217,6 @@ def sequence_bound(
     c: float = 1.0,
     batch: int = MC_RHO_MIN_PATHS,
     seed: int = 0,
-    method: str | None = None,
 ) -> BoundReport:
     """Assemble the full constant pipeline of the sequence tail bound."""
     _gate_hypotheses(model)
@@ -231,7 +230,7 @@ def sequence_bound(
         cov = build_sequence_covering(n, alpha)
         cov.r0 = r0 = float(evaluate(model, float(m)))
     if rho_source == "monte_carlo":
-        _, argmax = sample_maxima(model, n, batch, seed, method)
+        _, argmax = sample_maxima(model, n, batch, seed)
         rho = rho_monte_carlo(cov, argmax)
     elif model.kind == "iid":
         # argmax is uniform by exchangeability: rho = 1/n exactly
@@ -515,34 +514,20 @@ def gaussian_tail_curve(t_grid) -> np.ndarray:
     return 2.0 * np.exp(-(t**2) / 2.0)
 
 
-def _bisect(f, lo, hi, rel_tol=1e-9):
-    flo = f(lo)
-    while hi - lo > rel_tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def crossover_window(K: float, c: float) -> tuple[float, float] | None:
     """t interval on which the superconcentration curve beats the Gaussian one.
 
-    Solves 6 exp(-c t / sqrt(K)) = 2 exp(-t^2 / 2), i.e.
-    c t / sqrt(K) = t^2 / 2 + log 3, by bisection.  Returns None when the
-    curves never cross (the linear exponent never gains log 3 on t^2/2).
+    6 exp(-c t / sqrt(K)) = 2 exp(-t^2 / 2) is the quadratic
+    t^2 / 2 - a t + log 3 = 0 with a = c / sqrt(K); its roots are
+    a -+ sqrt(a^2 - 2 log 3), the smaller taken as 2 log 3 over the larger
+    to avoid cancellation.  Returns None when the curves never cross (the
+    linear exponent never gains log 3 on t^2/2).
     """
     if K <= 0 or c <= 0:
         raise ValueError("K and c must be positive")
     a = c / math.sqrt(K)
-    h = lambda t: a * t - t * t / 2.0 - math.log(3.0)
-    t_peak = a
-    if h(t_peak) <= 0:
+    two_log3 = 2.0 * math.log(3.0)
+    if a * a <= two_log3:
         return None
-    hi = 2 * t_peak + 1.0
-    while h(hi) > 0:
-        hi *= 2.0
-    t_lo = _bisect(h, 0.0, t_peak)
-    t_hi = _bisect(h, t_peak, hi)
-    return (t_lo, t_hi)
+    t_hi = a + math.sqrt(a * a - two_log3)
+    return (two_log3 / t_hi, t_hi)

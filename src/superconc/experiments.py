@@ -11,7 +11,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .covering import (
 from .extremes import centering_gap, ks_to_gumbel, sample_maxima
 from .sampler import capacity_bytes, grid_geometry, plan_bytes
 from .scantest import (
+    STREAM_BLOCK,
     ScanClass,
     disjoint_class,
     estimate_risk,
@@ -35,20 +36,10 @@ from .scantest import (
 )
 from .verify import (
     estimate_tail,
-    estimate_var_max,
     fit_gaussian_rate,
     fit_tail_rate,
     laplace_check,
-)
-
-EXPERIMENT_KINDS = (
-    "gumbel_convergence",
-    "variance_scaling",
-    "tail_bounds",
-    "laplace_check",
-    "field_bound",
-    "scan_risk",
-    "sign_vectors",
+    variance_with_se,
 )
 
 
@@ -90,6 +81,9 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if "kind" not in obj:
             raise SchemaError("missing field 'kind'")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SchemaError(f"unknown field(s) {unknown}")
         model = obj.get("model", {"kind": "iid"})
         try:
             model = CovarianceModel.from_json(json.dumps(model))
@@ -125,11 +119,10 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("field 'batch': must be positive")
     if any(s < 1 for s in config.sizes):
         diags.append("field 'sizes': entries must be positive")
-    alpha = config.params.get("alpha")
-    if alpha is not None and not 0 < alpha < 1:
-        diags.append(
-            f"field 'params.alpha': {alpha} outside the admissible range (0, 1)"
-        )
+    trials = int(config.params.get("trials", 2000))
+    if config.kind == "scan_risk" and trials > STREAM_BLOCK:
+        diags.append(f"field 'params.trials': {trials} trials overrun the "
+                     f"{STREAM_BLOCK}-stream block of each estimate")
     # chunks of paths shrink to fit the cap, so each lattice has to fit its
     # factor and one path
     if config.kind == "field_bound":
@@ -188,13 +181,23 @@ def _write_json(path: Path, obj):
     path.write_text(text + "\n")
 
 
-def _run_variance_scaling(cfg):
+def _per_size(cfg, sizes, stat):
+    """``stat(n, maxima)`` for each n in ``sizes``; the i-th size draws
+    ``cfg.batch`` maxima from cell seed i, cells mapped over ``cfg.jobs``."""
     def cell(item):
         i, n = item
-        var, se = estimate_var_max(cfg.model, n, cfg.batch, _cell_seed(cfg.seed, i))
+        maxima, _ = sample_maxima(cfg.model, n, cfg.batch, _cell_seed(cfg.seed, i))
+        return stat(n, maxima)
+
+    return _map_cells(cell, list(enumerate(sizes)), cfg.jobs)
+
+
+def _run_variance_scaling(cfg):
+    def stat(n, maxima):
+        var, se = variance_with_se(maxima)
         return n, var, se, var * math.log(n)
 
-    rows = _map_cells(cell, list(enumerate(cfg.sizes)), cfg.jobs)
+    rows = _per_size(cfg, cfg.sizes, stat)
     summary = {
         "per_n": [
             {"n": n, "var": v, "se": se, "var_times_logn": vl}
@@ -205,12 +208,8 @@ def _run_variance_scaling(cfg):
 
 
 def _run_gumbel_convergence(cfg):
-    def cell(item):
-        i, n = item
-        maxima, _ = sample_maxima(cfg.model, n, cfg.batch, _cell_seed(cfg.seed, i))
-        return n, ks_to_gumbel(maxima, n), centering_gap(maxima, n)
-
-    rows = _map_cells(cell, list(enumerate(cfg.sizes)), cfg.jobs)
+    rows = _per_size(cfg, cfg.sizes,
+                     lambda n, m: (n, ks_to_gumbel(m, n), centering_gap(m, n)))
     summary = {
         "per_n": [{"n": n, "ks": k, "centering_gap": g} for n, k, g in rows]
     }
@@ -221,10 +220,8 @@ def _run_tail_bounds(cfg):
     n = cfg.sizes[0]
     p = cfg.params
     t_grid = np.linspace(0.0, float(p.get("t_max", 2.0)), int(p.get("t_points", 41)))
-    tail = estimate_tail(
-        cfg.model, n, cfg.batch, p.get("center", "mean"), t_grid,
-        _cell_seed(cfg.seed, 0),
-    )
+    center = p.get("center", "mean")
+    [tail] = _per_size(cfg, [n], lambda n, m: estimate_tail(m, n, center, t_grid))
     K = float(p.get("K", 1.0 / math.log(n)))
     fit = fit_tail_rate(tail, K)
     gauss_fit = fit_gaussian_rate(tail)
@@ -244,12 +241,14 @@ def _run_tail_bounds(cfg):
 
 def _run_laplace_check(cfg):
     theta_points = int(cfg.params.get("theta_points", 21))
+
+    def stat(n, maxima):
+        K = float(cfg.params.get("K", 1.0 / math.log(n)))
+        return n, K, laplace_check(maxima, K, theta_points)
+
     rows = []
     per_n = []
-    for i, n in enumerate(cfg.sizes):
-        maxima, _ = sample_maxima(cfg.model, n, cfg.batch, _cell_seed(cfg.seed, i))
-        K = float(cfg.params.get("K", 1.0 / math.log(n)))
-        chk = laplace_check(maxima, K, theta_points)
+    for n, K, chk in _per_size(cfg, cfg.sizes, stat):
         for j in range(theta_points):
             rows.append((n, chk.theta[j], chk.margin[j], chk.margin_se[j]))
         per_n.append({"n": n, "K": K, "C_hat": chk.C_hat,
@@ -326,14 +325,15 @@ def _run_sign_vectors(cfg):
 
 
 _RUNNERS = {
-    "variance_scaling": _run_variance_scaling,
     "gumbel_convergence": _run_gumbel_convergence,
+    "variance_scaling": _run_variance_scaling,
     "tail_bounds": _run_tail_bounds,
     "laplace_check": _run_laplace_check,
     "field_bound": _run_field_bound,
     "scan_risk": _run_scan_risk,
     "sign_vectors": _run_sign_vectors,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig) -> dict[str, Path]:

@@ -22,6 +22,9 @@ from .verify import fit_tail_rate, tail_from_deviations
 
 MAX_ALTERNATIVES = 64
 SCAN_BLOCK_ELEMS = 2**16  # normals drawn per block of null trials (512 KiB)
+# streams owned by each estimate of estimate_risk: E0max, calibration, null,
+# picker and each alternative start at consecutive multiples of this
+STREAM_BLOCK = 10**6
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def calibrate_c(cls: ScanClass, trials: int = 10**4, seed: int = 0) -> float:
     6 exp(-c t / sqrt(K / log N)), recovering the constant of the
     acceptance threshold.
     """
-    maxima = _null_scan_maxima(cls, trials, seed, offset=10**6)
+    maxima = _null_scan_maxima(cls, trials, seed, offset=STREAM_BLOCK)
     dev = np.abs(maxima - _stable_mean(maxima))
     grid = np.linspace(0.0, float(np.quantile(dev, 0.9995)), 48)[1:]
     tail = tail_from_deviations(dev, grid, "mean", _stable_mean(maxima))
@@ -188,6 +191,8 @@ def estimate_risk(
     """
     if threshold_kind not in ("prop51", "prop52"):
         raise ValueError("threshold kind must be 'prop51' or 'prop52'")
+    if trials > STREAM_BLOCK:
+        raise ValueError(f"{trials} trials overrun the {STREAM_BLOCK}-stream block")
     e0max, e0se = estimate_E0max(cls, max(trials, 10**4), seed)
 
     c_used = c
@@ -203,7 +208,7 @@ def estimate_risk(
 
     tau = (mu * cls.K + e0max) / 2.0
 
-    null_max = _null_scan_maxima(cls, trials, seed, offset=2 * 10**6)
+    null_max = _null_scan_maxima(cls, trials, seed, offset=2 * STREAM_BLOCK)
     type1 = float(np.mean(null_max >= tau))
     # floor the binomial variance at 1/trials so zero-count cells still
     # report a resolution limit instead of SE = 0
@@ -211,7 +216,7 @@ def estimate_risk(
 
     subsampled = cls.N > MAX_ALTERNATIVES
     if subsampled:
-        picker = rng.stream_generator(seed, 3 * 10**6)
+        picker = rng.stream_generator(seed, 3 * STREAM_BLOCK)
         chosen = picker.choice(cls.N, size=MAX_ALTERNATIVES, replace=False)
     else:
         chosen = np.arange(cls.N)
@@ -219,7 +224,7 @@ def estimate_risk(
     var2 = []
     for j, s_idx in enumerate(chosen):
         alt = _null_scan_maxima(
-            cls, trials, seed, offset=(4 + j) * 10**6,
+            cls, trials, seed, offset=(4 + j) * STREAM_BLOCK,
             mu=mu, shifted=cls.sets[s_idx],
         )
         pj = float(np.mean(alt < tau))

@@ -1,5 +1,6 @@
-"""Monte Carlo verification: variance and tail estimates for the maximum,
-exponential-rate fitting, and the Laplace-transform variance check."""
+"""Statistics of a batch of maxima: variance and tail estimates,
+exponential-rate fitting, and the Laplace-transform variance check.
+Drawing the maxima is the caller's job (``extremes.sample_maxima``)."""
 
 from __future__ import annotations
 
@@ -8,23 +9,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extremes import _stable_mean, norm_constants, sample_maxima
+from .extremes import _stable_mean, norm_constants
 
 FIT_SURVIVAL_MIN = 1e-3
 FIT_SURVIVAL_MAX = 0.3
 FIT_MIN_POINTS = 5
 FIT_R2_OK = 0.9
-
-
-def estimate_var_max(
-    model, n: int, batch: int, seed: int, method: str | None = None
-) -> tuple[float, float]:
-    """Unbiased sample variance of per-path maxima with jackknife SE."""
-    maxima, _ = sample_maxima(model, n, batch, seed, method)
-    return variance_with_se(maxima)
+LAPLACE_SE_GROUPS = 20  # laplace_check's margin_se comes from this many group means
 
 
 def variance_with_se(x: np.ndarray) -> tuple[float, float]:
+    """Unbiased sample variance with its jackknife SE."""
     b = len(x)
     if b < 3:
         raise ValueError("need at least 3 samples for a jackknife SE")
@@ -55,10 +50,6 @@ class FitResult:
     intercept: float
     r2: float
     ok: bool
-    n_points: int
-    t_range: tuple[float, float]
-    form: str
-    K: float | None = None
 
 
 @dataclass
@@ -87,15 +78,11 @@ def tail_from_deviations(dev: np.ndarray, t_grid, center: str,
     )
 
 
-def estimate_tail(
-    model, n: int, batch: int, center: str, t_grid, seed: int,
-    method: str | None = None, maxima: np.ndarray | None = None,
-) -> TailEstimate:
-    """Empirical survival of |M - center| on a t grid with Wilson bands."""
+def estimate_tail(maxima: np.ndarray, n: int, center: str, t_grid) -> TailEstimate:
+    """Empirical survival of |M - center| on a t grid with Wilson bands, for
+    maxima over ``n`` points; ``center`` is 'mean' or 'b_n'."""
     if center not in ("mean", "b_n"):
         raise ValueError("center must be 'mean' or 'b_n'")
-    if maxima is None:
-        maxima, _ = sample_maxima(model, n, batch, seed, method)
     cval = _stable_mean(maxima) if center == "mean" else norm_constants(n).b_n
     return tail_from_deviations(np.abs(maxima - cval), t_grid, center, cval)
 
@@ -144,8 +131,6 @@ def fit_tail_rate(
     return FitResult(
         rate=rate, intercept=intercept, r2=r2,
         ok=(rate > 0 and r2 >= FIT_R2_OK and intercept >= FIT_INTERCEPT_MIN),
-        n_points=int(mask.sum()), t_range=(float(t.min()), float(t.max())),
-        form="exponential", K=K,
     )
 
 
@@ -162,8 +147,6 @@ def fit_gaussian_rate(
     return FitResult(
         rate=rate, intercept=intercept, r2=r2,
         ok=(rate > 0 and r2 >= FIT_R2_OK),
-        n_points=int(mask.sum()), t_range=(float(t.min()), float(t.max())),
-        form="gaussian",
     )
 
 
@@ -186,16 +169,14 @@ def _margin_one(z: np.ndarray, theta: float, K: float) -> float:
     return var / (theta**2 / 4.0 * K * e_full)
 
 
-def laplace_check(
-    maxima, K: float, theta_points: int = 21, groups: int = 20
-) -> LaplaceCheck:
+def laplace_check(maxima, K: float, theta_points: int = 21) -> LaplaceCheck:
     """Check Var(e^{theta Z/2}) <= (theta^2/4) K E[e^{theta Z}] on the window.
 
     Z is the mean-centered maximum; the margin is the ratio of the two
     sides, so values <= C (the covering multiplicity) verify the
     inequality.  The window is |theta| <= 2/sqrt(K); theta = 0 uses the
-    second-order limit Var(Z)/K.  Standard errors come from contiguous
-    group means.
+    second-order limit Var(Z)/K.  Standard errors come from
+    ``LAPLACE_SE_GROUPS`` contiguous group means.
     """
     if K <= 0:
         raise ValueError("K must be positive")
@@ -206,7 +187,7 @@ def laplace_check(
     margin = np.empty(theta_points)
     se = np.empty(theta_points)
     overflow = np.zeros(theta_points, dtype=bool)
-    bounds = np.linspace(0, len(z), groups + 1).astype(int)
+    bounds = np.linspace(0, len(z), LAPLACE_SE_GROUPS + 1).astype(int)
     for i, th in enumerate(thetas):
         with np.errstate(over="raise"):
             try:

@@ -168,7 +168,7 @@ def test_criterion_06_tail_shape():
     K = 1.0 / math.log(n)
     m, _ = sample_maxima(IID, n, batch, seed=21)
     t_grid = np.linspace(0.0, 2.0, 41)
-    tail = estimate_tail(IID, n, batch, "mean", t_grid, 0, maxima=m)
+    tail = estimate_tail(m, n, "mean", t_grid)
     exp_fit = fit_tail_rate(tail, K)
     gauss_fit = fit_gaussian_rate(tail)
     assert exp_fit.rate > 0

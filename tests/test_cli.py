@@ -172,6 +172,35 @@ def test_field_factor_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
     assert "config error: capacity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bound", "sample"])
+def test_sequence_command_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
+    assert main(["--out", str(tmp_path / "p.bin"), command, "--cov", OU_JSON,
+                 "--n", "2048"]) == 2
+    assert "config error: capacity: " in capsys.readouterr().err
+
+
+def test_config_typo_exit_code(tmp_path, capsys):
+    cfg_file = tmp_path / "typo.json"
+    cfg_file.write_text(json.dumps({"kind": "variance_scaling", "size": [64]}))
+    assert main(["--config", str(cfg_file)]) == 2
+    assert "'size'" in capsys.readouterr().err
+
+
+def test_scan_trials_above_the_stream_block_exit_code(tmp_path, capsys):
+    assert main(["--out", str(tmp_path / "scan"), "scan", "--trials",
+                 str(10**6 + 1)]) == 2
+    assert "config error: field 'params.trials'" in capsys.readouterr().err
+
+
+def test_verify_has_no_alpha_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "vs"), "verify", "variance_scaling",
+              "--alpha", "0.5"])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
 def test_field_config_bad_spacing_exit_code(tmp_path, capsys):
     cfg_file = tmp_path / "spacing0.json"
     cfg_file.write_text(json.dumps({"kind": "field_bound", "params": {"spacing": 0.0}}))

@@ -492,6 +492,16 @@ def test_crossover_window_quadratic_oracle():
     assert np.allclose(tail_curve(K, c, t), gaussian_tail_curve(t), rtol=1e-5)
 
 
+def test_crossover_window_roots_multiply_to_two_log3():
+    # t_lo * t_hi = 2 log 3; t_lo stays accurate where a - sqrt(a^2 - 2 log 3)
+    # would cancel to 0
+    for K, c in ((0.25, 2.0), (1e-16, 1.0)):
+        lo, hi = crossover_window(K, c)
+        assert lo * hi == pytest.approx(2 * math.log(3.0), rel=1e-12)
+    # a = 1e8: t_lo = log 3 / a to first order
+    assert crossover_window(1e-16, 1.0)[0] == pytest.approx(math.log(3.0) / 1e8, rel=1e-12)
+
+
 def test_crossover_window_none_when_no_gain():
     # peak advantage a^2/2 below log 3: curves never cross
     assert crossover_window(4.0, 0.5) is None

@@ -13,6 +13,7 @@ from superconc.experiments import (
     run,
     validate,
 )
+from superconc.scantest import STREAM_BLOCK
 
 
 def _cfg(tmp_path, **kw):
@@ -53,17 +54,17 @@ def test_config_bad_model_named():
         ExperimentConfig.from_dict({"kind": "variance_scaling", "model": {"kind": "bogus"}})
 
 
+def test_config_rejects_unknown_fields():
+    with pytest.raises(SchemaError, match="'size'"):
+        ExperimentConfig.from_dict({"kind": "variance_scaling", "size": [64]})
+
+
 def test_validate_unknown_kind(tmp_path):
     diags = validate(_cfg(tmp_path, kind="nope"))
     assert len(diags) == 1
     assert "kind" in diags[0]
     for k in EXPERIMENT_KINDS:
         assert k in diags[0]
-
-
-def test_validate_alpha_range_message(tmp_path):
-    diags = validate(_cfg(tmp_path, params={"alpha": 1.5}))
-    assert any("alpha" in d and "(0, 1)" in d for d in diags)
 
 
 def test_validate_capacity_estimate(tmp_path, monkeypatch):
@@ -97,6 +98,15 @@ def test_validate_counts_the_cholesky_factor(tmp_path, monkeypatch):
 def test_validate_bad_field_grid(tmp_path, params):
     diags = validate(_cfg(tmp_path, kind="field_bound", params=params))
     assert len(diags) == 1 and diags[0].startswith("field 'params'")
+
+
+def test_validate_scan_trials_within_the_stream_block(tmp_path):
+    scan = dict(kind="scan_risk", params={"generator": "disjoint:4,4", "mu": 1.0})
+    scan["params"]["trials"] = STREAM_BLOCK
+    assert validate(_cfg(tmp_path, **scan)) == []
+    scan["params"]["trials"] = STREAM_BLOCK + 1
+    diags = validate(_cfg(tmp_path, **scan))
+    assert len(diags) == 1 and diags[0].startswith("field 'params.trials'")
 
 
 def test_validate_bad_batch_and_sizes(tmp_path):
@@ -158,6 +168,16 @@ def test_laplace_experiment(tmp_path):
     summary = json.loads(paths["summary"].read_text())
     assert summary["per_n"][0]["n"] == 32
     assert summary["per_n"][0]["C_hat"] > 0
+
+
+def test_laplace_experiment_jobs_do_not_change_bytes(tmp_path):
+    def files(jobs):
+        paths = run(_cfg(tmp_path, kind="laplace_check", sizes=(16, 32, 64), batch=500,
+                         params={"theta_points": 5}, out=str(tmp_path / f"j{jobs}"),
+                         jobs=jobs))
+        return paths["csv"].read_bytes(), paths["summary"].read_bytes()
+
+    assert files(1) == files(2)
 
 
 def test_scan_experiment_generator_parse(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superconc import scantest
 from superconc.scantest import (
+    STREAM_BLOCK,
     ScanClass,
     calibrate_c,
     disjoint_class,
@@ -204,3 +206,16 @@ def test_estimate_risk_subsamples_large_classes():
     rep = estimate_risk(cls, mu=50.0, trials=20, seed=0)
     assert rep.subsampled
     assert rep.n_alternatives == 64
+
+
+def test_estimate_risk_rejects_trials_above_the_stream_block(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew trials before checking the stream block")
+
+    monkeypatch.setattr(scantest, "_null_scan_maxima", no_draws)
+    cls = disjoint_class(4, 4)
+    with pytest.raises(ValueError, match=str(STREAM_BLOCK)):
+        estimate_risk(cls, mu=1.0, trials=STREAM_BLOCK + 1, seed=0)
+    # at the block size the check passes and the first draw is reached
+    with pytest.raises(AssertionError, match="drew trials"):
+        estimate_risk(cls, mu=1.0, trials=STREAM_BLOCK, seed=0)

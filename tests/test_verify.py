@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superconc.extremes import sample_maxima
 from superconc.verify import (
     FIT_R2_OK,
     TailEstimate,
     estimate_tail,
-    estimate_var_max,
     fit_gaussian_rate,
     fit_tail_rate,
     laplace_check,
@@ -61,14 +61,16 @@ def test_tail_from_deviations_counts():
 
 
 def test_estimate_tail_center_validation(iid):
+    m, _ = sample_maxima(iid, 8, 10, seed=0)
     with pytest.raises(ValueError):
-        estimate_tail(iid, 8, 10, "median", [0.0, 1.0], seed=0)
+        estimate_tail(m, 8, "median", [0.0, 1.0])
 
 
 def test_estimate_tail_centers_differ_by_shift(iid):
     t = np.linspace(0, 2, 9)
-    a = estimate_tail(iid, 64, 2000, "mean", t, seed=1)
-    b = estimate_tail(iid, 64, 2000, "b_n", t, seed=1)
+    m, _ = sample_maxima(iid, 64, 2000, seed=1)
+    a = estimate_tail(m, 64, "mean", t)
+    b = estimate_tail(m, 64, "b_n", t)
     assert a.center_value != b.center_value
     assert abs(a.center_value - b.center_value) < 0.5
 
@@ -119,15 +121,6 @@ def test_fit_scale_consistency(K):
     tail2 = _synthetic_tail(t, np.exp(-1.3 * t) * 5.0)
     f2 = fit_tail_rate(tail2, 4 * K, smin=0.0, smax=1.0)
     assert f2.rate == pytest.approx(2 * f1.rate, rel=1e-9)
-
-
-def test_estimate_var_max_agrees_with_maxima(iid):
-    var, se = estimate_var_max(iid, 16, 500, seed=3)
-    from superconc.extremes import sample_maxima
-
-    m, _ = sample_maxima(iid, 16, 500, seed=3)
-    assert var == pytest.approx(np.var(m, ddof=1))
-    assert se > 0
 
 
 def test_laplace_theta_zero_is_variance_over_K(rng_np):
