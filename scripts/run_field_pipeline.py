@@ -7,13 +7,14 @@ import argparse
 import json
 
 from superconc.covariance import CovarianceModel
-from superconc.experiments import ExperimentConfig, run
+from superconc.experiments import PARAMS, ExperimentConfig, run
 
 
 def main() -> int:
+    defaults = PARAMS["field_bound"]
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--extent", type=float, default=100.0)
-    ap.add_argument("--d", type=int, default=1, choices=[1, 2, 3])
+    ap.add_argument("--extent", type=float, default=defaults["extent"])
+    ap.add_argument("--d", type=int, default=defaults["d"], choices=[1, 2, 3])
     ap.add_argument("--lam2", type=float, default=2.0,
                     help="second spectral moment of the smooth covariance")
     ap.add_argument("--seed", type=int, default=0)

@@ -7,15 +7,16 @@ across a delta grid.
 import argparse
 import json
 
-from superconc.experiments import ExperimentConfig, run
+from superconc.experiments import PARAMS, ExperimentConfig, run
 
 
 def main() -> int:
+    defaults = PARAMS["scan_risk"]
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--generator", default="disjoint:10,10",
+    ap.add_argument("--generator", default=defaults["generator"],
                     help="disjoint:N,K or sliding:n,K")
-    ap.add_argument("--delta", type=float, default=0.2)
-    ap.add_argument("--trials", type=int, default=2000)
+    ap.add_argument("--delta", type=float, default=defaults["delta"])
+    ap.add_argument("--trials", type=int, default=defaults["trials"])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="out/scan")
     args = ap.parse_args()

@@ -10,7 +10,7 @@ import json
 
 from superconc.cli import load_model
 from superconc.covering import crossover_window
-from superconc.experiments import ExperimentConfig, SchemaError, run
+from superconc.experiments import PARAMS, ExperimentConfig, SchemaError, run
 
 
 def main() -> int:
@@ -18,7 +18,7 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=4096)
     ap.add_argument("--batch", type=int, default=10**5)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--t-max", type=float, default=2.0)
+    ap.add_argument("--t-max", type=float, default=PARAMS["tail_bounds"]["t_max"])
     ap.add_argument("--out", default="out/tail_comparison")
     ap.add_argument("--cov", help="covariance model JSON, inline or a file (default iid)")
     args = ap.parse_args()
@@ -30,7 +30,7 @@ def main() -> int:
     cfg = ExperimentConfig(
         kind="tail_bounds", model=model, sizes=(args.n,), batch=args.batch,
         seed=args.seed, out=args.out,
-        params={"t_max": args.t_max, "t_points": 41},
+        params={"t_max": args.t_max},
     )
     paths = run(cfg)
     summary = json.loads(paths["summary"].read_text())

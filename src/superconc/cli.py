@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .covariance import CovarianceModel
 from .covering import correlated_bound, field_bound, sequence_bound, tail_curve
-from .experiments import ExperimentConfig, SchemaError, fmt, json_default, run, validate
+from .experiments import (ExperimentConfig, SchemaError, fmt, json_text, run, validate,
+                          write_csv)
 from .sampler import CapacityError, dump_paths, sample_field_grid, sample_sequence
 
 
@@ -27,17 +28,12 @@ def load_model(spec: str | None) -> CovarianceModel:
     try:
         text = spec if spec.lstrip().startswith("{") else Path(spec).read_text()
         return CovarianceModel.from_json(text)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise SchemaError(f"--cov: {exc}") from exc
 
 
 def _progress(msg: str):
     print(msg, file=sys.stderr)
-
-
-def _emit(obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=json_default)
-    sys.stdout.write(text + "\n")
 
 
 def _cmd_sample(args) -> int:
@@ -72,28 +68,37 @@ def _cmd_bound(args) -> int:
     for k in sorted(d):
         v = d[k]
         _progress(f"{k:<{width}}  {fmt(v) if isinstance(v, float) else v}")
-    _emit(d)
+    sys.stdout.write(json_text(d))
     if args.csv:
         import numpy as np
 
         t = np.linspace(0.0, args.t_max, args.t_points)
-        curve = tail_curve(report.K, report.c, t)
-        lines = ["t,bound"] + [f"{fmt(a)},{fmt(b)}" for a, b in zip(t, curve)]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        write_csv(Path(args.csv), ["t", "bound"], zip(t, tail_curve(report.K, report.c, t)))
     return 0
 
 
-def _experiment_cmd(args, kind: str, params: dict, sizes=None) -> int:
-    cfg = ExperimentConfig(
-        kind=kind,
-        model=load_model(getattr(args, "cov", None)),
-        sizes=tuple(sizes or [1024]),
-        batch=getattr(args, "batch", 10**4),
-        seed=args.seed,
-        out=args.out,
-        jobs=args.jobs,
-        params=params,
-    )
+# attributes of a parsed experiment command that are not params of its kind
+_NOT_PARAMS = {"config", "seed", "jobs", "out", "command", "fn", "kind", "cov",
+               "sizes", "batch", "cls"}
+
+
+def _cmd_experiment(args) -> int:
+    """Each given flag is the param of its name; ``validate`` rejects one
+    the kind does not take."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in _NOT_PARAMS and v is not None}
+    if getattr(args, "cls", None):
+        try:
+            obj = json.loads(Path(args.cls).read_text())
+            params.update(n=obj["n"], sets=obj["sets"])
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise SchemaError(f"--class: {type(exc).__name__}: {exc}") from exc
+    fields = {k: getattr(args, k) for k in ("sizes", "batch") if hasattr(args, k)}
+    if "sizes" in fields:
+        fields["sizes"] = tuple(fields["sizes"])
+    cfg = ExperimentConfig(kind=args.kind, model=load_model(getattr(args, "cov", None)),
+                           seed=args.seed, out=args.out, jobs=args.jobs, params=params,
+                           **fields)
     return _run_config(cfg)
 
 
@@ -109,40 +114,12 @@ def _run_config(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    params = {}
-    if args.theta_points is not None:
-        params["theta_points"] = args.theta_points
-    if args.t_max is not None:
-        params["t_max"] = args.t_max
-    return _experiment_cmd(args, args.kind, params, sizes=args.sizes)
-
-
-def _cmd_scan(args) -> int:
-    params = {"delta": args.delta, "threshold": args.threshold,
-              "trials": args.trials}
-    if args.cls:
-        obj = json.loads(Path(args.cls).read_text())
-        params["n"] = obj["n"]
-        params["sets"] = obj["sets"]
-    else:
-        params["generator"] = args.generator
-    if args.mu is not None:
-        params["mu"] = args.mu
-    if args.c is not None:
-        params["c"] = args.c
-    return _experiment_cmd(args, "scan_risk", params)
-
-
-def _cmd_gumbel(args) -> int:
-    return _experiment_cmd(args, "gumbel_convergence", {}, sizes=args.sizes)
-
-
-def _cmd_signvec(args) -> int:
-    params = {"n": args.n, "N_target": args.N, "max_tries": args.max_tries}
-    if args.threshold is not None:
-        params["threshold"] = args.threshold
-    return _experiment_cmd(args, "sign_vectors", params)
+def _cmd_config(args) -> int:
+    cfg = ExperimentConfig.from_json_file(args.config)
+    for name in ("seed", "out", "jobs"):
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
+    return _run_config(cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--t-points", type=int, default=41)
     b.set_defaults(fn=_cmd_bound)
 
+    # experiment flags default to None: an absent one takes experiments.PARAMS
     v = sub.add_parser("verify", help="Monte Carlo verification experiments")
     v.add_argument("kind", choices=["variance_scaling", "tail_bounds",
                                     "laplace_check"])
@@ -190,32 +168,30 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--batch", type=int, default=10**4)
     v.add_argument("--theta-points", type=int)
     v.add_argument("--t-max", type=float)
-    v.set_defaults(fn=_cmd_verify)
+    v.set_defaults(fn=_cmd_experiment)
 
     sc = sub.add_parser("scan", help="scan-test risk estimation")
     sc.add_argument("--class", dest="cls", help="JSON file with {n, sets}")
-    sc.add_argument("--generator", default="disjoint:10,10",
-                    help="disjoint:N,K or sliding:n,K")
+    sc.add_argument("--generator", help="disjoint:N,K or sliding:n,K")
     sc.add_argument("--mu", type=float)
-    sc.add_argument("--delta", type=float, default=0.2)
-    sc.add_argument("--threshold", choices=["prop51", "prop52"],
-                    default="prop51")
+    sc.add_argument("--delta", type=float)
+    sc.add_argument("--threshold", choices=["prop51", "prop52"])
     sc.add_argument("--c", type=float)
-    sc.add_argument("--trials", type=int, default=2000)
-    sc.set_defaults(fn=_cmd_scan)
+    sc.add_argument("--trials", type=int)
+    sc.set_defaults(fn=_cmd_experiment, kind="scan_risk")
 
     g = sub.add_parser("gumbel", help="KS convergence to the Gumbel law")
     g.add_argument("--cov")
     g.add_argument("--sizes", type=int, nargs="+", default=[100, 1000, 10000])
     g.add_argument("--batch", type=int, default=5000)
-    g.set_defaults(fn=_cmd_gumbel)
+    g.set_defaults(fn=_cmd_experiment, kind="gumbel_convergence")
 
     sv = sub.add_parser("signvec", help="near-orthogonal sign vector search")
-    sv.add_argument("--n", type=int, default=100)
-    sv.add_argument("--N", type=int, default=50)
+    sv.add_argument("--n", type=int)
+    sv.add_argument("--N", type=int, dest="N_target")
     sv.add_argument("--threshold", type=float)
-    sv.add_argument("--max-tries", type=int, default=10**5)
-    sv.set_defaults(fn=_cmd_signvec)
+    sv.add_argument("--max-tries", type=int)
+    sv.set_defaults(fn=_cmd_experiment, kind="sign_vectors")
 
     return p
 
@@ -224,27 +200,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        try:
-            cfg = ExperimentConfig.from_json_file(args.config)
-        except SchemaError as exc:
-            _progress(f"config error: {exc}")
-            return 2
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
-        return _run_config(cfg)
-    if args.seed is None:
-        args.seed = 0
-    if args.jobs is None:
-        args.jobs = 1
-    if args.out is None:
-        args.out = "out"
-    if not args.command:
+        args.fn = _cmd_config
+    elif not args.command:
         parser.print_help(sys.stderr)
         return 2
+    else:
+        for name, default in (("seed", 0), ("jobs", 1), ("out", "out")):
+            if getattr(args, name) is None:
+                setattr(args, name, default)
     try:
         return args.fn(args)
     except SchemaError as exc:

@@ -22,10 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NONINCREASING_KINDS = frozenset(
-    {"iid", "ornstein_uhlenbeck", "gaussian_smooth", "power_decay", "log_decay"}
-)
-KINDS = NONINCREASING_KINDS | {"table"}
+# the fields of CovarianceModel each kind reads; they travel under "params"
+KIND_PARAMS = {
+    "iid": (),
+    "ornstein_uhlenbeck": ("rate",),
+    "gaussian_smooth": ("lam2",),
+    "power_decay": ("amp", "alpha_cov"),
+    "log_decay": ("amp",),
+    "table": (),
+}
+KINDS = frozenset(KIND_PARAMS)
 
 
 class TableRangeError(ValueError):
@@ -67,16 +73,7 @@ class CovarianceModel:
 
     def to_json(self) -> str:
         obj: dict = {"kind": self.kind}
-        params = {}
-        if self.kind == "ornstein_uhlenbeck":
-            params["rate"] = self.rate
-        elif self.kind == "gaussian_smooth":
-            params["lam2"] = self.lam2
-        elif self.kind == "power_decay":
-            params["amp"] = self.amp
-            params["alpha_cov"] = self.alpha_cov
-        elif self.kind == "log_decay":
-            params["amp"] = self.amp
+        params = {name: getattr(self, name) for name in KIND_PARAMS[self.kind]}
         if params:
             obj["params"] = params
         if self.table is not None:
@@ -86,17 +83,32 @@ class CovarianceModel:
     @classmethod
     def from_json(cls, text: str) -> "CovarianceModel":
         obj = json.loads(text)
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if kind not in KINDS:
+            raise ValueError(f"unknown covariance kind {kind!r}")
         unknown = sorted(set(obj) - {"kind", "params", "table"})
         if unknown:
             raise ValueError(
                 f"unknown covariance model key(s) {unknown}; model parameters "
                 'belong under "params"'
             )
-        params = obj.get("params", {})
+        if "table" in obj and kind != "table":
+            raise ValueError(f"{kind} takes no 'table'")
+        params = dict(obj.get("params", {}))
+        foreign = sorted(set(params) - set(KIND_PARAMS[kind]))
+        if foreign:
+            raise ValueError(f"{kind} takes no parameter(s) {foreign}; "
+                             f"its parameters are {list(KIND_PARAMS[kind])}")
+        for name, value in params.items():
+            try:
+                params[name] = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{kind} parameter {name!r} must be a number, "
+                                 f"got {value!r}") from None
         table = obj.get("table")
         if table is not None:
             table = tuple((float(t), float(v)) for t, v in table)
-        return cls(kind=obj["kind"], table=table, **params)
+        return cls(kind=kind, table=table, **params)
 
 
 def evaluate(model: CovarianceModel, t):

@@ -79,31 +79,57 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        if "kind" not in obj:
+        """The config of a JSON object; absent fields take the defaults above."""
+        if not isinstance(obj, dict) or "kind" not in obj:
             raise SchemaError("missing field 'kind'")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise SchemaError(f"unknown field(s) {unknown}")
-        model = obj.get("model", {"kind": "iid"})
-        try:
-            model = CovarianceModel.from_json(json.dumps(model))
-        except (ValueError, KeyError) as exc:
-            raise SchemaError(f"field 'model': {exc}") from exc
-        return cls(
-            kind=obj["kind"],
-            model=model,
-            sizes=tuple(int(s) for s in obj.get("sizes", [1024])),
-            batch=int(obj.get("batch", 10**4)),
-            seed=int(obj.get("seed", 0)),
-            out=str(obj.get("out", "out")),
-            jobs=int(obj.get("jobs", 1)),
-            params=dict(obj.get("params", {})),
-        )
+        coerce = {
+            "kind": str,
+            "model": lambda m: CovarianceModel.from_json(json.dumps(m)),
+            "sizes": lambda v: tuple(int(s) for s in v),
+            "batch": int, "seed": int, "out": str, "jobs": int, "params": dict,
+        }
+        kw = {}
+        for name, value in obj.items():
+            try:
+                kw[name] = coerce[name](value)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"field {name!r}: {exc}") from exc
+        return cls(**kw)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SchemaError(f"config file {path}: {exc}") from exc
+        return cls.from_dict(obj)
+
+
+# the params each experiment kind takes, with their defaults; None where the
+# runner derives the value (K from n, the delta grid from N) or the callee
+# takes None
+PARAMS = {
+    "gumbel_convergence": {},
+    "variance_scaling": {},
+    "tail_bounds": {"t_max": 2.0, "t_points": 41, "center": "mean", "K": None},
+    "laplace_check": {"theta_points": 21, "K": None},
+    "field_bound": {"d": 1, "extent": 100.0, "spacing": 1.0, "exponent_ratio": None,
+                    "growth_batch": 400, "c": 1.0, "t_max": 4.0, "t_points": 41},
+    "scan_risk": {"generator": "disjoint:10,10", "n": None, "sets": None, "mu": None,
+                  "threshold": "prop51", "c": None, "trials": 2000, "delta": 0.2,
+                  "delta_grid": None, "table_c": 1.0},
+    "sign_vectors": {"n": 100, "N_target": 50, "threshold": None, "max_tries": 10**5},
+}
+EXPERIMENT_KINDS = tuple(PARAMS)
+
+
+def _params(cfg) -> dict:
+    """The kind's params: the config's, over the defaults in ``PARAMS``."""
+    return {**PARAMS[cfg.kind], **cfg.params}
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -115,21 +141,22 @@ def validate(config: ExperimentConfig) -> list[str]:
             f"expected one of {', '.join(EXPERIMENT_KINDS)}"
         )
         return diags
+    unknown = sorted(set(config.params) - set(PARAMS[config.kind]))
+    if unknown:
+        diags.append(f"field 'params': {config.kind} takes no {unknown}")
     if config.batch < 1:
         diags.append("field 'batch': must be positive")
     if any(s < 1 for s in config.sizes):
         diags.append("field 'sizes': entries must be positive")
-    trials = int(config.params.get("trials", 2000))
-    if config.kind == "scan_risk" and trials > STREAM_BLOCK:
+    p = _params(config)
+    if config.kind == "scan_risk" and (trials := int(p["trials"])) > STREAM_BLOCK:
         diags.append(f"field 'params.trials': {trials} trials overrun the "
                      f"{STREAM_BLOCK}-stream block of each estimate")
     # chunks of paths shrink to fit the cap, so each lattice has to fit its
     # factor and one path
     if config.kind == "field_bound":
-        p = config.params
         try:
-            shape = grid_geometry(int(p.get("d", 1)), p.get("extent", 100.0),
-                                  float(p.get("spacing", 1.0))).shape
+            shape = grid_geometry(int(p["d"]), p["extent"], float(p["spacing"])).shape
         except (TypeError, ValueError) as exc:
             diags.append(f"field 'params': {exc}")
             return diags
@@ -158,14 +185,14 @@ def _map_cells(fn, cells, jobs: int):
         return list(pool.map(fn, cells))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]):
+def write_csv(path: Path, header: list[str], rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
-def json_default(o):
+def _json_default(o):
     """``json.dumps`` hook for numpy scalars and arrays."""
     if isinstance(o, np.integer):
         return int(o)
@@ -176,9 +203,9 @@ def json_default(o):
     raise TypeError(f"unserializable {type(o)}")
 
 
-def _write_json(path: Path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=json_default)
-    path.write_text(text + "\n")
+def json_text(obj) -> str:
+    """Indented, key-sorted JSON of ``obj`` with a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _per_size(cfg, sizes, stat):
@@ -216,13 +243,16 @@ def _run_gumbel_convergence(cfg):
     return ["n", "ks", "centering_gap"], rows, summary
 
 
+def _K(p, n) -> float:
+    return float(1.0 / math.log(n) if p["K"] is None else p["K"])
+
+
 def _run_tail_bounds(cfg):
     n = cfg.sizes[0]
-    p = cfg.params
-    t_grid = np.linspace(0.0, float(p.get("t_max", 2.0)), int(p.get("t_points", 41)))
-    center = p.get("center", "mean")
-    [tail] = _per_size(cfg, [n], lambda n, m: estimate_tail(m, n, center, t_grid))
-    K = float(p.get("K", 1.0 / math.log(n)))
+    p = _params(cfg)
+    t_grid = np.linspace(0.0, float(p["t_max"]), int(p["t_points"]))
+    [tail] = _per_size(cfg, [n], lambda n, m: estimate_tail(m, n, p["center"], t_grid))
+    K = _K(p, n)
     fit = fit_tail_rate(tail, K)
     gauss_fit = fit_gaussian_rate(tail)
     bound = tail_curve(K, fit.rate, t_grid) if fit.rate > 0 else np.full_like(t_grid, np.nan)
@@ -240,10 +270,11 @@ def _run_tail_bounds(cfg):
 
 
 def _run_laplace_check(cfg):
-    theta_points = int(cfg.params.get("theta_points", 21))
+    p = _params(cfg)
+    theta_points = int(p["theta_points"])
 
     def stat(n, maxima):
-        K = float(cfg.params.get("K", 1.0 / math.log(n)))
+        K = _K(p, n)
         return n, K, laplace_check(maxima, K, theta_points)
 
     rows = []
@@ -257,44 +288,41 @@ def _run_laplace_check(cfg):
 
 
 def _run_field_bound(cfg):
-    p = cfg.params
+    p = _params(cfg)
     report = field_bound(
-        cfg.model, int(p.get("d", 1)), p.get("extent", 100.0),
-        exponent_ratio=p.get("exponent_ratio"),
-        spacing=float(p.get("spacing", 1.0)),
-        batch=int(p.get("growth_batch", 400)), seed=cfg.seed,
-        c=float(p.get("c", 1.0)),
+        cfg.model, int(p["d"]), p["extent"], exponent_ratio=p["exponent_ratio"],
+        spacing=float(p["spacing"]), batch=int(p["growth_batch"]), seed=cfg.seed,
+        c=float(p["c"]),
     )
-    t_grid = np.linspace(0.0, float(p.get("t_max", 4.0)), int(p.get("t_points", 41)))
+    t_grid = np.linspace(0.0, float(p["t_max"]), int(p["t_points"]))
     curve = tail_curve(report.K, report.c, t_grid)
     rows = list(zip(t_grid, curve, gaussian_tail_curve(t_grid)))
     return ["t", "bound", "gaussian_bound"], rows, report.to_dict()
 
 
 def _build_scan_class(p: dict) -> ScanClass:
-    if "sets" in p:
+    if p["sets"] is not None:
         return ScanClass(int(p["n"]), np.asarray(p["sets"]))
-    gen = p.get("generator", "disjoint:10,10")
-    name, _, args = gen.partition(":")
+    name, _, args = p["generator"].partition(":")
     a, b = (int(v) for v in args.split(","))
     if name == "disjoint":
-        return disjoint_class(a, b, n=p.get("n"))
+        return disjoint_class(a, b, n=p["n"])
     if name == "sliding":
         return sliding_class(a, b)
     raise SchemaError(f"field 'params.generator': unknown generator {name!r}")
 
 
 def _run_scan_risk(cfg):
-    p = cfg.params
+    p = _params(cfg)
     cls = _build_scan_class(p)
-    delta = float(p.get("delta", 0.2))
-    trials = int(p.get("trials", 2000))
     report = estimate_risk(
-        cls, mu=p.get("mu"), threshold_kind=p.get("threshold", "prop51"),
-        c=p.get("c"), trials=trials, seed=cfg.seed, delta_target=delta,
+        cls, mu=p["mu"], threshold_kind=p["threshold"], c=p["c"],
+        trials=int(p["trials"]), seed=cfg.seed, delta_target=float(p["delta"]),
     )
-    deltas = p.get("delta_grid", [1.0 / math.log(cls.N), 0.2, 0.1, 0.05, 0.01])
-    table_c = float(p.get("table_c", 1.0))
+    deltas = p["delta_grid"]
+    if deltas is None:
+        deltas = [1.0 / math.log(cls.N), 0.2, 0.1, 0.05, 0.01]
+    table_c = float(p["table_c"])
     rows = threshold_table(cls.K, cls.N, report.e0max, deltas, c=table_c)
     summary = report.to_dict()
     summary["table_c"] = table_c
@@ -304,12 +332,10 @@ def _run_scan_risk(cfg):
 
 
 def _run_sign_vectors(cfg):
-    p = cfg.params
-    n = int(p.get("n", 100))
-    result = find_sign_vectors(
-        n, int(p.get("N_target", 50)), p.get("threshold"),
-        seed=cfg.seed, max_tries=int(p.get("max_tries", 10**5)),
-    )
+    p = _params(cfg)
+    n = int(p["n"])
+    result = find_sign_vectors(n, int(p["N_target"]), p["threshold"], seed=cfg.seed,
+                               max_tries=int(p["max_tries"]))
     v = result.vectors.astype(np.int64)
     dots = v @ v.T
     np.fill_diagonal(dots, 0)
@@ -333,7 +359,6 @@ _RUNNERS = {
     "scan_risk": _run_scan_risk,
     "sign_vectors": _run_sign_vectors,
 }
-EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig) -> dict[str, Path]:
@@ -352,11 +377,8 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
         "summary": outdir / "summary.json",
         "manifest": outdir / "manifest.json",
     }
-    _write_csv(paths["csv"], header, rows)
-    _write_json(paths["summary"], summary)
-    _write_json(
-        paths["manifest"],
-        {"config": config.to_dict(), "version": __version__,
-         "wall_time_s": wall},
-    )
+    write_csv(paths["csv"], header, rows)
+    paths["summary"].write_text(json_text(summary))
+    paths["manifest"].write_text(json_text(
+        {"config": config.to_dict(), "version": __version__, "wall_time_s": wall}))
     return paths

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -213,3 +214,69 @@ def test_invalid_config_kind_exit_code(tmp_path, capsys):
     cfg_file.write_text(json.dumps({"kind": "nope"}))
     assert main(["--config", str(cfg_file)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _config_file(tmp_path, text):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    return str(cfg_file)
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"kind": "scan_risk", "params": {"trails": 5}}', "scan_risk takes no ['trails']"),
+    ('{"kind": "scan_risk", "params": {"generator": "foo:1,2"}}', "field 'params.generator'"),
+    ('{"kind": "gumbel_convergence", "batch": "x"}', "field 'batch'"),
+    ('{"kind": "gumbel_convergence", "sizes": 64}', "field 'sizes'"),
+    ('{"kind": "gumbel_convergence", "sizes": [64]', "cfg.json"),
+], ids=["unknown-param", "bad-generator", "bad-batch", "bad-sizes", "malformed-json"])
+def test_config_mistake_exit_code(tmp_path, capsys, text, named):
+    argv = ["--out", str(tmp_path / "o"), "--config", _config_file(tmp_path, text)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "variance_scaling", "--theta-points", "5"], "['theta_points']"),
+    (["verify", "laplace_check", "--t-max", "3"], "['t_max']"),
+], ids=["theta-points", "t-max"])
+def test_flag_the_kind_does_not_read_exit_code(tmp_path, capsys, argv, named):
+    assert main(["--out", str(tmp_path / "o"), *argv, "--sizes", "16", "--batch", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field 'params': ") and named in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cov", [
+    '{"kind": "gaussian_smooth", "params": {"rate": 2.0}}',
+    '{"kind": "iid", "params": {"foo": 1}}',
+    '{"kind": "iid", "table": [[0, 1.0]]}',
+    '{"kind": "ornstein_uhlenbeck", "params": {"rate": "x"}}',
+], ids=["foreign-param", "unknown-param", "table-on-iid", "non-numeric"])
+def test_cov_mistake_exit_code(tmp_path, capsys, cov):
+    assert main(["--out", str(tmp_path / "p.bin"), "sample", "--cov", cov,
+                 "--n", "4", "--batch", "1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --cov: ")
+
+
+def test_every_experiment_flag_names_a_param_of_its_kind():
+    from superconc.cli import _cmd_experiment, build_parser
+    from superconc.experiments import PARAMS
+
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    # flags that set config fields rather than params
+    config_flags = {"help", "kind", "cov", "sizes", "batch"}
+    seen = 0
+    for name, parser in sub.choices.items():
+        if parser.get_default("fn") is not _cmd_experiment:
+            continue
+        kind = parser.get_default("kind")
+        kinds = [kind] if kind else next(a.choices for a in parser._actions if a.dest == "kind")
+        taken = set().union(*(PARAMS[k] for k in kinds))
+        for action in parser._actions:
+            if action.dest == "cls":  # --class supplies n and sets
+                assert {"n", "sets"} <= taken
+            elif action.dest not in config_flags:
+                assert action.dest in taken, (name, action.option_strings)
+                seen += 1
+    assert seen == 12  # verify 2, scan 6, signvec 4

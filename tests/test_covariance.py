@@ -100,6 +100,24 @@ def test_from_json_rejects_parameters_outside_params():
         CovarianceModel.from_json('{"kind": "ornstein_uhlenbeck", "rate": 2.0}')
     nested = '{"kind": "ornstein_uhlenbeck", "params": {"rate": 2.0}}'
     assert CovarianceModel.from_json(nested).rate == 2.0
+    # a parameter of another kind, an unknown one, and a table on a non-table kind
+    with pytest.raises(ValueError, match=r"gaussian_smooth takes no parameter\(s\) \['rate'\]"):
+        CovarianceModel.from_json('{"kind": "gaussian_smooth", "params": {"rate": 2.0}}')
+    with pytest.raises(ValueError, match=r"iid takes no parameter\(s\) \['foo'\]"):
+        CovarianceModel.from_json('{"kind": "iid", "params": {"foo": 1}}')
+    with pytest.raises(ValueError, match="iid takes no 'table'"):
+        CovarianceModel.from_json('{"kind": "iid", "table": [[0, 1.0]]}')
+    # the kind is checked first
+    with pytest.raises(ValueError, match="unknown covariance kind 'bogus'"):
+        CovarianceModel.from_json('{"kind": "bogus", "params": {"rate": 2.0}}')
+
+
+def test_from_json_names_a_non_numeric_parameter():
+    with pytest.raises(ValueError, match="'rate' must be a number"):
+        CovarianceModel.from_json('{"kind": "ornstein_uhlenbeck", "params": {"rate": "x"}}')
+    model = CovarianceModel.from_json('{"kind": "power_decay", "params": {"amp": 1, "alpha_cov": "1.5"}}')
+    assert (model.amp, model.alpha_cov) == (1.0, 1.5)
+    assert isinstance(model.amp, float)
 
 
 @settings(max_examples=30, deadline=None)

@@ -59,6 +59,30 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict({"kind": "variance_scaling", "size": [64]})
 
 
+def test_config_coercion_errors_name_the_field():
+    with pytest.raises(SchemaError, match="field 'batch'"):
+        ExperimentConfig.from_dict({"kind": "gumbel_convergence", "batch": "x"})
+    with pytest.raises(SchemaError, match="field 'sizes'"):
+        ExperimentConfig.from_dict({"kind": "gumbel_convergence", "sizes": 64})
+
+
+def test_config_file_errors_name_the_file(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": ')
+    with pytest.raises(SchemaError, match="bad.json"):
+        ExperimentConfig.from_json_file(str(bad))
+    with pytest.raises(SchemaError, match="absent.json"):
+        ExperimentConfig.from_json_file(str(tmp_path / "absent.json"))
+
+
+def test_params_the_kind_does_not_take(tmp_path):
+    cfg = _cfg(tmp_path, kind="scan_risk", params={"trails": 5, "generator": "disjoint:4,4"})
+    assert validate(cfg) == ["field 'params': scan_risk takes no ['trails']"]
+    with pytest.raises(SchemaError, match=r"scan_risk takes no \['trails'\]"):
+        run(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_unknown_kind(tmp_path):
     diags = validate(_cfg(tmp_path, kind="nope"))
     assert len(diags) == 1
