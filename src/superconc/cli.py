@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: sample, bound, verify, scan, gumbel, signvec.  Global flags
---config / --seed / --jobs / --out.  Progress goes to stderr; data files
-and the JSON summary on stdout stay machine-readable.  The env var
-SUPERCONC_CAP_BYTES overrides the memory cap.
+--config / --seed / --jobs / --out.  Every subcommand but sample runs an
+experiment config: it writes data.csv, summary.json and manifest.json under
+--out and prints the summary on stdout; progress goes to stderr.  bound
+--pipeline picks the sequence_bound, field_bound or correlated_bound kind.
+The env var SUPERCONC_CAP_BYTES overrides the memory cap.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ import sys
 from pathlib import Path
 
 from .covariance import CovarianceModel
-from .covering import correlated_bound, field_bound, sequence_bound, tail_curve
-from .experiments import (ExperimentConfig, SchemaError, fmt, json_text, run, validate,
-                          write_csv)
+from .experiments import CHOICES, ExperimentConfig, SchemaError, run, validate
 from .sampler import CapacityError, dump_paths, sample_field_grid, sample_sequence
 
 
@@ -51,40 +51,15 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
-    model = load_model(args.cov)
-    if args.pipeline == "sequence":
-        report = sequence_bound(
-            model, args.n, args.alpha, rho_source=args.rho,
-            c=args.c, batch=args.batch, seed=args.seed,
-        )
-    elif args.pipeline == "field":
-        report = field_bound(model, args.d or 1, args.extent, c=args.c,
-                             spacing=args.spacing, seed=args.seed)
-    else:
-        report = correlated_bound(args.eps, args.n, c=args.c)
-    d = report.to_dict()
-    width = max(len(k) for k in d)
-    for k in sorted(d):
-        v = d[k]
-        _progress(f"{k:<{width}}  {fmt(v) if isinstance(v, float) else v}")
-    sys.stdout.write(json_text(d))
-    if args.csv:
-        import numpy as np
-
-        t = np.linspace(0.0, args.t_max, args.t_points)
-        write_csv(Path(args.csv), ["t", "bound"], zip(t, tail_curve(report.K, report.c, t)))
-    return 0
-
-
 # attributes of a parsed experiment command that are not params of its kind
-_NOT_PARAMS = {"config", "seed", "jobs", "out", "command", "fn", "kind", "cov",
-               "sizes", "batch", "cls"}
+_NOT_PARAMS = {"config", "seed", "jobs", "out", "command", "fn", "kind", "pipeline",
+               "cov", "sizes", "batch", "cls"}
 
 
 def _cmd_experiment(args) -> int:
     """Each given flag is the param of its name; ``validate`` rejects one
-    the kind does not take."""
+    the kind does not take.  Absent sizes and batch take the config's
+    defaults."""
     params = {k: v for k, v in vars(args).items()
               if k not in _NOT_PARAMS and v is not None}
     if getattr(args, "cls", None):
@@ -93,10 +68,12 @@ def _cmd_experiment(args) -> int:
             params.update(n=obj["n"], sets=obj["sets"])
         except (OSError, ValueError, TypeError, KeyError) as exc:
             raise SchemaError(f"--class: {type(exc).__name__}: {exc}") from exc
-    fields = {k: getattr(args, k) for k in ("sizes", "batch") if hasattr(args, k)}
+    fields = {k: getattr(args, k) for k in ("sizes", "batch")
+              if getattr(args, k, None) is not None}
     if "sizes" in fields:
         fields["sizes"] = tuple(fields["sizes"])
-    cfg = ExperimentConfig(kind=args.kind, model=load_model(getattr(args, "cov", None)),
+    kind = getattr(args, "kind", None) or f"{args.pipeline}_bound"
+    cfg = ExperimentConfig(kind=kind, model=load_model(getattr(args, "cov", None)),
                            seed=args.seed, out=args.out, jobs=args.jobs, params=params,
                            **fields)
     return _run_config(cfg)
@@ -140,26 +117,24 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--spacing", type=float, default=1.0)
     s.set_defaults(fn=_cmd_sample)
 
-    b = sub.add_parser("bound", help="print the constant pipeline of a bound")
+    # experiment flags default to None: an absent one takes experiments.PARAMS
+    b = sub.add_parser("bound", help="the constants and tail curve of a bound")
     b.add_argument("--pipeline", choices=["sequence", "field", "correlated"],
                    default="sequence")
     b.add_argument("--cov")
-    b.add_argument("--n", type=int, default=1024)
-    b.add_argument("--alpha", type=float, default=0.5)
-    b.add_argument("--rho", choices=["monte_carlo", "analytic"],
-                   default="monte_carlo")
-    b.add_argument("--c", type=float, default=1.0)
-    b.add_argument("--eps", type=float, default=0.1)
+    b.add_argument("--n", type=int, nargs=1, dest="sizes", metavar="N")
+    b.add_argument("--batch", type=int)
+    b.add_argument("--alpha", type=float)
+    b.add_argument("--rho", choices=CHOICES["rho"])
+    b.add_argument("--c", type=float)
+    b.add_argument("--eps", type=float)
     b.add_argument("--d", type=int, choices=[1, 2, 3])
-    b.add_argument("--extent", type=float, default=100.0)
-    b.add_argument("--spacing", type=float, default=1.0)
-    b.add_argument("--batch", type=int, default=10**4)
-    b.add_argument("--csv", help="also write a (t, bound) CSV here")
-    b.add_argument("--t-max", type=float, default=4.0)
-    b.add_argument("--t-points", type=int, default=41)
-    b.set_defaults(fn=_cmd_bound)
+    b.add_argument("--extent", type=float)
+    b.add_argument("--spacing", type=float)
+    b.add_argument("--t-max", type=float)
+    b.add_argument("--t-points", type=int)
+    b.set_defaults(fn=_cmd_experiment)
 
-    # experiment flags default to None: an absent one takes experiments.PARAMS
     v = sub.add_parser("verify", help="Monte Carlo verification experiments")
     v.add_argument("kind", choices=["variance_scaling", "tail_bounds",
                                     "laplace_check"])
@@ -175,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--generator", help="disjoint:N,K or sliding:n,K")
     sc.add_argument("--mu", type=float)
     sc.add_argument("--delta", type=float)
-    sc.add_argument("--threshold", choices=["prop51", "prop52"])
+    sc.add_argument("--threshold", choices=CHOICES["threshold"])
     sc.add_argument("--c", type=float)
     sc.add_argument("--trials", type=int)
     sc.set_defaults(fn=_cmd_experiment, kind="scan_risk")

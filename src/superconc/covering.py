@@ -33,11 +33,15 @@ DEFAULT_C_SUD = 1.0 / math.sqrt(2.0 * math.pi * math.log(2.0))
 MC_RHO_MIN_PATHS = 10**4
 
 
-class HypothesisError(ValueError):
+class BoundError(ValueError):
+    """The inputs rule the bound out; the message carries the numbers why."""
+
+
+class HypothesisError(BoundError):
     """Covariance model fails a hypothesis of the bound being assembled."""
 
 
-class TrivialCoveringError(ValueError):
+class TrivialCoveringError(BoundError):
     """The block construction would cover everything with a single block."""
 
 
@@ -62,7 +66,7 @@ def build_sequence_covering(n: int, alpha: float) -> Covering:
     at most 3 blocks.  Indices are stored 0-based.
     """
     if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise BoundError(f"alpha must lie in (0, 1), got {alpha}")
     m = int(math.floor(n**alpha))
     if m < 1:
         raise ValueError("floor(n^alpha) must be at least 1")
@@ -142,7 +146,7 @@ def rho_analytic_sequence(
     eps = sudakov_exponent(delta, c_sud)
     eta = eps - alpha
     if eta <= 0:
-        raise ValueError(
+        raise BoundError(
             f"analytic route invalid: eta = {eta:.4g} <= 0; requires "
             f"alpha < (c*delta)^2/2 = {eps:.4g}"
         )
@@ -348,7 +352,7 @@ def estimate_field_growth(
         data.append((n_a, _stable_mean(maxima)))
         scale = scale / 2.0
     if len(data) < 2:
-        raise ValueError("need at least 2 dyadic scales with N(A) > 1")
+        raise BoundError(f"need at least 2 dyadic scales with N(A) > 1, got {len(data)}")
     xs = np.array([math.sqrt(math.log(n_a)) for n_a, _ in data])
     ys = np.array([m for _, m in data])
     ratios = ys / xs
@@ -371,7 +375,7 @@ def field_bound(
     """Field-pipeline constants: N(A), s_0-net covering and K_{N(A)}."""
     n_a = covering_number_box(extent, d)
     if n_a <= 1:
-        raise ValueError(f"field bound needs N(A) > 1, got {n_a}")
+        raise BoundError(f"field bound needs N(A) > 1, got {n_a}")
     _gate_hypotheses(model)
 
     slope = None
@@ -405,9 +409,9 @@ def correlated_bound(
 ) -> BoundReport:
     """Singleton-covering bound K = max(eps, 1/log n) for weak correlations."""
     if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
+        raise BoundError(f"eps must lie in (0, 1), got {eps}")
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise BoundError(f"n must be at least 2, got {n}")
     if gram is not None:
         off = gram - np.diag(np.diag(gram))
         if np.any(off > eps):
@@ -503,7 +507,7 @@ def verify_sign_vectors(vectors: np.ndarray, threshold: float):
 def tail_curve(K: float, c: float, t_grid) -> np.ndarray:
     """Superconcentration bound 6 exp(-c t / sqrt(K)) on a t grid."""
     if K <= 0 or c <= 0:
-        raise ValueError("K and c must be positive")
+        raise BoundError(f"K and c must be positive, got K = {K}, c = {c}")
     t = np.asarray(t_grid, dtype=float)
     return 6.0 * np.exp(-c * t / math.sqrt(K))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -19,9 +20,13 @@ import numpy as np
 from . import __version__
 from .covariance import CovarianceModel
 from .covering import (
+    MC_RHO_MIN_PATHS,
+    BoundError,
+    correlated_bound,
     field_bound,
     find_sign_vectors,
     gaussian_tail_curve,
+    sequence_bound,
     tail_curve,
 )
 from .extremes import centering_gap, ks_to_gumbel, sample_maxima
@@ -117,19 +122,40 @@ PARAMS = {
     "variance_scaling": {},
     "tail_bounds": {"t_max": 2.0, "t_points": 41, "center": "mean", "K": None},
     "laplace_check": {"theta_points": 21, "K": None},
+    "sequence_bound": {"alpha": 0.5, "rho": "monte_carlo", "c": 1.0, "t_max": 4.0,
+                       "t_points": 41},
     "field_bound": {"d": 1, "extent": 100.0, "spacing": 1.0, "exponent_ratio": None,
                     "growth_batch": 400, "c": 1.0, "t_max": 4.0, "t_points": 41},
+    "correlated_bound": {"eps": 0.1, "c": 1.0, "t_max": 4.0, "t_points": 41},
     "scan_risk": {"generator": "disjoint:10,10", "n": None, "sets": None, "mu": None,
                   "threshold": "prop51", "c": None, "trials": 2000, "delta": 0.2,
                   "delta_grid": None, "table_c": 1.0},
     "sign_vectors": {"n": 100, "N_target": 50, "threshold": None, "max_tries": 10**5},
 }
 EXPERIMENT_KINDS = tuple(PARAMS)
+# the values each string param may take
+CHOICES = {"center": ("mean", "b_n"), "threshold": ("prop51", "prop52"),
+           "rho": ("monte_carlo", "analytic")}
 
 
 def _params(cfg) -> dict:
     """The kind's params: the config's, over the defaults in ``PARAMS``."""
     return {**PARAMS[cfg.kind], **cfg.params}
+
+
+def _param_diags(kind: str, p: dict) -> list[str]:
+    """A diagnostic for each string param outside its ``CHOICES`` and each
+    param with a numeric default that is not a number (extent may be a list)."""
+    diags = []
+    for name, default in PARAMS[kind].items():
+        v = p[name]
+        values = v if name == "extent" and isinstance(v, list) else [v]
+        if isinstance(default, str) and name in CHOICES and v not in CHOICES[name]:
+            diags.append(f"field 'params.{name}': {v!r} is not one of {list(CHOICES[name])}")
+        elif isinstance(default, (int, float)) and not all(
+                isinstance(x, numbers.Real) for x in values):
+            diags.append(f"field 'params.{name}': {v!r} is not a number")
+    return diags
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -149,9 +175,15 @@ def validate(config: ExperimentConfig) -> list[str]:
     if any(s < 1 for s in config.sizes):
         diags.append("field 'sizes': entries must be positive")
     p = _params(config)
+    if bad := _param_diags(config.kind, p):
+        return diags + bad
     if config.kind == "scan_risk" and (trials := int(p["trials"])) > STREAM_BLOCK:
         diags.append(f"field 'params.trials': {trials} trials overrun the "
                      f"{STREAM_BLOCK}-stream block of each estimate")
+    if (config.kind == "sequence_bound" and p["rho"] == "monte_carlo"
+            and config.batch < MC_RHO_MIN_PATHS):
+        diags.append(f"field 'batch': Monte Carlo rho needs >= {MC_RHO_MIN_PATHS} "
+                     f"paths, got {config.batch}")
     # chunks of paths shrink to fit the cap, so each lattice has to fit its
     # factor and one path
     if config.kind == "field_bound":
@@ -161,7 +193,10 @@ def validate(config: ExperimentConfig) -> list[str]:
             diags.append(f"field 'params': {exc}")
             return diags
         shapes = [shape]
-    elif config.sizes and all(s >= 1 for s in config.sizes):
+    # these kinds, and a sequence bound with analytic rho, draw no paths of the model
+    elif (config.kind not in ("correlated_bound", "scan_risk", "sign_vectors")
+          and p.get("rho") != "analytic" and config.sizes
+          and all(s >= 1 for s in config.sizes)):
         shapes = [(s,) for s in config.sizes]
     else:
         return diags
@@ -287,13 +322,22 @@ def _run_laplace_check(cfg):
     return ["n", "theta", "margin", "margin_se"], rows, {"per_n": per_n}
 
 
-def _run_field_bound(cfg):
+def _run_bound(cfg):
+    """The kind's bound report as summary, with its (t, bound, gaussian_bound)
+    rows on the params' t grid."""
     p = _params(cfg)
-    report = field_bound(
-        cfg.model, int(p["d"]), p["extent"], exponent_ratio=p["exponent_ratio"],
-        spacing=float(p["spacing"]), batch=int(p["growth_batch"]), seed=cfg.seed,
-        c=float(p["c"]),
-    )
+    if cfg.kind == "sequence_bound":
+        report = sequence_bound(cfg.model, cfg.sizes[0], float(p["alpha"]),
+                                rho_source=p["rho"], c=float(p["c"]), batch=cfg.batch,
+                                seed=cfg.seed)
+    elif cfg.kind == "field_bound":
+        report = field_bound(
+            cfg.model, int(p["d"]), p["extent"], exponent_ratio=p["exponent_ratio"],
+            spacing=float(p["spacing"]), batch=int(p["growth_batch"]), seed=cfg.seed,
+            c=float(p["c"]),
+        )
+    else:
+        report = correlated_bound(float(p["eps"]), cfg.sizes[0], c=float(p["c"]))
     t_grid = np.linspace(0.0, float(p["t_max"]), int(p["t_points"]))
     curve = tail_curve(report.K, report.c, t_grid)
     rows = list(zip(t_grid, curve, gaussian_tail_curve(t_grid)))
@@ -355,22 +399,28 @@ _RUNNERS = {
     "variance_scaling": _run_variance_scaling,
     "tail_bounds": _run_tail_bounds,
     "laplace_check": _run_laplace_check,
-    "field_bound": _run_field_bound,
+    "sequence_bound": _run_bound,
+    "field_bound": _run_bound,
+    "correlated_bound": _run_bound,
     "scan_risk": _run_scan_risk,
     "sign_vectors": _run_sign_vectors,
 }
 
 
 def run(config: ExperimentConfig) -> dict[str, Path]:
-    """Execute the experiment; writes data.csv, summary.json and manifest.json."""
+    """Execute the experiment; writes data.csv, summary.json and manifest.json.
+    A bound that the inputs rule out (``covering.BoundError``) is a SchemaError."""
     diags = validate(config)
     if diags:
         raise SchemaError("; ".join(diags))
+    t0 = time.monotonic()
+    try:
+        header, rows, summary = _RUNNERS[config.kind](config)
+    except BoundError as exc:
+        raise SchemaError(str(exc)) from exc
+    wall = time.monotonic() - t0
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
-    header, rows, summary = _RUNNERS[config.kind](config)
-    wall = time.monotonic() - t0
 
     paths = {
         "csv": outdir / "data.csv",

@@ -39,26 +39,32 @@ def test_sample_cov_from_file(tmp_path):
 
 
 def test_bound_sequence_json_and_csv(tmp_path, capsys):
-    csv = tmp_path / "curve.csv"
-    rc = main(["bound", "--pipeline", "sequence", "--n", "1024",
-               "--rho", "analytic", "--csv", str(csv)])
+    out = tmp_path / "b"
+    rc = main(["--out", str(out), "bound", "--pipeline", "sequence", "--n", "1024",
+               "--rho", "analytic"])
     assert rc == 0
-    captured = capsys.readouterr()
-    report = json.loads(captured.out)
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout)
     assert report["pipeline"] == "sequence"
     assert report["K"] == pytest.approx(1 / math.log(1024))
-    assert "K" in captured.err  # human-readable table on stderr
-    lines = csv.read_text().splitlines()
-    assert lines[0] == "t,bound"
+    assert (out / "summary.json").read_text() == stdout
+    lines = (out / "data.csv").read_text().splitlines()
+    assert lines[0] == "t,bound,gaussian_bound"
     first = float(lines[1].split(",")[1])
     assert first == pytest.approx(6.0)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["kind"] == "sequence_bound"
+    assert manifest["config"]["sizes"] == [1024]
 
 
-def test_bound_correlated(capsys):
-    rc = main(["bound", "--pipeline", "correlated", "--eps", "0.2", "--n", "100"])
+def test_bound_correlated(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path / "b"), "bound", "--pipeline", "correlated",
+               "--eps", "0.2", "--n", "100"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["K"] == pytest.approx(max(0.2, 1 / math.log(100)))
+    curve = (tmp_path / "b" / "data.csv").read_text()
+    assert curve.startswith("t,bound,gaussian_bound\n0,6,2\n")
 
 
 def test_verify_variance_scaling(tmp_path, capsys):
@@ -181,6 +187,18 @@ def test_sequence_command_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch
     assert "config error: capacity: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--pipeline", "correlated"],
+    ["--rho", "analytic", "--alpha", "0.3"],
+], ids=["correlated", "analytic-rho"])
+def test_bound_that_draws_nothing_ignores_the_cap(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
+    fast_ou = '{"kind": "ornstein_uhlenbeck", "params": {"rate": 3.0}}'
+    assert main(["--out", str(tmp_path / "b"), "bound", "--cov", fast_ou,
+                 "--n", "2048", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 2048
+
+
 def test_config_typo_exit_code(tmp_path, capsys):
     cfg_file = tmp_path / "typo.json"
     cfg_file.write_text(json.dumps({"kind": "variance_scaling", "size": [64]}))
@@ -228,7 +246,16 @@ def _config_file(tmp_path, text):
     ('{"kind": "gumbel_convergence", "batch": "x"}', "field 'batch'"),
     ('{"kind": "gumbel_convergence", "sizes": 64}', "field 'sizes'"),
     ('{"kind": "gumbel_convergence", "sizes": [64]', "cfg.json"),
-], ids=["unknown-param", "bad-generator", "bad-batch", "bad-sizes", "malformed-json"])
+    ('{"kind": "tail_bounds", "params": {"center": "median"}}', "field 'params.center'"),
+    ('{"kind": "scan_risk", "params": {"trials": "x"}}', "field 'params.trials'"),
+    ('{"kind": "scan_risk", "params": {"threshold": "prop53"}}', "field 'params.threshold'"),
+    ('{"kind": "sequence_bound", "params": {"rho": "exact"}}', "field 'params.rho'"),
+    ('{"kind": "field_bound", "params": {"t_max": null}}', "field 'params.t_max'"),
+    ('{"kind": "field_bound", "params": {"d": 2, "extent": [8, "x"]}}',
+     "field 'params.extent'"),
+], ids=["unknown-param", "bad-generator", "bad-batch", "bad-sizes", "malformed-json",
+        "center-outside-choices", "non-numeric-trials", "threshold-outside-choices",
+        "rho-outside-choices", "null-number", "non-numeric-extent"])
 def test_config_mistake_exit_code(tmp_path, capsys, text, named):
     argv = ["--out", str(tmp_path / "o"), "--config", _config_file(tmp_path, text)]
     assert main(argv) == 2
@@ -265,13 +292,18 @@ def test_every_experiment_flag_names_a_param_of_its_kind():
 
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     # flags that set config fields rather than params
-    config_flags = {"help", "kind", "cov", "sizes", "batch"}
+    config_flags = {"help", "kind", "pipeline", "cov", "sizes", "batch"}
     seen = 0
     for name, parser in sub.choices.items():
         if parser.get_default("fn") is not _cmd_experiment:
             continue
-        kind = parser.get_default("kind")
-        kinds = [kind] if kind else next(a.choices for a in parser._actions if a.dest == "kind")
+        choices = {a.dest: a.choices for a in parser._actions}
+        if parser.get_default("kind"):
+            kinds = [parser.get_default("kind")]
+        elif "pipeline" in choices:
+            kinds = [f"{p}_bound" for p in choices["pipeline"]]
+        else:
+            kinds = choices["kind"]
         taken = set().union(*(PARAMS[k] for k in kinds))
         for action in parser._actions:
             if action.dest == "cls":  # --class supplies n and sets
@@ -279,4 +311,48 @@ def test_every_experiment_flag_names_a_param_of_its_kind():
             elif action.dest not in config_flags:
                 assert action.dest in taken, (name, action.option_strings)
                 seen += 1
-    assert seen == 12  # verify 2, scan 6, signvec 4
+    assert seen == 21  # bound 9, verify 2, scan 6, signvec 4
+
+
+OU_SLOW = {"kind": "ornstein_uhlenbeck", "params": {"rate": 0.5}}
+OU = json.loads(OU_JSON)
+
+
+# each bound mistake, through the bound subcommand and the same config file
+@pytest.mark.parametrize("argv, config, named", [
+    (["--batch", "2000"], {"kind": "sequence_bound", "batch": 2000},
+     "field 'batch': Monte Carlo rho needs >= 10000 paths, got 2000"),
+    (["--cov", json.dumps(OU_SLOW)], {"kind": "sequence_bound", "model": OU_SLOW},
+     "phi(1) < 1/2 violated: phi(1) = 0.606531"),
+    (["--cov", OU_JSON, "--alpha", "0.9"],
+     {"kind": "sequence_bound", "model": OU, "params": {"alpha": 0.9}},
+     "2*floor(n^alpha) = 1024 >= n = 1024"),
+    (["--cov", OU_JSON, "--rho", "analytic", "--alpha", "0.45"],
+     {"kind": "sequence_bound", "model": OU, "params": {"rho": "analytic", "alpha": 0.45}},
+     "eta = -0.2665 <= 0"),
+    (["--pipeline", "correlated", "--eps", "1.5"],
+     {"kind": "correlated_bound", "params": {"eps": 1.5}}, "eps must lie in (0, 1), got 1.5"),
+    (["--pipeline", "field", "--extent", "2"],
+     {"kind": "field_bound", "params": {"extent": 2.0}}, "N(A) > 1, got 1"),
+    (["--pipeline", "field", "--alpha", "0.3"],
+     {"kind": "field_bound", "params": {"alpha": 0.3}}, "field_bound takes no ['alpha']"),
+], ids=["mc-batch", "phi1", "trivial-covering", "eta", "eps", "one-ball", "foreign-flag"])
+def test_bound_mistake_exit_code(tmp_path, capsys, argv, config, named):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "bound", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert main(["--out", str(out), "--config", _config_file(tmp_path, json.dumps(config))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
+
+
+def test_bound_is_its_config(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--out", str(a), "bound", "--cov", OU_JSON, "--n", "256"]) == 0
+    config = {"kind": "sequence_bound", "model": OU, "sizes": [256], "out": str(b)}
+    assert main(["--config", _config_file(tmp_path, json.dumps(config))]) == 0
+    capsys.readouterr()
+    for name in ("data.csv", "summary.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()

@@ -9,6 +9,7 @@ from superconc.covariance import CovarianceModel, evaluate, gram_matrix
 from superconc.extremes import sample_maxima
 from superconc.covering import (
     DEFAULT_C_SUD,
+    BoundError,
     Covering,
     MC_RHO_MIN_PATHS,
     HypothesisError,
@@ -392,6 +393,17 @@ def test_correlated_bound():
         correlated_bound(0.1, 3, gram=g)
     with pytest.raises(ValueError):
         correlated_bound(1.5, 10)
+
+
+def test_impossible_bounds_raise_one_error_class():
+    assert issubclass(HypothesisError, BoundError)
+    assert issubclass(TrivialCoveringError, BoundError)
+    with pytest.raises(BoundError, match="got 1.5"):
+        correlated_bound(1.5, 10)
+    with pytest.raises(BoundError, match="eta = "):
+        rho_analytic_sequence(1024, 0.45, 2 * (1 - math.exp(-1.0)))
+    with pytest.raises(BoundError, match="N\\(A\\) > 1, got 1"):
+        field_bound(CovarianceModel("iid"), 1, 2.0)
 
 
 def test_find_sign_vectors_deterministic():

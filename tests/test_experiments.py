@@ -13,6 +13,7 @@ from superconc.experiments import (
     run,
     validate,
 )
+from superconc.covering import MC_RHO_MIN_PATHS
 from superconc.scantest import STREAM_BLOCK
 
 
@@ -246,3 +247,15 @@ def test_field_bound_experiment(tmp_path):
     summary = json.loads(run(cfg)["summary"].read_text())
     assert summary["N_A"] == 16
     assert summary["c1"] <= summary["c2"]
+
+
+def test_validate_monte_carlo_rho_batch(tmp_path):
+    seq = dict(kind="sequence_bound", sizes=(64,))
+    assert validate(_cfg(tmp_path, batch=MC_RHO_MIN_PATHS, **seq)) == []
+    diags = validate(_cfg(tmp_path, batch=MC_RHO_MIN_PATHS - 1, **seq))
+    assert len(diags) == 1 and diags[0].startswith("field 'batch'")
+    assert validate(_cfg(tmp_path, batch=1, params={"rho": "analytic"}, **seq)) == []
+
+
+def test_validate_accepts_a_list_extent(tmp_path):
+    assert validate(_cfg(tmp_path, kind="field_bound", params={"d": 2, "extent": [8.0, 4]})) == []
