@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .covariance import CovarianceModel, check_hypotheses, evaluate, gram_matrix
-from .sampler import SampleBatch, sample_field_grid, sample_sequence
+from .sampler import SampleBatch, sample_sequence
 from .extremes import (
     gumbel_cdf,
     gumbel_sf,
@@ -45,7 +45,7 @@ from .experiments import ExperimentConfig, run, validate
 
 __all__ = [
     "CovarianceModel", "check_hypotheses", "evaluate", "gram_matrix",
-    "SampleBatch", "sample_field_grid", "sample_sequence",
+    "SampleBatch", "sample_sequence",
     "gumbel_cdf", "gumbel_sf", "ks_to_gumbel", "centering_gap",
     "norm_constants", "sample_maxima",
     "BoundReport", "Covering", "build_sequence_covering", "correlated_bound",

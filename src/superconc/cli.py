@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: sample, bound, verify, scan, gumbel, signvec.  Global flags
---config / --seed / --jobs / --out.  Every subcommand but sample runs an
-experiment config: it writes data.csv, summary.json and manifest.json under
---out and prints the summary on stdout; progress goes to stderr.  bound
---pipeline picks the sequence_bound, field_bound or correlated_bound kind.
-The env var SUPERCONC_CAP_BYTES overrides the memory cap.
+--config / --seed / --jobs / --out.  Every subcommand runs an experiment
+config: it writes data.csv, summary.json and manifest.json under --out and
+prints the summary on stdout; progress goes to stderr.  bound --pipeline
+picks the sequence_bound, field_bound or correlated_bound kind; sample runs
+sample_paths, whose data.csv holds one drawn path per row.  The env var
+SUPERCONC_CAP_BYTES overrides the memory cap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .covariance import CovarianceModel
 from .experiments import CHOICES, ExperimentConfig, SchemaError, run, validate
-from .sampler import CapacityError, dump_paths, sample_field_grid, sample_sequence
+from .sampler import CapacityError
 
 
 def load_model(spec: str | None) -> CovarianceModel:
@@ -34,21 +35,6 @@ def load_model(spec: str | None) -> CovarianceModel:
 
 def _progress(msg: str):
     print(msg, file=sys.stderr)
-
-
-def _cmd_sample(args) -> int:
-    model = load_model(args.cov)
-    if args.d:
-        batch = sample_field_grid(
-            model, args.d, args.extent, args.spacing, args.batch, args.seed,
-            method=args.method,
-        )
-    else:
-        batch = sample_sequence(model, args.n, args.batch, args.seed,
-                                method=args.method)
-    dump_paths(batch, args.out)
-    _progress(f"wrote {batch.batch} paths of length {batch.n} to {args.out}")
-    return 0
 
 
 # attributes of a parsed experiment command that are not params of its kind
@@ -107,17 +93,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     sub = p.add_subparsers(dest="command")
 
-    s = sub.add_parser("sample", help="draw paths and dump them to a binary file")
-    s.add_argument("--cov", help="covariance model JSON (inline or file)")
-    s.add_argument("--n", type=int, default=1024)
-    s.add_argument("--batch", type=int, default=100)
-    s.add_argument("--method", choices=["cholesky", "circulant"])
-    s.add_argument("--d", type=int, choices=[1, 2, 3])
-    s.add_argument("--extent", type=float, default=10.0)
-    s.add_argument("--spacing", type=float, default=1.0)
-    s.set_defaults(fn=_cmd_sample)
-
     # experiment flags default to None: an absent one takes experiments.PARAMS
+    s = sub.add_parser("sample", help="draw paths of a sequence or grid into data.csv")
+    s.add_argument("--cov", help="covariance model JSON (inline or file)")
+    s.add_argument("--n", type=int, nargs=1, dest="sizes", metavar="N")
+    s.add_argument("--batch", type=int, default=100)
+    s.add_argument("--method", choices=CHOICES["method"])
+    s.add_argument("--d", type=int, choices=[1, 2, 3])
+    s.add_argument("--extent", type=float)
+    s.add_argument("--spacing", type=float)
+    s.set_defaults(fn=_cmd_experiment, kind="sample_paths")
+
     b = sub.add_parser("bound", help="the constants and tail curve of a bound")
     b.add_argument("--pipeline", choices=["sequence", "field", "correlated"],
                    default="sequence")

@@ -346,7 +346,7 @@ def estimate_field_growth(
     data = []
     scale = np.array(box_extents(d, extent))
     while (n_a := covering_number_box(scale, d)) > 1 and min(scale) >= spacing:
-        shape = grid_geometry(d, scale, spacing).shape
+        shape = grid_geometry(d, scale, spacing)
         maxima, _ = sample_maxima(model, shape, batch, seed, spacing=spacing,
                                   stream_offset=len(data) * batch)
         data.append((n_a, _stable_mean(maxima)))
@@ -385,7 +385,7 @@ def field_bound(
         exponent_ratio = (c1 / c2) ** 2 / 8.0
 
     s0 = n_a**exponent_ratio
-    pts, _ = grid_points(d, extent, spacing)
+    pts = grid_points(d, extent, spacing)
     net_idx = greedy_net(pts, s0)
     r0 = float(evaluate(model, s0))
     cov = net_ball_covering(pts, net_idx, 2.0 * s0, r0)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import CovarianceModel
+from .covariance import CovarianceModel, TableRangeError
 from .covering import (
     MC_RHO_MIN_PATHS,
     BoundError,
@@ -30,7 +30,15 @@ from .covering import (
     tail_curve,
 )
 from .extremes import centering_gap, ks_to_gumbel, sample_maxima
-from .sampler import capacity_bytes, grid_geometry, plan_bytes
+from .sampler import (
+    DecompositionError,
+    EmbeddingError,
+    capacity_bytes,
+    draw_rows,
+    grid_geometry,
+    make_plan,
+    plan_bytes,
+)
 from .scantest import (
     STREAM_BLOCK,
     ScanClass,
@@ -131,11 +139,14 @@ PARAMS = {
                   "threshold": "prop51", "c": None, "trials": 2000, "delta": 0.2,
                   "delta_grid": None, "table_c": 1.0},
     "sign_vectors": {"n": 100, "N_target": 50, "threshold": None, "max_tries": 10**5},
+    "sample_paths": {"d": None, "extent": 10.0, "spacing": 1.0, "method": None},
 }
 EXPERIMENT_KINDS = tuple(PARAMS)
 # the values each string param may take
 CHOICES = {"center": ("mean", "b_n"), "threshold": ("prop51", "prop52"),
-           "rho": ("monte_carlo", "analytic")}
+           "rho": ("monte_carlo", "analytic"), "method": ("cholesky", "circulant")}
+# the params that count points, paths or trials
+COUNTS = ("t_points", "theta_points", "growth_batch", "trials")
 
 
 def _params(cfg) -> dict:
@@ -144,18 +155,35 @@ def _params(cfg) -> dict:
 
 
 def _param_diags(kind: str, p: dict) -> list[str]:
-    """A diagnostic for each string param outside its ``CHOICES`` and each
-    param with a numeric default that is not a number (extent may be a list)."""
+    """A diagnostic for each param in ``CHOICES`` set outside them, each
+    param with a numeric default that is not a number (extent may be a list)
+    and each of the ``COUNTS`` below 1."""
     diags = []
     for name, default in PARAMS[kind].items():
         v = p[name]
         values = v if name == "extent" and isinstance(v, list) else [v]
-        if isinstance(default, str) and name in CHOICES and v not in CHOICES[name]:
+        if name in CHOICES and v != default and v not in CHOICES[name]:
             diags.append(f"field 'params.{name}': {v!r} is not one of {list(CHOICES[name])}")
         elif isinstance(default, (int, float)) and not all(
                 isinstance(x, numbers.Real) for x in values):
             diags.append(f"field 'params.{name}': {v!r} is not a number")
+        elif name in COUNTS and v < 1:
+            diags.append(f"field 'params.{name}': {v!r} is below 1")
     return diags
+
+
+def _lattices(cfg, p) -> list[tuple[int, ...]]:
+    """The shapes of the lattices the run factors: a grid for a field bound
+    or a sample with ``d``, else one sequence per size; none for the kinds,
+    and the sequence bound with analytic rho, that draw no paths of the
+    model.  A grid the params rule out is ``grid_geometry``'s ValueError."""
+    if cfg.kind == "field_bound" or cfg.kind == "sample_paths" and p["d"] is not None:
+        return [grid_geometry(int(p["d"]), p["extent"], float(p["spacing"]))]
+    if cfg.kind == "sample_paths":
+        return [(cfg.sizes[0],)]
+    if cfg.kind in ("correlated_bound", "scan_risk", "sign_vectors") or p.get("rho") == "analytic":
+        return []
+    return [(s,) for s in cfg.sizes]
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -172,35 +200,34 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(f"field 'params': {config.kind} takes no {unknown}")
     if config.batch < 1:
         diags.append("field 'batch': must be positive")
-    if any(s < 1 for s in config.sizes):
-        diags.append("field 'sizes': entries must be positive")
+    sizes_ok = bool(config.sizes) and all(s >= 1 for s in config.sizes)
+    if not sizes_ok:
+        diags.append("field 'sizes': needs one or more entries, all positive")
     p = _params(config)
     if bad := _param_diags(config.kind, p):
         return diags + bad
-    if config.kind == "scan_risk" and (trials := int(p["trials"])) > STREAM_BLOCK:
-        diags.append(f"field 'params.trials': {trials} trials overrun the "
-                     f"{STREAM_BLOCK}-stream block of each estimate")
+    if config.kind == "scan_risk":
+        try:
+            _scan_class(p)
+        except SchemaError as exc:
+            diags.append(str(exc))
+        if (trials := int(p["trials"])) > STREAM_BLOCK:
+            diags.append(f"field 'params.trials': {trials} trials overrun the "
+                         f"{STREAM_BLOCK}-stream block of each estimate")
     if (config.kind == "sequence_bound" and p["rho"] == "monte_carlo"
             and config.batch < MC_RHO_MIN_PATHS):
         diags.append(f"field 'batch': Monte Carlo rho needs >= {MC_RHO_MIN_PATHS} "
                      f"paths, got {config.batch}")
-    # chunks of paths shrink to fit the cap, so each lattice has to fit its
-    # factor and one path
-    if config.kind == "field_bound":
-        try:
-            shape = grid_geometry(int(p["d"]), p["extent"], float(p["spacing"])).shape
-        except (TypeError, ValueError) as exc:
-            diags.append(f"field 'params': {exc}")
-            return diags
-        shapes = [shape]
-    # these kinds, and a sequence bound with analytic rho, draw no paths of the model
-    elif (config.kind not in ("correlated_bound", "scan_risk", "sign_vectors")
-          and p.get("rho") != "analytic" and config.sizes
-          and all(s >= 1 for s in config.sizes)):
-        shapes = [(s,) for s in config.sizes]
-    else:
+    if not sizes_ok:
         return diags
-    need, shape = max((plan_bytes(config.model, s), s) for s in shapes)
+    try:
+        shapes = _lattices(config, p)
+    except (TypeError, ValueError) as exc:
+        diags.append(f"field 'params': {exc}")
+        return diags
+    # chunks of paths shrink to fit the cap, so each lattice has to fit its
+    # factor and one path (a sample's one draw meets the cap when it is drawn)
+    need, shape = max(((plan_bytes(config.model, s), s) for s in shapes), default=(0, ()))
     if need > capacity_bytes():
         diags.append(
             f"capacity: factoring the lattice of {math.prod(shape)} points and "
@@ -221,10 +248,11 @@ def _map_cells(fn, cells, jobs: int):
 
 
 def write_csv(path: Path, header: list[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """One line per row, written as it is formatted."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def _json_default(o):
@@ -344,21 +372,29 @@ def _run_bound(cfg):
     return ["t", "bound", "gaussian_bound"], rows, report.to_dict()
 
 
-def _build_scan_class(p: dict) -> ScanClass:
+def _scan_class(p: dict) -> ScanClass:
+    """The class of the params ``n`` and ``sets``, or else of the
+    ``generator`` spec ``disjoint:N,K`` or ``sliding:n,K``; a class they rule
+    out is a SchemaError naming the param."""
     if p["sets"] is not None:
-        return ScanClass(int(p["n"]), np.asarray(p["sets"]))
-    name, _, args = p["generator"].partition(":")
-    a, b = (int(v) for v in args.split(","))
-    if name == "disjoint":
-        return disjoint_class(a, b, n=p["n"])
-    if name == "sliding":
-        return sliding_class(a, b)
-    raise SchemaError(f"field 'params.generator': unknown generator {name!r}")
+        try:
+            return ScanClass(int(p["n"]), np.asarray(p["sets"]))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"field 'params.sets': {exc}") from exc
+    spec = p["generator"]
+    name, _, args = str(spec).partition(":")
+    if name not in ("disjoint", "sliding"):
+        raise SchemaError(f"field 'params.generator': unknown generator {name!r}")
+    try:
+        a, b = (int(v) for v in args.split(","))
+        return disjoint_class(a, b, n=p["n"]) if name == "disjoint" else sliding_class(a, b)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"field 'params.generator': {spec!r}: {exc}") from exc
 
 
 def _run_scan_risk(cfg):
     p = _params(cfg)
-    cls = _build_scan_class(p)
+    cls = _scan_class(p)
     report = estimate_risk(
         cls, mu=p["mu"], threshold_kind=p["threshold"], c=p["c"],
         trials=int(p["trials"]), seed=cfg.seed, delta_target=float(p["delta"]),
@@ -394,6 +430,18 @@ def _run_sign_vectors(cfg):
     return ["vector", "max_abs_dot"], rows, summary
 
 
+def _run_sample_paths(cfg):
+    """``cfg.batch`` draws of the lattice, one row per path in C order."""
+    p = _params(cfg)
+    [shape] = _lattices(cfg, p)
+    spacing = float(p["spacing"])
+    plan = make_plan(cfg.model, shape, spacing, p["method"])
+    paths = draw_rows(plan, cfg.batch, cfg.seed)
+    summary = {"n": plan.n, "shape": list(shape), "spacing": spacing, "batch": cfg.batch,
+               "method": plan.method}
+    return [f"x{i}" for i in range(plan.n)], paths, summary
+
+
 _RUNNERS = {
     "gumbel_convergence": _run_gumbel_convergence,
     "variance_scaling": _run_variance_scaling,
@@ -404,19 +452,22 @@ _RUNNERS = {
     "correlated_bound": _run_bound,
     "scan_risk": _run_scan_risk,
     "sign_vectors": _run_sign_vectors,
+    "sample_paths": _run_sample_paths,
 }
 
 
 def run(config: ExperimentConfig) -> dict[str, Path]:
     """Execute the experiment; writes data.csv, summary.json and manifest.json.
-    A bound that the inputs rule out (``covering.BoundError``) is a SchemaError."""
+    A bound or a lattice that the inputs rule out (``covering.BoundError``, a
+    table model's lag outside its table, a failed factorization or
+    embedding) is a SchemaError."""
     diags = validate(config)
     if diags:
         raise SchemaError("; ".join(diags))
     t0 = time.monotonic()
     try:
         header, rows, summary = _RUNNERS[config.kind](config)
-    except BoundError as exc:
+    except (BoundError, TableRangeError, DecompositionError, EmbeddingError) as exc:
         raise SchemaError(str(exc)) from exc
     wall = time.monotonic() - t0
     outdir = Path(config.out)

@@ -18,10 +18,8 @@ so batches are bit-reproducible regardless of chunking or scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,30 +67,10 @@ class EmbeddingError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class GridGeometry:
-    d: int
-    spacing: float
-    extent: tuple[float, ...]
-    shape: tuple[int, ...]
-
-
 @dataclass
 class SampleBatch:
-    paths: np.ndarray  # (batch, n); fields are flattened C-order
-    model: CovarianceModel
-    seed: int
+    paths: np.ndarray  # (batch, n)
     method: str
-    stream_offset: int = 0
-    geometry: GridGeometry | None = None
-
-    @property
-    def n(self) -> int:
-        return self.paths.shape[1]
-
-    @property
-    def batch(self) -> int:
-        return self.paths.shape[0]
 
 
 def _check_capacity(nbytes: int):
@@ -253,7 +231,7 @@ def sample_sequence(
     """Exact draws from N(0, Gamma) with Gamma[i, j] = phi(|i - j|)."""
     plan = make_plan(model, (n,), method=method)
     paths = draw_rows(plan, batch, seed, stream_offset)
-    return SampleBatch(paths, model, seed, plan.method, stream_offset)
+    return SampleBatch(paths, plan.method)
 
 
 def box_extents(d: int, extent) -> tuple[float, ...]:
@@ -264,94 +242,19 @@ def box_extents(d: int, extent) -> tuple[float, ...]:
     return extents
 
 
-def grid_geometry(d: int, extent, spacing: float) -> GridGeometry:
-    """Regular grid over [0, extent_i] per axis, including both endpoints."""
+def grid_geometry(d: int, extent, spacing: float) -> tuple[int, ...]:
+    """Shape of the regular grid over [0, extent_i] per axis, including both
+    endpoints."""
     if d < 1:
         raise ValueError("the grid needs at least one dimension")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    extents = box_extents(d, extent)
-    shape = tuple(int(math.floor(e / spacing + 1e-9)) + 1 for e in extents)
+    shape = tuple(int(math.floor(e / spacing + 1e-9)) + 1 for e in box_extents(d, extent))
     if any(s < 2 for s in shape):
         raise ValueError("extent/spacing must yield at least 2 points per axis")
-    return GridGeometry(d=d, spacing=spacing, extent=extents, shape=shape)
+    return shape
 
 
-def grid_points(d: int, extent, spacing: float) -> tuple[np.ndarray, GridGeometry]:
+def grid_points(d: int, extent, spacing: float) -> np.ndarray:
     """Points of :func:`grid_geometry`'s grid, one row each, C order."""
-    geom = grid_geometry(d, extent, spacing)
-    return _lattice_points(geom.shape, spacing), geom
-
-
-def sample_field_grid(
-    model: CovarianceModel,
-    d: int,
-    extent,
-    spacing: float,
-    batch: int,
-    seed: int,
-    method: str | None = None,
-    stream_offset: int = 0,
-) -> SampleBatch:
-    """Exact draw of the field restricted to a regular grid (flattened C-order)."""
-    geom = grid_geometry(d, extent, spacing)
-    plan = make_plan(model, geom.shape, spacing, method)
-    paths = draw_rows(plan, batch, seed, stream_offset)
-    return SampleBatch(paths, model, seed, plan.method, stream_offset, geometry=geom)
-
-
-# ---------------------------------------------------------------------------
-# binary path dump: 32-byte header + column-major float64 matrix + JSON sidecar
-
-_MAGIC = b"SCPATHS\x00"
-_VERSION = 1
-_HEADER = struct.Struct("<8sIIII8x")  # magic, version, n, batch, flags
-
-
-def dump_paths(batch: SampleBatch, path: str):
-    flags = 1  # float64
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, batch.n, batch.batch, flags))
-        fh.write(np.asfortranarray(batch.paths).tobytes(order="F"))
-    sidecar = {
-        "model": json.loads(batch.model.to_json()),
-        "seed": batch.seed,
-        "method": batch.method,
-        "stream_offset": batch.stream_offset,
-    }
-    if batch.geometry is not None:
-        g = batch.geometry
-        sidecar["geometry"] = {
-            "d": g.d, "spacing": g.spacing,
-            "extent": list(g.extent), "shape": list(g.shape),
-        }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_paths(path: str) -> SampleBatch:
-    with open(path, "rb") as fh:
-        magic, version, n, nbatch, flags = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ValueError("not a path dump file")
-        if version != _VERSION:
-            raise ValueError(f"unsupported path dump version {version}")
-        if not flags & 1:
-            raise ValueError("only float64 dumps are supported")
-        data = np.frombuffer(fh.read(n * nbatch * 8), dtype=np.float64)
-    paths = np.ascontiguousarray(data.reshape((nbatch, n), order="F"))
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    model = CovarianceModel.from_json(json.dumps(sidecar["model"]))
-    geom = None
-    if "geometry" in sidecar:
-        g = sidecar["geometry"]
-        geom = GridGeometry(
-            d=g["d"], spacing=g["spacing"],
-            extent=tuple(g["extent"]), shape=tuple(g["shape"]),
-        )
-    return SampleBatch(
-        paths, model, sidecar["seed"], sidecar["method"],
-        sidecar["stream_offset"], geometry=geom,
-    )
+    return _lattice_points(grid_geometry(d, extent, spacing), spacing)

@@ -228,7 +228,7 @@ def test_criterion_08_field_pipeline():
 
 
 def test_criterion_08_greedy_net_verified():
-    pts, _ = grid_points(2, [19.0, 19.0], 1.0)  # 20 x 20 grid
+    pts = grid_points(2, [19.0, 19.0], 1.0)  # 20 x 20 grid
     idx = greedy_net(pts, 3.0)
     ok, witness = verify_net(pts, idx, 3.0)
     assert ok, witness

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from superconc.cli import main
-from superconc.sampler import load_paths, sample_sequence
+from superconc.sampler import draw_rows, make_plan, sample_sequence
 from superconc.covariance import CovarianceModel
 
 OU_JSON = '{"kind": "ornstein_uhlenbeck", "params": {"rate": 1.0}}'
@@ -17,25 +17,94 @@ def test_no_command_prints_help(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def _csv(path):
+    """The header of a data.csv and its rows parsed with float."""
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
 def test_sample_round_trip(tmp_path, capsys):
-    out = str(tmp_path / "paths.bin")
-    rc = main(["--seed", "3", "--out", out, "sample", "--cov", OU_JSON,
+    out = tmp_path / "paths"
+    rc = main(["--seed", "3", "--out", str(out), "sample", "--cov", OU_JSON,
                "--n", "16", "--batch", "4"])
     assert rc == 0
-    batch = load_paths(out)
+    header, paths = _csv(out / "data.csv")
+    assert header == [f"x{i}" for i in range(16)]
     direct = sample_sequence(CovarianceModel("ornstein_uhlenbeck", rate=1.0),
                              16, 4, seed=3)
-    assert np.array_equal(batch.paths, direct.paths)
-    assert "wrote 4 paths" in capsys.readouterr().err
+    assert np.array_equal(paths, direct.paths)
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 16, "shape": [16], "spacing": 1.0, "batch": 4, "method": "cholesky"}
 
 
 def test_sample_cov_from_file(tmp_path):
     cov_file = tmp_path / "model.json"
     cov_file.write_text(OU_JSON)
-    out = str(tmp_path / "p.bin")
-    assert main(["--out", out, "sample", "--cov", str(cov_file),
+    out = tmp_path / "p"
+    assert main(["--out", str(out), "sample", "--cov", str(cov_file),
                  "--n", "8", "--batch", "2"]) == 0
-    assert load_paths(out).model.kind == "ornstein_uhlenbeck"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["model"]["kind"] == "ornstein_uhlenbeck"
+
+
+@pytest.mark.parametrize("argv, shape, spacing, method", [
+    (["--n", "32"], (32,), 1.0, None),
+    (["--n", "32", "--method", "circulant"], (32,), 1.0, "circulant"),
+    (["--d", "2", "--extent", "3", "--spacing", "0.5"], (7, 7), 0.5, None),
+], ids=["cholesky", "circulant", "grid"])
+def test_sample_data_is_the_draw(tmp_path, capsys, argv, shape, spacing, method):
+    out = tmp_path / "s"
+    assert main(["--seed", "11", "--out", str(out), "sample", "--cov", OU_JSON,
+                 "--batch", "5", *argv]) == 0
+    plan = make_plan(CovarianceModel("ornstein_uhlenbeck", rate=1.0), shape, spacing, method)
+    _, paths = _csv(out / "data.csv")
+    assert np.array_equal(paths, draw_rows(plan, 5, 11))
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["shape"] == list(shape) and summary["spacing"] == spacing
+    assert summary["method"] == plan.method
+
+
+def test_commands_share_the_default_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    verify = ["verify", "variance_scaling", "--sizes", "16", "--batch", "50"]
+    for argv in (verify, ["sample", "--n", "8", "--batch", "2"], verify):
+        assert main(argv) == 0
+    assert (tmp_path / "out" / "data.csv").is_file()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--n", "0"], "field 'sizes'"),
+    (["--batch", "0"], "field 'batch'"),
+    (["--d", "2", "--extent", "0.5"], "field 'params': extent/spacing"),
+], ids=["n", "batch", "extent"])
+def test_sample_mistake_exit_code(tmp_path, capsys, argv, named):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "sample", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
+
+
+STUBBORN = [[0, 1], [1, 0.9], [2, 0], [1000, 0]]  # as in test_embedding_failure_reports_sizes
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "variance_scaling", "--sizes", "64", "--batch", "50", "--cov",
+      json.dumps({"kind": "table", "table": [[0, 1], [1, 0.4]]})],
+     "lag 63.0 outside tabulated range [0, 1.0]"),
+    (["verify", "variance_scaling", "--sizes", "64", "--batch", "50", "--cov",
+      json.dumps({"kind": "table", "table": STUBBORN[:3] + [[100000, 0]]})],
+     "leading minor of order 3 fails Cholesky"),
+    (["sample", "--method", "circulant", "--n", "2", "--cov",
+      json.dumps({"kind": "table", "table": STUBBORN})],
+     "most negative eigenvalue -8.000e-01"),
+], ids=["table-range", "cholesky", "embedding"])
+def test_model_the_lattice_rules_out_exit_code(tmp_path, capsys, argv, named):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
 
 
 def test_bound_sequence_json_and_csv(tmp_path, capsys):
@@ -144,13 +213,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
 
 def test_bad_cov_exit_code(tmp_path, capsys):
     flat = '{"kind": "ornstein_uhlenbeck", "rate": 2.0}'
-    assert main(["--out", str(tmp_path / "p.bin"), "sample", "--cov", flat,
+    assert main(["--out", str(tmp_path / "o"), "sample", "--cov", flat,
                  "--n", "4", "--batch", "1"]) == 2
     assert "config error: --cov" in capsys.readouterr().err
 
 
 def test_missing_cov_file_exit_code(tmp_path, capsys):
-    assert main(["--out", str(tmp_path / "p.bin"), "sample", "--cov",
+    assert main(["--out", str(tmp_path / "o"), "sample", "--cov",
                  str(tmp_path / "absent.json"), "--n", "4", "--batch", "1"]) == 2
     assert "config error: --cov" in capsys.readouterr().err
 
@@ -182,7 +251,7 @@ def test_field_factor_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["bound", "sample"])
 def test_sequence_command_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
-    assert main(["--out", str(tmp_path / "p.bin"), command, "--cov", OU_JSON,
+    assert main(["--out", str(tmp_path / "o"), command, "--cov", OU_JSON,
                  "--n", "2048"]) == 2
     assert "config error: capacity: " in capsys.readouterr().err
 
@@ -253,9 +322,13 @@ def _config_file(tmp_path, text):
     ('{"kind": "field_bound", "params": {"t_max": null}}', "field 'params.t_max'"),
     ('{"kind": "field_bound", "params": {"d": 2, "extent": [8, "x"]}}',
      "field 'params.extent'"),
+    ('{"kind": "sample_paths", "params": {"method": "magic"}}', "field 'params.method'"),
+    ('{"kind": "field_bound", "params": {"growth_batch": 0}}',
+     "field 'params.growth_batch': 0 is below 1"),
 ], ids=["unknown-param", "bad-generator", "bad-batch", "bad-sizes", "malformed-json",
         "center-outside-choices", "non-numeric-trials", "threshold-outside-choices",
-        "rho-outside-choices", "null-number", "non-numeric-extent"])
+        "rho-outside-choices", "null-number", "non-numeric-extent",
+        "method-outside-choices", "growth-batch"])
 def test_config_mistake_exit_code(tmp_path, capsys, text, named):
     argv = ["--out", str(tmp_path / "o"), "--config", _config_file(tmp_path, text)]
     assert main(argv) == 2
@@ -281,7 +354,7 @@ def test_flag_the_kind_does_not_read_exit_code(tmp_path, capsys, argv, named):
     '{"kind": "ornstein_uhlenbeck", "params": {"rate": "x"}}',
 ], ids=["foreign-param", "unknown-param", "table-on-iid", "non-numeric"])
 def test_cov_mistake_exit_code(tmp_path, capsys, cov):
-    assert main(["--out", str(tmp_path / "p.bin"), "sample", "--cov", cov,
+    assert main(["--out", str(tmp_path / "o"), "sample", "--cov", cov,
                  "--n", "4", "--batch", "1"]) == 2
     assert capsys.readouterr().err.startswith("config error: --cov: ")
 
@@ -311,7 +384,38 @@ def test_every_experiment_flag_names_a_param_of_its_kind():
             elif action.dest not in config_flags:
                 assert action.dest in taken, (name, action.option_strings)
                 seen += 1
-    assert seen == 21  # bound 9, verify 2, scan 6, signvec 4
+    assert seen == 25  # sample 4, bound 9, verify 2, scan 6, signvec 4
+
+
+# each mistake, through its subcommand and the same config file
+@pytest.mark.parametrize("argv, config, named", [
+    (["scan", "--generator", "disjoint:abc"],
+     {"kind": "scan_risk", "params": {"generator": "disjoint:abc"}},
+     "field 'params.generator': 'disjoint:abc': invalid literal"),
+    (["scan", "--generator", "disjoint:3"],
+     {"kind": "scan_risk", "params": {"generator": "disjoint:3"}},
+     "field 'params.generator': 'disjoint:3': not enough values"),
+    (["scan", "--generator", "sliding:10,20"],
+     {"kind": "scan_risk", "params": {"generator": "sliding:10,20"}},
+     "field 'params.generator': 'sliding:10,20': need 1 <= K <= n - 1"),
+    (["bound", "--t-points", "-1"], {"kind": "sequence_bound", "params": {"t_points": -1}},
+     "field 'params.t_points': -1 is below 1"),
+    (["verify", "laplace_check", "--theta-points", "0"],
+     {"kind": "laplace_check", "params": {"theta_points": 0}},
+     "field 'params.theta_points': 0 is below 1"),
+    (["scan", "--trials", "0"], {"kind": "scan_risk", "params": {"trials": 0}},
+     "field 'params.trials': 0 is below 1"),
+], ids=["generator-not-int", "generator-one-int", "generator-window", "t-points",
+        "theta-points", "trials"])
+def test_mistake_on_both_routes_exit_code(tmp_path, capsys, argv, config, named):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert main(["--out", str(out), "--config", _config_file(tmp_path, json.dumps(config))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
 
 
 OU_SLOW = {"kind": "ornstein_uhlenbeck", "params": {"rate": 0.5}}

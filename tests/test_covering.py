@@ -179,7 +179,7 @@ def test_greedy_net_matches_per_candidate_reference(d, seed):
 def test_greedy_net_matches_reference_at_lattice_ties(d, extent, spacing):
     from superconc.sampler import grid_points
 
-    pts, _ = grid_points(d, extent, spacing)
+    pts = grid_points(d, extent, spacing)
     # s0 equal to a lattice distance: pairs at exactly s0 are kept apart or
     # not by the same float comparison; sqrt(k)**2 rounds above k for some
     # k and below it for others
@@ -284,7 +284,7 @@ def test_covering_number_box():
 def test_greedy_net_is_verified_net():
     from superconc.sampler import grid_points
 
-    pts, _ = grid_points(2, [19.0, 19.0], 1.0)  # 20 x 20 grid
+    pts = grid_points(2, [19.0, 19.0], 1.0)  # 20 x 20 grid
     idx = greedy_net(pts, 3.0)
     ok, witness = verify_net(pts, idx, 3.0)
     assert ok and witness is None
@@ -348,7 +348,7 @@ def test_verify_net_matches_dense_reference(d, spacing):
 def test_verify_net_matches_dense_reference_at_lattice_ties(d, extent, spacing):
     from superconc.sampler import grid_points
 
-    pts, _ = grid_points(d, extent, spacing)
+    pts = grid_points(d, extent, spacing)
     rs = np.random.default_rng(d)
     # net and check radii equal to lattice distances: a pair at exactly s0
     # fails separation and a point at exactly s0 passes maximality

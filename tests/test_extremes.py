@@ -14,7 +14,7 @@ from superconc.extremes import (
     sample_maxima,
 )
 from superconc import sampler
-from superconc.sampler import sample_field_grid, sample_sequence
+from superconc.sampler import draw_rows, grid_geometry, make_plan, sample_sequence
 
 
 def test_norm_constants_formula():
@@ -117,12 +117,12 @@ def test_sample_maxima_chunks_fit_a_low_cap(ou, monkeypatch):
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
 def test_sample_maxima_on_a_field_matches_direct(gs, method):
-    direct = sample_field_grid(gs, 2, [5.0, 3.0], 0.5, 12, seed=2, method=method,
-                               stream_offset=30)
-    m, a = sample_maxima(gs, direct.geometry.shape, 12, seed=2, method=method,
+    shape = grid_geometry(2, [5.0, 3.0], 0.5)
+    direct = draw_rows(make_plan(gs, shape, 0.5, method), 12, seed=2, offset=30)
+    m, a = sample_maxima(gs, shape, 12, seed=2, method=method,
                          chunk=5, spacing=0.5, stream_offset=30)
-    assert np.array_equal(m, direct.paths.max(axis=1))
-    assert np.array_equal(a, direct.paths.argmax(axis=1))
+    assert np.array_equal(m, direct.max(axis=1))
+    assert np.array_equal(a, direct.argmax(axis=1))
 
 
 def test_sample_maxima_matches_direct(ou):

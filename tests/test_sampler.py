@@ -9,10 +9,10 @@ from superconc.sampler import (
     DecompositionError,
     EmbeddingError,
     circulant_embedding,
-    dump_paths,
+    draw_rows,
+    grid_geometry,
     grid_points,
-    load_paths,
-    sample_field_grid,
+    make_plan,
     sample_sequence,
 )
 
@@ -118,15 +118,15 @@ def test_capacity_cap(monkeypatch, ou):
 
 
 def test_grid_points_1d():
-    pts, geom = grid_points(1, 10.0, 1.0)
+    pts = grid_points(1, 10.0, 1.0)
     assert pts.shape == (11, 1)
-    assert geom.shape == (11,)
+    assert grid_geometry(1, 10.0, 1.0) == (11,)
     assert pts[-1, 0] == pytest.approx(10.0)
 
 
 def test_grid_points_2d():
-    pts, geom = grid_points(2, [4.0, 6.0], 2.0)
-    assert geom.shape == (3, 4)
+    pts = grid_points(2, [4.0, 6.0], 2.0)
+    assert grid_geometry(2, [4.0, 6.0], 2.0) == (3, 4)
     assert pts.shape == (12, 2)
 
 
@@ -146,41 +146,17 @@ def test_grid_points_validation():
 )
 def test_field_covariance_2d(gs, d, method):
     batch = 30000
-    b = sample_field_grid(gs, d, [2.0] * d, 1.0, batch, seed=4, method=method)
-    pts, _ = grid_points(d, [2.0] * d, 1.0)
-    emp = b.paths.T @ b.paths / batch
+    paths = draw_rows(make_plan(gs, grid_geometry(d, [2.0] * d, 1.0), 1.0, method),
+                      batch, seed=4)
+    pts = grid_points(d, [2.0] * d, 1.0)
+    emp = paths.T @ paths / batch
     g = gram_matrix(gs, pts)
     se = np.sqrt((1 + g**2) / batch)
     assert np.all(np.abs(emp - g) <= 5 * se)
 
 
 def test_field_1d_matches_sequence_for_unit_spacing(ou):
-    f = sample_field_grid(ou, 1, 9.0, 1.0, 4, seed=2, method="circulant")
+    f = draw_rows(make_plan(ou, grid_geometry(1, 9.0, 1.0), 1.0, "circulant"), 4, seed=2)
     s = sample_sequence(ou, 10, 4, seed=2, method="circulant")
-    assert np.array_equal(f.paths, s.paths)
+    assert np.array_equal(f, s.paths)
 
-
-def test_dump_load_round_trip(tmp_path, ou):
-    b = sample_sequence(ou, 12, 7, seed=5, method="cholesky")
-    target = str(tmp_path / "paths.bin")
-    dump_paths(b, target)
-    back = load_paths(target)
-    assert np.array_equal(back.paths, b.paths)
-    assert back.model == b.model
-    assert back.seed == 5
-    assert back.method == "cholesky"
-
-
-def test_dump_load_field_geometry(tmp_path, gs):
-    b = sample_field_grid(gs, 2, [3.0, 3.0], 1.0, 2, seed=0)
-    target = str(tmp_path / "field.bin")
-    dump_paths(b, target)
-    back = load_paths(target)
-    assert back.geometry == b.geometry
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    bad = tmp_path / "junk.bin"
-    bad.write_bytes(b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_paths(str(bad))
