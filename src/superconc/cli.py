@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cov", help="covariance model JSON (inline or file)")
     s.add_argument("--n", type=int, nargs=1, dest="sizes", metavar="N")
     s.add_argument("--batch", type=int, default=100)
-    s.add_argument("--method", choices=CHOICES["method"])
+    s.add_argument("--method", choices=CHOICES["sample_paths"]["method"])
     s.add_argument("--d", type=int, choices=[1, 2, 3])
     s.add_argument("--extent", type=float)
     s.add_argument("--spacing", type=float)
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, nargs=1, dest="sizes", metavar="N")
     b.add_argument("--batch", type=int)
     b.add_argument("--alpha", type=float)
-    b.add_argument("--rho", choices=CHOICES["rho"])
+    b.add_argument("--rho", choices=CHOICES["sequence_bound"]["rho"])
     b.add_argument("--c", type=float)
     b.add_argument("--eps", type=float)
     b.add_argument("--d", type=int, choices=[1, 2, 3])
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--generator", help="disjoint:N,K or sliding:n,K")
     sc.add_argument("--mu", type=float)
     sc.add_argument("--delta", type=float)
-    sc.add_argument("--threshold", choices=CHOICES["threshold"])
+    sc.add_argument("--threshold", choices=CHOICES["scan_risk"]["threshold"])
     sc.add_argument("--c", type=float)
     sc.add_argument("--trials", type=int)
     sc.set_defaults(fn=_cmd_experiment, kind="scan_risk")

@@ -142,9 +142,11 @@ PARAMS = {
     "sample_paths": {"d": None, "extent": 10.0, "spacing": 1.0, "method": None},
 }
 EXPERIMENT_KINDS = tuple(PARAMS)
-# the values each string param may take
-CHOICES = {"center": ("mean", "b_n"), "threshold": ("prop51", "prop52"),
-           "rho": ("monte_carlo", "analytic"), "method": ("cholesky", "circulant")}
+# the values each string param of a kind may take besides its default
+CHOICES = {"tail_bounds": {"center": ("mean", "b_n")},
+           "sequence_bound": {"rho": ("monte_carlo", "analytic")},
+           "scan_risk": {"threshold": ("prop51", "prop52")},
+           "sample_paths": {"method": ("cholesky", "circulant")}}
 # the params that count points, paths or trials
 COUNTS = ("t_points", "theta_points", "growth_batch", "trials")
 
@@ -155,15 +157,16 @@ def _params(cfg) -> dict:
 
 
 def _param_diags(kind: str, p: dict) -> list[str]:
-    """A diagnostic for each param in ``CHOICES`` set outside them, each
-    param with a numeric default that is not a number (extent may be a list)
-    and each of the ``COUNTS`` below 1."""
+    """A diagnostic for each param of the kind's ``CHOICES`` set outside
+    them, each param with a numeric default that is not a number (extent may
+    be a list) and each of the ``COUNTS`` below 1."""
     diags = []
+    choices = CHOICES.get(kind, {})
     for name, default in PARAMS[kind].items():
         v = p[name]
         values = v if name == "extent" and isinstance(v, list) else [v]
-        if name in CHOICES and v != default and v not in CHOICES[name]:
-            diags.append(f"field 'params.{name}': {v!r} is not one of {list(CHOICES[name])}")
+        if name in choices and v != default and v not in choices[name]:
+            diags.append(f"field 'params.{name}': {v!r} is not one of {list(choices[name])}")
         elif isinstance(default, (int, float)) and not all(
                 isinstance(x, numbers.Real) for x in values):
             diags.append(f"field 'params.{name}': {v!r} is not a number")
@@ -172,12 +175,18 @@ def _param_diags(kind: str, p: dict) -> list[str]:
     return diags
 
 
+def _draws_grid(kind: str, p: dict) -> bool:
+    """Whether the run's lattice is the grid of ``d``, ``extent`` and
+    ``spacing`` (a field bound, or a sample with ``d``) and not ``sizes``."""
+    return kind == "field_bound" or kind == "sample_paths" and p["d"] is not None
+
+
 def _lattices(cfg, p) -> list[tuple[int, ...]]:
-    """The shapes of the lattices the run factors: a grid for a field bound
-    or a sample with ``d``, else one sequence per size; none for the kinds,
-    and the sequence bound with analytic rho, that draw no paths of the
-    model.  A grid the params rule out is ``grid_geometry``'s ValueError."""
-    if cfg.kind == "field_bound" or cfg.kind == "sample_paths" and p["d"] is not None:
+    """The shapes of the lattices the run factors: the grid where
+    ``_draws_grid``, else one sequence per size; none for the kinds, and the
+    sequence bound with analytic rho, that draw no paths of the model.  A
+    grid the params rule out is ``grid_geometry``'s ValueError."""
+    if _draws_grid(cfg.kind, p):
         return [grid_geometry(int(p["d"]), p["extent"], float(p["spacing"]))]
     if cfg.kind == "sample_paths":
         return [(cfg.sizes[0],)]
@@ -200,10 +209,20 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(f"field 'params': {config.kind} takes no {unknown}")
     if config.batch < 1:
         diags.append("field 'batch': must be positive")
-    sizes_ok = bool(config.sizes) and all(s >= 1 for s in config.sizes)
+    p = _params(config)
+    grid = _draws_grid(config.kind, p)
+    # the kinds that read no sizes accept none
+    sizes_ok = all(s >= 1 for s in config.sizes) and (
+        bool(config.sizes) or grid or config.kind in ("scan_risk", "sign_vectors"))
     if not sizes_ok:
         diags.append("field 'sizes': needs one or more entries, all positive")
-    p = _params(config)
+    # a grid sample takes no sizes but the default
+    if config.kind == "sample_paths" and grid and config.sizes not in ((), ExperimentConfig.sizes):
+        diags.append("field 'sizes': a sample with params.d draws the grid of "
+                     "extent and spacing, not sizes[0] points")
+    if config.kind == "sample_paths" and not grid and "extent" in config.params:
+        diags.append("field 'params.extent': a sample without params.d draws "
+                     "sizes[0] points, not a grid of this extent")
     if bad := _param_diags(config.kind, p):
         return diags + bad
     if config.kind == "scan_risk":

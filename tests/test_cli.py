@@ -76,7 +76,9 @@ def test_commands_share_the_default_out(tmp_path, capsys, monkeypatch):
     (["--n", "0"], "field 'sizes'"),
     (["--batch", "0"], "field 'batch'"),
     (["--d", "2", "--extent", "0.5"], "field 'params': extent/spacing"),
-], ids=["n", "batch", "extent"])
+    (["--d", "2", "--n", "16"], "field 'sizes': a sample with params.d"),
+    (["--extent", "5"], "field 'params.extent': a sample without params.d"),
+], ids=["n", "batch", "extent", "n-with-d", "extent-without-d"])
 def test_sample_mistake_exit_code(tmp_path, capsys, argv, named):
     out = tmp_path / "o"
     assert main(["--out", str(out), "sample", *argv]) == 2
@@ -182,6 +184,16 @@ def test_signvec_subcommand(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["found"] == 5
+
+
+def test_signvec_numeric_threshold_on_both_routes(tmp_path, capsys):
+    # scan_risk's threshold choices do not apply to sign_vectors' threshold
+    assert main(["--out", str(tmp_path / "a"), "signvec", "--n", "16", "--N", "4",
+                 "--threshold", "30"]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 30
+    config = {"kind": "sign_vectors", "params": {"n": 16, "N_target": 4, "threshold": 30}}
+    argv = ["--out", str(tmp_path / "b"), "--config", _config_file(tmp_path, json.dumps(config))]
+    assert main(argv) == 0
 
 
 def test_config_file_run(tmp_path, capsys):

@@ -140,6 +140,16 @@ def test_validate_bad_batch_and_sizes(tmp_path):
     assert any("sizes" in d for d in diags)
 
 
+def test_validate_empty_sizes_only_where_read(tmp_path):
+    assert any(d.startswith("field 'sizes'")
+               for d in validate(_cfg(tmp_path, sizes=())))
+    for kind, params in (("scan_risk", {"generator": "disjoint:4,4", "mu": 1.0}),
+                         ("sign_vectors", {}),
+                         ("field_bound", {"d": 2, "extent": 8.0}),
+                         ("sample_paths", {"d": 2, "extent": 8.0})):
+        assert validate(_cfg(tmp_path, kind=kind, sizes=(), params=params)) == []
+
+
 def test_run_writes_three_files(tmp_path):
     paths = run(_cfg(tmp_path))
     assert paths["csv"].exists()
