@@ -147,8 +147,8 @@ CHOICES = {"tail_bounds": {"center": ("mean", "b_n")},
            "sequence_bound": {"rho": ("monte_carlo", "analytic")},
            "scan_risk": {"threshold": ("prop51", "prop52")},
            "sample_paths": {"method": ("cholesky", "circulant")}}
-# the params that count points, paths or trials
-COUNTS = ("t_points", "theta_points", "growth_batch", "trials")
+# the params that count points, paths, trials or vectors, with their least value
+COUNTS = {"t_points": 1, "theta_points": 1, "growth_batch": 1, "trials": 1, "N_target": 2}
 
 
 def _params(cfg) -> dict:
@@ -159,7 +159,8 @@ def _params(cfg) -> dict:
 def _param_diags(kind: str, p: dict) -> list[str]:
     """A diagnostic for each param of the kind's ``CHOICES`` set outside
     them, each param with a numeric default that is not a number (extent may
-    be a list) and each of the ``COUNTS`` below 1."""
+    be a list), each of the ``COUNTS`` below its least value, and each of
+    them and a given ``d`` that is not a whole number."""
     diags = []
     choices = CHOICES.get(kind, {})
     for name, default in PARAMS[kind].items():
@@ -170,8 +171,11 @@ def _param_diags(kind: str, p: dict) -> list[str]:
         elif isinstance(default, (int, float)) and not all(
                 isinstance(x, numbers.Real) for x in values):
             diags.append(f"field 'params.{name}': {v!r} is not a number")
-        elif name in COUNTS and v < 1:
-            diags.append(f"field 'params.{name}': {v!r} is below 1")
+        elif name in COUNTS and v < COUNTS[name]:
+            diags.append(f"field 'params.{name}': {v!r} is below {COUNTS[name]}")
+        elif (name in COUNTS or name == "d" and v is not None) and not (
+                isinstance(v, numbers.Real) and float(v).is_integer()):
+            diags.append(f"field 'params.{name}': {v!r} is not a whole number")
     return diags
 
 

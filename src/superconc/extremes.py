@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .sampler import capacity_bytes, draw_rows, make_plan
 
 
@@ -79,9 +80,17 @@ def sample_maxima(
     stream ``stream_offset + i``, so the result is identical to a single
     unchunked call.  The default chunk holds at most 2**24 elements of draw
     work and stays inside the memory cap.
+
+    The iid maximum of N lattice points has the exact law Phi^N, and its
+    argmax is uniform and independent of it, so for the iid model path i
+    takes both from the first Philox block of its stream
+    (:func:`rng.first_blocks`) instead of drawing N normals; ``method``
+    and ``chunk`` do not change the result there.
     """
     shape = tuple(n) if np.iterable(n) else (n,)
-    plan = make_plan(model, shape, spacing, method)
+    plan = make_plan(model, shape, spacing, method)  # factors nothing for iid
+    if model.kind == "iid":
+        return _iid_maxima(plan.n, batch, seed, stream_offset)
     if chunk is None:
         chunk = max(1, min(batch, (1 << 24) // plan.row_elems,
                            capacity_bytes() // plan.row_bytes))
@@ -94,4 +103,18 @@ def sample_maxima(
         maxima[done : done + b] = paths.max(axis=1)
         argmax[done : done + b] = paths.argmax(axis=1)
         done += b
+    return maxima, argmax
+
+
+def _iid_maxima(n: int, batch: int, seed: int, stream_offset: int):
+    """Exact-law iid (maxima, argmax) from words w0, w1 of each path's block:
+    U = ((w0 >> 12) + 1/2) 2^-52 lies strictly inside (0, 1), M = Phi^-1(U^(1/n))
+    and argmax = mulhi(w1, n), whose bias is at most n / 2^64.  U keeps 52
+    bits: with 53, the top word's (2^53 - 1) + 1/2 rounds to 2^53 and U to 1."""
+    from scipy.special import ndtri_exp  # loaded here only: importing scipy costs set-up
+
+    words = rng.first_blocks(seed, stream_offset, stream_offset + batch)
+    u = ((words[:, 0] >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+    maxima = ndtri_exp(np.log(u) / n)
+    argmax = rng.mulhi(words[:, 1], n).astype(np.int64)
     return maxima, argmax

@@ -10,7 +10,10 @@ Stream s is exactly numpy's ``Philox(SeedSequence(seed, spawn_key=(s,)))``.
 ``stream_keys`` runs the SeedSequence hash for a whole block of streams in
 one pass of uint32 array arithmetic, and ``generators`` rekeys one Philox
 per call with those keys instead of building a SeedSequence, a Philox and
-a Generator for every stream.
+a Generator for every stream.  ``first_blocks`` goes one step further for
+callers that need only a few numbers per stream: it runs Philox4x64-10 on
+those keys in uint64 array arithmetic and returns each stream's first
+output block, with no generator at all.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MASK32 = 0xFFFFFFFF
 
-KEY_BLOCK = 4096  # streams keyed per pass in ``generators``
+KEY_BLOCK = 4096  # streams keyed per pass in ``generators`` and ``first_blocks``
+
+# Philox4x64 multipliers and Weyl key increments (Salmon et al. 2011, as in
+# numpy/random/src/philox/philox.h)
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+PHILOX_ROUNDS = 10
 
 
 def _seed_words(seed: int) -> list[int]:
@@ -128,6 +137,46 @@ def generators(seed: int, start: int, stop: int):
                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
             }
             yield g
+
+
+def mulhi(a: np.ndarray, b) -> np.ndarray:
+    """High 64 bits of the 128-bit products of uint64 ``a`` and ``b``,
+    built from 32-bit halves so that no partial product overflows."""
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    lo32, s32 = np.uint64(MASK32), np.uint64(32)
+    a_lo, a_hi = a & lo32, a >> s32
+    b_lo, b_hi = b & lo32, b >> s32
+    hl = a_hi * b_lo
+    # at most (2^32 - 1)^2 + 2 (2^32 - 1) = 2^64 - 1
+    mid = ((a_lo * b_lo) >> s32) + (hl & lo32) + a_lo * b_hi
+    return a_hi * b_hi + (hl >> s32) + (mid >> s32)
+
+
+def first_blocks(seed: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, 4) uint64: row i is the first Philox4x64-10 output
+    block of stream start + i, equal to
+    ``stream_generator(seed, start + i).bit_generator.random_raw(4)``.
+
+    numpy's Philox starts at counter 0 and increments it before its first
+    block, so that block is the counter (1, 0, 0, 0) under the stream's key.
+    Streams are keyed and encrypted KEY_BLOCK at a time.
+    """
+    m0, m1 = (np.uint64(m) for m in PHILOX_M)
+    w0, w1 = (np.uint64(w) for w in PHILOX_W)
+    out = np.empty((max(0, stop - start), 4), dtype=np.uint64)
+    for lo in range(start, stop, KEY_BLOCK):
+        keys = stream_keys(seed, np.arange(lo, min(lo + KEY_BLOCK, stop)))
+        k0, k1 = keys[:, 0], keys[:, 1]
+        c0 = np.ones(len(keys), dtype=np.uint64)
+        c1 = c2 = c3 = np.zeros(len(keys), dtype=np.uint64)
+        for r in range(PHILOX_ROUNDS):
+            if r:
+                k0 = k0 + w0
+                k1 = k1 + w1
+            c0, c1, c2, c3 = mulhi(c2, m1) ^ c1 ^ k0, c2 * m1, mulhi(c0, m0) ^ c3 ^ k1, c0 * m0
+        out[lo - start : lo - start + len(keys)] = np.column_stack((c0, c1, c2, c3))
+    return out
 
 
 def normal_rows(seed: int, rows: int, cols: int, offset: int = 0) -> np.ndarray:

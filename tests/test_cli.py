@@ -149,6 +149,16 @@ def test_verify_variance_scaling(tmp_path, capsys):
     assert (tmp_path / "exp" / "manifest.json").exists()
 
 
+def test_verify_jobs_do_not_change_bytes(tmp_path, capsys):
+    def files(jobs):
+        out = tmp_path / f"j{jobs}"
+        assert main(["--seed", "2", "--jobs", str(jobs), "--out", str(out), "verify",
+                     "variance_scaling", "--sizes", "16", "64", "256", "--batch", "300"]) == 0
+        return (out / "data.csv").read_bytes(), (out / "summary.json").read_bytes()
+
+    assert files(1) == files(2)
+
+
 def test_scan_subcommand(tmp_path, capsys):
     out = str(tmp_path / "scan")
     rc = main(["--out", out, "scan", "--generator", "disjoint:4,4",
@@ -337,10 +347,17 @@ def _config_file(tmp_path, text):
     ('{"kind": "sample_paths", "params": {"method": "magic"}}', "field 'params.method'"),
     ('{"kind": "field_bound", "params": {"growth_batch": 0}}',
      "field 'params.growth_batch': 0 is below 1"),
+    ('{"kind": "field_bound", "params": {"d": 2.7, "extent": 8}}',
+     "field 'params.d': 2.7 is not a whole number"),
+    ('{"kind": "sample_paths", "params": {"d": 1.5}}',
+     "field 'params.d': 1.5 is not a whole number"),
+    ('{"kind": "tail_bounds", "params": {"t_points": 2.5}}',
+     "field 'params.t_points': 2.5 is not a whole number"),
 ], ids=["unknown-param", "bad-generator", "bad-batch", "bad-sizes", "malformed-json",
         "center-outside-choices", "non-numeric-trials", "threshold-outside-choices",
         "rho-outside-choices", "null-number", "non-numeric-extent",
-        "method-outside-choices", "growth-batch"])
+        "method-outside-choices", "growth-batch", "fractional-field-d",
+        "fractional-sample-d", "fractional-count"])
 def test_config_mistake_exit_code(tmp_path, capsys, text, named):
     argv = ["--out", str(tmp_path / "o"), "--config", _config_file(tmp_path, text)]
     assert main(argv) == 2
@@ -417,8 +434,10 @@ def test_every_experiment_flag_names_a_param_of_its_kind():
      "field 'params.theta_points': 0 is below 1"),
     (["scan", "--trials", "0"], {"kind": "scan_risk", "params": {"trials": 0}},
      "field 'params.trials': 0 is below 1"),
+    (["signvec", "--N", "1"], {"kind": "sign_vectors", "params": {"N_target": 1}},
+     "field 'params.N_target': 1 is below 2"),
 ], ids=["generator-not-int", "generator-one-int", "generator-window", "t-points",
-        "theta-points", "trials"])
+        "theta-points", "trials", "N-target"])
 def test_mistake_on_both_routes_exit_code(tmp_path, capsys, argv, config, named):
     out = tmp_path / "o"
     assert main(["--out", str(out), *argv]) == 2

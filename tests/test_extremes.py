@@ -13,7 +13,7 @@ from superconc.extremes import (
     norm_constants,
     sample_maxima,
 )
-from superconc import sampler
+from superconc import extremes, sampler
 from superconc.sampler import draw_rows, grid_geometry, make_plan, sample_sequence
 
 
@@ -130,3 +130,52 @@ def test_sample_maxima_matches_direct(ou):
     direct = sample_sequence(ou, 20, 10, seed=6)
     assert np.array_equal(m, direct.paths.max(axis=1))
     assert np.array_equal(a, direct.paths.argmax(axis=1))
+
+
+def test_iid_maxima_ignore_chunk_and_split_stream_offset(iid):
+    m, a = sample_maxima(iid, 64, 300, seed=9)
+    for chunk in (1, 7, 300):
+        mc, ac = sample_maxima(iid, 64, 300, seed=9, chunk=chunk, method="circulant")
+        assert np.array_equal(mc, m) and np.array_equal(ac, a)
+    head = sample_maxima(iid, 64, 120, seed=9)
+    tail = sample_maxima(iid, 64, 180, seed=9, stream_offset=120)
+    assert np.array_equal(np.concatenate([head[0], tail[0]]), m)
+    assert np.array_equal(np.concatenate([head[1], tail[1]]), a)
+
+
+@pytest.mark.parametrize("n", [1, 1024, (300, 500)])
+def test_iid_maxima_finite_at_extreme_words(iid, n, monkeypatch):
+    words = np.array([[0] * 4, [2**64 - 1] * 4], dtype=np.uint64)
+    monkeypatch.setattr(extremes.rng, "first_blocks", lambda seed, lo, hi: words[: hi - lo])
+    m, a = sample_maxima(iid, n, 2, seed=0)
+    assert np.all(np.isfinite(m)) and m[0] < m[1]
+    assert a.tolist() == [0, math.prod(np.atleast_1d(n)) - 1]
+
+
+def test_iid_maxima_follow_phi_to_the_n(iid):
+    from scipy.special import log_ndtr
+    from scipy.stats import kstest
+
+    n = 1024
+    m, _ = sample_maxima(iid, n, 20000, seed=3)
+    assert kstest(m, lambda x: np.exp(n * log_ndtr(x))).pvalue > 0.01
+
+
+def test_iid_maxima_match_raw_row_maxima(iid):
+    from scipy.stats import ks_2samp
+
+    n = 256
+    m, _ = sample_maxima(iid, n, 5000, seed=4)
+    raw = draw_rows(make_plan(iid, (n,)), 5000, seed=4, offset=5000).max(axis=1)
+    assert ks_2samp(m, raw).pvalue > 0.01
+
+
+@pytest.mark.parametrize("shape", [(16,), (3, 5)])
+def test_iid_argmax_uniform(iid, shape):
+    from scipy.stats import chisquare
+
+    n = math.prod(shape)
+    _, a = sample_maxima(iid, shape, 200 * n, seed=5)
+    assert a.min() >= 0 and a.max() < n
+    assert chisquare(np.bincount(a, minlength=n)).pvalue > 0.01
+

@@ -92,3 +92,21 @@ def test_normal_rows_concurrent_calls_match_serial():
     for got in results:
         for a, b in zip(got, serial):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**70 + 3])
+@pytest.mark.parametrize("start, stop", [(0, 7), (rng.KEY_BLOCK - 3, rng.KEY_BLOCK + 4),
+                                         (2**32 - 2, 2**32 + 2)])
+def test_first_blocks_equal_stream_generators(seed, start, stop):
+    got = rng.first_blocks(seed, start, stop)
+    assert got.dtype == np.uint64 and got.shape == (stop - start, 4)
+    for s, row in zip(range(start, stop), got):
+        assert np.array_equal(row, rng.stream_generator(seed, s).bit_generator.random_raw(4))
+    assert rng.first_blocks(seed, start, start).shape == (0, 4)
+
+
+def test_mulhi_matches_python_integers():
+    words = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+    a = np.array(words, dtype=np.uint64)
+    for b in words:
+        assert [int(x) for x in rng.mulhi(a, b)] == [(w * b) >> 64 for w in words]

@@ -21,14 +21,25 @@ TINY_ARGS = {
 }
 
 
-def _run_script(name, args, tmp_path):
+def _run(args, tmp_path):
+    """Run the interpreter on ``args`` with this checkout's package importable."""
     env = dict(os.environ)
     src = str(Path(superconc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args, "--out", str(tmp_path / "out")],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _run_script(name, args, tmp_path):
+    return _run([str(SCRIPTS / name), *args, "--out", str(tmp_path / "out")], tmp_path)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # scipy.special alone adds about 0.2 s to every start; only iid maxima need it
+    code = "import sys, superconc; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    res = _run(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "'scipy'" not in res.stdout and "'superconc'" in res.stdout
 
 
 def test_every_public_name_resolves():
