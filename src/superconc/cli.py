@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("kind", choices=["variance_scaling", "tail_bounds",
                                     "laplace_check"])
     v.add_argument("--cov")
-    v.add_argument("--sizes", type=int, nargs="+", default=[64, 1024])
+    v.add_argument("--sizes", type=int, nargs="+")
     v.add_argument("--batch", type=int, default=10**4)
     v.add_argument("--theta-points", type=int)
     v.add_argument("--t-max", type=float)

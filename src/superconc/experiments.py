@@ -23,6 +23,7 @@ from .covering import (
     MC_RHO_MIN_PATHS,
     BoundError,
     correlated_bound,
+    crossover_window,
     field_bound,
     find_sign_vectors,
     gaussian_tail_curve,
@@ -67,6 +68,20 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _whole(v) -> int:
+    """``v`` as an int; a bool, a string or a number that is not whole is a
+    ValueError, where ``int`` would run 2.7 as 2 and true as 1."""
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{v!r} is not a whole number")
+    return int(v)
+
+
+def _whole_list(v) -> tuple[int, ...]:
+    if not isinstance(v, list):
+        raise ValueError(f"{v!r} is not a list")
+    return tuple(map(_whole, v))
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -101,8 +116,8 @@ class ExperimentConfig:
         coerce = {
             "kind": str,
             "model": lambda m: CovarianceModel.from_json(json.dumps(m)),
-            "sizes": lambda v: tuple(int(s) for s in v),
-            "batch": int, "seed": int, "out": str, "jobs": int, "params": dict,
+            "sizes": _whole_list,
+            "batch": _whole, "seed": _whole, "out": str, "jobs": _whole, "params": dict,
         }
         kw = {}
         for name, value in obj.items():
@@ -179,24 +194,34 @@ def _param_diags(kind: str, p: dict) -> list[str]:
     return diags
 
 
-def _draws_grid(kind: str, p: dict) -> bool:
-    """Whether the run's lattice is the grid of ``d``, ``extent`` and
-    ``spacing`` (a field bound, or a sample with ``d``) and not ``sizes``."""
-    return kind == "field_bound" or kind == "sample_paths" and p["d"] is not None
+def _reads(kind: str, p: dict) -> tuple[str, int | None, bool]:
+    """A name for the kind under its params, how many leading entries of
+    ``sizes`` it reads (None for all; 0 where it draws a grid of ``d``,
+    ``extent`` and ``spacing``, or no lattice), and whether it reads ``batch``."""
+    if kind == "sample_paths":
+        grid = p["d"] is not None
+        return f"a sample {'with' if grid else 'without'} params.d", 0 if grid else 1, True
+    if kind == "sequence_bound" and p["rho"] == "analytic":
+        return "a sequence bound with analytic rho", 1, False
+    if kind in ("field_bound", "scan_risk", "sign_vectors"):
+        return kind, 0, False
+    if kind in ("tail_bounds", "sequence_bound", "correlated_bound"):
+        return kind, 1, kind != "correlated_bound"
+    return kind, None, True
 
 
 def _lattices(cfg, p) -> list[tuple[int, ...]]:
-    """The shapes of the lattices the run factors: the grid where
-    ``_draws_grid``, else one sequence per size; none for the kinds, and the
-    sequence bound with analytic rho, that draw no paths of the model.  A
-    grid the params rule out is ``grid_geometry``'s ValueError."""
-    if _draws_grid(cfg.kind, p):
+    """The shapes of the lattices the run factors and draws paths of: the
+    grid of a kind with ``d`` that reads no sizes, else one sequence per size
+    it reads; none where it reads no batch, and none for the iid maxima of
+    the per-size kinds and tail_bounds, which take one Philox block per path.
+    A grid the params rule out is ``grid_geometry``'s ValueError."""
+    _, n_read, batch_read = _reads(cfg.kind, p)
+    if n_read == 0 and p.get("d") is not None:
         return [grid_geometry(int(p["d"]), p["extent"], float(p["spacing"]))]
-    if cfg.kind == "sample_paths":
-        return [(cfg.sizes[0],)]
-    if cfg.kind in ("correlated_bound", "scan_risk", "sign_vectors") or p.get("rho") == "analytic":
+    if not batch_read or cfg.model.kind == "iid" and (n_read is None or cfg.kind == "tail_bounds"):
         return []
-    return [(s,) for s in cfg.sizes]
+    return [(s,) for s in cfg.sizes[:n_read]]
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -211,22 +236,22 @@ def validate(config: ExperimentConfig) -> list[str]:
     unknown = sorted(set(config.params) - set(PARAMS[config.kind]))
     if unknown:
         diags.append(f"field 'params': {config.kind} takes no {unknown}")
-    if config.batch < 1:
-        diags.append("field 'batch': must be positive")
+    if config.seed < 0:
+        diags.append(f"field 'seed': {config.seed} is below 0")
     p = _params(config)
-    grid = _draws_grid(config.kind, p)
-    # the kinds that read no sizes accept none
-    sizes_ok = all(s >= 1 for s in config.sizes) and (
-        bool(config.sizes) or grid or config.kind in ("scan_risk", "sign_vectors"))
+    # a value the kind does not read passes as the default, like an absent one
+    who, n_read, batch_read = _reads(config.kind, p)
+    if config.sizes != ExperimentConfig.sizes and config.sizes[:n_read] != config.sizes:
+        diags.append(f"field 'sizes': {who} reads {'only sizes[0]' if n_read else 'no sizes'}")
+    sizes_ok = n_read == 0 or bool(config.sizes) and min(config.sizes) >= 1
     if not sizes_ok:
         diags.append("field 'sizes': needs one or more entries, all positive")
-    # a grid sample takes no sizes but the default
-    if config.kind == "sample_paths" and grid and config.sizes not in ((), ExperimentConfig.sizes):
-        diags.append("field 'sizes': a sample with params.d draws the grid of "
-                     "extent and spacing, not sizes[0] points")
-    if config.kind == "sample_paths" and not grid and "extent" in config.params:
-        diags.append("field 'params.extent': a sample without params.d draws "
-                     "sizes[0] points, not a grid of this extent")
+    if not batch_read and config.batch != ExperimentConfig.batch:
+        diags.append(f"field 'batch': {who} reads no batch")
+    elif config.batch < 1:
+        diags.append("field 'batch': must be positive")
+    if config.kind == "sample_paths" and n_read and "extent" in config.params:
+        diags.append(f"field 'params.extent': {who} reads no extent")
     if bad := _param_diags(config.kind, p):
         return diags + bad
     if config.kind == "scan_risk":
@@ -237,8 +262,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         if (trials := int(p["trials"])) > STREAM_BLOCK:
             diags.append(f"field 'params.trials': {trials} trials overrun the "
                          f"{STREAM_BLOCK}-stream block of each estimate")
-    if (config.kind == "sequence_bound" and p["rho"] == "monte_carlo"
-            and config.batch < MC_RHO_MIN_PATHS):
+    if config.kind == "sequence_bound" and batch_read and config.batch < MC_RHO_MIN_PATHS:
         diags.append(f"field 'batch': Monte Carlo rho needs >= {MC_RHO_MIN_PATHS} "
                      f"paths, got {config.batch}")
     if not sizes_ok:
@@ -351,6 +375,7 @@ def _run_tail_bounds(cfg):
         "n": n, "K": K, "center": tail.center, "center_value": tail.center_value,
         "c_hat": fit.rate, "r2": fit.r2, "exp_fit_ok": fit.ok,
         "gaussian_rate": gauss_fit.rate, "gaussian_r2": gauss_fit.r2,
+        "crossover_window": crossover_window(K, fit.rate) if fit.rate > 0 else None,
     }
     return ["t", "survival", "lo", "hi", "bound", "gaussian_bound"], rows, summary
 
@@ -392,7 +417,8 @@ def _run_bound(cfg):
     t_grid = np.linspace(0.0, float(p["t_max"]), int(p["t_points"]))
     curve = tail_curve(report.K, report.c, t_grid)
     rows = list(zip(t_grid, curve, gaussian_tail_curve(t_grid)))
-    return ["t", "bound", "gaussian_bound"], rows, report.to_dict()
+    summary = {**report.to_dict(), "crossover_window": crossover_window(report.K, report.c)}
+    return ["t", "bound", "gaussian_bound"], rows, summary
 
 
 def _scan_class(p: dict) -> ScanClass:

@@ -1,13 +1,20 @@
 import argparse
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superconc
 from superconc.cli import main
 from superconc.sampler import draw_rows, make_plan, sample_sequence
 from superconc.covariance import CovarianceModel
+from superconc.experiments import ExperimentConfig, validate
 
 OU_JSON = '{"kind": "ornstein_uhlenbeck", "params": {"rate": 1.0}}'
 
@@ -157,6 +164,12 @@ def test_verify_jobs_do_not_change_bytes(tmp_path, capsys):
         return (out / "data.csv").read_bytes(), (out / "summary.json").read_bytes()
 
     assert files(1) == files(2)
+
+
+def test_verify_without_sizes_takes_the_config_default(tmp_path, capsys):
+    # tail_bounds reads sizes[0] alone, so verify sets no sizes of its own
+    assert main(["--out", str(tmp_path / "t"), "verify", "tail_bounds", "--batch", "2000"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == ExperimentConfig.sizes[0]
 
 
 def test_scan_subcommand(tmp_path, capsys):
@@ -381,7 +394,8 @@ def test_flag_the_kind_does_not_read_exit_code(tmp_path, capsys, argv, named):
     '{"kind": "iid", "params": {"foo": 1}}',
     '{"kind": "iid", "table": [[0, 1.0]]}',
     '{"kind": "ornstein_uhlenbeck", "params": {"rate": "x"}}',
-], ids=["foreign-param", "unknown-param", "table-on-iid", "non-numeric"])
+    '{"kind": "bogus"}',
+], ids=["foreign-param", "unknown-param", "table-on-iid", "non-numeric", "unknown-kind"])
 def test_cov_mistake_exit_code(tmp_path, capsys, cov):
     assert main(["--out", str(tmp_path / "o"), "sample", "--cov", cov,
                  "--n", "4", "--batch", "1"]) == 2
@@ -491,3 +505,120 @@ def test_bound_is_its_config(tmp_path, capsys):
     capsys.readouterr()
     for name in ("data.csv", "summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _run(args, tmp_path):
+    """Run the interpreter on ``args`` with this checkout's package importable."""
+    env = dict(os.environ)
+    src = str(Path(superconc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # scipy.special alone adds about 0.2 s to every start; only iid maxima need it
+    code = "import sys, superconc; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    res = _run(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "'scipy'" not in res.stdout and "'superconc'" in res.stdout
+
+
+def test_every_public_name_resolves():
+    for name in superconc.__all__:
+        assert getattr(superconc, name) is not None, name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+
+
+def test_readme_configs_table_names_every_config():
+    readme = (ROOT / "README.md").read_text()
+    table = re.findall(r"^\| `superconc --config configs/(\S+\.json)`", readme, re.M)
+    assert CONFIGS and sorted(table) == [p.name for p in CONFIGS]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_config_file_runs(tmp_path, capsys, path):
+    assert validate(ExperimentConfig.from_json_file(str(path))) == []
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(
+        (tmp_path / "o" / "summary.json").read_text())
+
+
+# a sizes or batch the kind does not read, through its subcommand where one
+# sets it, and through a config file
+@pytest.mark.parametrize("argv, config, named", [
+    (["bound", "--pipeline", "field", "--n", "64", "--batch", "5"],
+     {"kind": "field_bound", "sizes": [64], "batch": 5},
+     ["field 'sizes': field_bound reads no sizes", "field 'batch': field_bound reads no batch"]),
+    (["bound", "--pipeline", "correlated", "--batch", "5"],
+     {"kind": "correlated_bound", "batch": 5}, ["field 'batch': correlated_bound reads no batch"]),
+    (["bound", "--rho", "analytic", "--batch", "20000"],
+     {"kind": "sequence_bound", "batch": 20000, "params": {"rho": "analytic"}},
+     ["field 'batch': a sequence bound with analytic rho reads no batch"]),
+    (None, {"kind": "scan_risk", "sizes": [7], "batch": 3},
+     ["field 'sizes': scan_risk reads no sizes", "field 'batch': scan_risk reads no batch"]),
+    (None, {"kind": "sign_vectors", "sizes": [], "batch": 3},
+     ["field 'batch': sign_vectors reads no batch"]),
+    (["verify", "tail_bounds", "--sizes", "64", "1024"],
+     {"kind": "tail_bounds", "sizes": [64, 1024]},
+     ["field 'sizes': tail_bounds reads only sizes[0]"]),
+    (None, {"kind": "correlated_bound", "sizes": [64, 1024]},
+     ["field 'sizes': correlated_bound reads only sizes[0]"]),
+], ids=["field-bound", "correlated-batch", "analytic-rho-batch", "scan", "signvec",
+        "tail-sizes", "correlated-sizes"])
+def test_value_the_kind_does_not_read_exit_code(tmp_path, capsys, argv, config, named):
+    out = tmp_path / "o"
+    routes = [["--config", _config_file(tmp_path, json.dumps(config))]] + ([argv] if argv else [])
+    for route in routes:
+        assert main(["--out", str(out), *route]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {n}" for n in named]
+    assert not out.exists()
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        return exc.code
+
+
+# a top-level field that is not a whole number, or a seed below 0, through a
+# config file and through the flag that sets it (argparse's int rejects all
+# but the negative seed; no flag takes a list or a string)
+@pytest.mark.parametrize("field, value, flag_value, named", [
+    ("sizes", "64", None, "'64' is not a list"),
+    ("sizes", [64.9], "64.9", "64.9 is not a whole number"),
+    ("batch", 2.7, "2.7", "2.7 is not a whole number"),
+    ("batch", True, "true", "True is not a whole number"),
+    ("seed", 1.5, "1.5", "1.5 is not a whole number"),
+    ("jobs", 1.5, "1.5", "1.5 is not a whole number"),
+    ("jobs", "2", None, "'2' is not a whole number"),
+    ("seed", -1, "-1", "-1 is below 0"),
+], ids=["sizes-string", "sizes-fraction", "batch-fraction", "batch-bool", "seed-fraction",
+        "jobs-fraction", "jobs-string", "seed-negative"])
+def test_top_level_field_mistake_exit_code(tmp_path, capsys, field, value, flag_value, named):
+    out = tmp_path / "o"
+    config = {"kind": "variance_scaling", "sizes": [64], "batch": 50, field: value}
+    assert main(["--out", str(out), "--config", _config_file(tmp_path, json.dumps(config))]) == 2
+    assert capsys.readouterr().err == f"config error: field '{field}': {named}\n"
+    if flag_value is not None:
+        flag = [f"--{field}", flag_value]
+        top, sub = (flag, []) if field in ("seed", "jobs") else ([], flag)
+        argv = [*top, "--out", str(out), "verify", "variance_scaling", "--sizes", "64",
+                "--batch", "50", *sub]
+        assert _exit_code(argv) == 2
+        want = (f"config error: field '{field}': {named}" if value == -1
+                else f"argument --{field}: invalid int value: '{flag_value}'")
+        assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_iid_maxima_at_a_hundred_million_points(tmp_path, capsys):
+    # iid maxima take one Philox block per path, so no path of 10^8 points is sized
+    assert main(["--out", str(tmp_path / "vs"), "verify", "variance_scaling",
+                 "--sizes", str(10**8), "--batch", "1000"]) == 0
+    [row] = json.loads(capsys.readouterr().out)["per_n"]
+    assert row["n"] == 10**8

@@ -13,22 +13,29 @@ from superconc.experiments import (
     run,
     validate,
 )
-from superconc.covering import MC_RHO_MIN_PATHS
+from superconc.covering import (
+    MC_RHO_MIN_PATHS,
+    crossover_window,
+    gaussian_tail_curve,
+    tail_curve,
+)
 from superconc.scantest import STREAM_BLOCK
 
 
 def _cfg(tmp_path, **kw):
+    """The config of ``kw`` over an iid variance scaling; sizes (16,) and
+    batch 500 only for that kind, as another kind may not read them."""
     base = dict(
         kind="variance_scaling",
         model=CovarianceModel("iid"),
-        sizes=(16,),
-        batch=500,
         seed=0,
         out=str(tmp_path / "out"),
         jobs=1,
         params={},
     )
     base.update(kw)
+    if base["kind"] == "variance_scaling":
+        base = {"sizes": (16,), "batch": 500, **base}
     return ExperimentConfig(**base)
 
 
@@ -92,14 +99,29 @@ def test_validate_unknown_kind(tmp_path):
         assert k in diags[0]
 
 
+OU = CovarianceModel("ornstein_uhlenbeck", rate=1.0)
+SMOOTH = CovarianceModel("gaussian_smooth", lam2=2.0)
+
+
 def test_validate_capacity_estimate(tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", "1000")
-    diags = validate(_cfg(tmp_path, sizes=(4096,), batch=10**4))
+    diags = validate(_cfg(tmp_path, model=OU, sizes=(4096,), batch=10**4))
     assert any(d.startswith("capacity") for d in diags)
 
 
+def test_validate_iid_maxima_draw_no_path(tmp_path):
+    # one Philox block per path at any n; a sample still draws its 10^8 points,
+    # as do OU maxima
+    assert validate(_cfg(tmp_path, sizes=(10**8,), batch=1000)) == []
+    for cfg in (_cfg(tmp_path, kind="sample_paths", sizes=(10**8,), batch=1),
+                _cfg(tmp_path, model=OU, sizes=(10**8,), batch=1000)):
+        [diag] = validate(cfg)
+        assert diag.startswith("capacity: factoring the lattice of 100000000 points")
+
+
 def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):
-    field = dict(kind="field_bound", params={"d": 2, "extent": 96.0, "growth_batch": 400})
+    field = dict(kind="field_bound", model=SMOOTH,
+                 params={"d": 2, "extent": 96.0, "growth_batch": 400})
     # one path of the 97 x 97 grid needs ~1.2 MB; 400 rows would need ~480 MB
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(2 * 10**6))
     assert validate(_cfg(tmp_path, **field)) == []
@@ -215,8 +237,31 @@ def test_laplace_experiment_jobs_do_not_change_bytes(tmp_path):
     assert files(1) == files(2)
 
 
+@pytest.mark.parametrize("kind, kw, crossing", [
+    ("tail_bounds", dict(sizes=(64,), batch=4000), True),
+    ("sequence_bound", dict(sizes=(1024,), params={"rho": "analytic"}), True),
+    ("sequence_bound", dict(sizes=(256,), model=OU), False),
+    ("field_bound", dict(model=SMOOTH, params={"d": 1, "extent": 32.0, "growth_batch": 50}),
+     True),
+    ("correlated_bound", dict(sizes=(100,)), True),
+    ("correlated_bound", dict(sizes=(100,), params={"eps": 0.9}), False),
+], ids=["tail", "sequence", "sequence-ou", "field", "correlated", "correlated-eps-0.9"])
+def test_summary_crossover_window(tmp_path, kind, kw, crossing):
+    summary = json.loads(run(_cfg(tmp_path, kind=kind, **kw))["summary"].read_text())
+    K, c = summary["K"], summary["c_hat" if kind == "tail_bounds" else "c"]
+    window = summary["crossover_window"]
+    # the curves cross where a = c / sqrt(K) has a^2 > 2 log 3
+    assert (c * c / K > 2 * math.log(3)) == crossing
+    if not crossing:
+        assert window is None
+        return
+    assert window == list(crossover_window(K, c))
+    np.testing.assert_allclose(tail_curve(K, c, window), gaussian_tail_curve(window),
+                               rtol=1e-12)
+
+
 def test_scan_experiment_generator_parse(tmp_path):
-    cfg = _cfg(tmp_path, kind="scan_risk", sizes=(1,), batch=1,
+    cfg = _cfg(tmp_path, kind="scan_risk",
                params={"generator": "disjoint:4,4", "trials": 100, "mu": 2.0})
     paths = run(cfg)
     summary = json.loads(paths["summary"].read_text())
@@ -227,14 +272,14 @@ def test_scan_experiment_generator_parse(tmp_path):
 
 
 def test_scan_experiment_bad_generator(tmp_path):
-    cfg = _cfg(tmp_path, kind="scan_risk", sizes=(1,), batch=1,
+    cfg = _cfg(tmp_path, kind="scan_risk",
                params={"generator": "spiral:4,4", "trials": 10})
     with pytest.raises(SchemaError, match="generator"):
         run(cfg)
 
 
 def test_scan_experiment_explicit_sets(tmp_path):
-    cfg = _cfg(tmp_path, kind="scan_risk", sizes=(1,), batch=1,
+    cfg = _cfg(tmp_path, kind="scan_risk",
                params={"n": 6, "sets": [[0, 1], [2, 3], [4, 5]],
                        "trials": 100, "mu": 2.0})
     summary = json.loads(run(cfg)["summary"].read_text())
@@ -242,7 +287,7 @@ def test_scan_experiment_explicit_sets(tmp_path):
 
 
 def test_sign_vectors_experiment(tmp_path):
-    cfg = _cfg(tmp_path, kind="sign_vectors", sizes=(1,), batch=1,
+    cfg = _cfg(tmp_path, kind="sign_vectors",
                params={"n": 64, "N_target": 6})
     summary = json.loads(run(cfg)["summary"].read_text())
     assert summary["found"] == 6
@@ -251,8 +296,7 @@ def test_sign_vectors_experiment(tmp_path):
 
 
 def test_field_bound_experiment(tmp_path):
-    cfg = _cfg(tmp_path, kind="field_bound", sizes=(1,), batch=1,
-               model=CovarianceModel("gaussian_smooth", lam2=2.0),
+    cfg = _cfg(tmp_path, kind="field_bound", model=SMOOTH,
                params={"d": 1, "extent": 32.0, "growth_batch": 50})
     summary = json.loads(run(cfg)["summary"].read_text())
     assert summary["N_A"] == 16
@@ -264,7 +308,7 @@ def test_validate_monte_carlo_rho_batch(tmp_path):
     assert validate(_cfg(tmp_path, batch=MC_RHO_MIN_PATHS, **seq)) == []
     diags = validate(_cfg(tmp_path, batch=MC_RHO_MIN_PATHS - 1, **seq))
     assert len(diags) == 1 and diags[0].startswith("field 'batch'")
-    assert validate(_cfg(tmp_path, batch=1, params={"rho": "analytic"}, **seq)) == []
+    assert validate(_cfg(tmp_path, params={"rho": "analytic"}, **seq)) == []
 
 
 def test_validate_accepts_a_list_extent(tmp_path):
