@@ -402,6 +402,20 @@ def test_cov_mistake_exit_code(tmp_path, capsys, cov):
     assert capsys.readouterr().err.startswith("config error: --cov: ")
 
 
+# the kinds of configs/variance_scaling.json and configs/tail_comparison.json,
+# whose subcommands take a --cov
+@pytest.mark.parametrize("kind", ["variance_scaling", "tail_bounds"])
+@pytest.mark.parametrize("cov", ['{"kind": "bogus"}', "absent.json"],
+                         ids=["unknown-kind", "missing-file"])
+def test_verify_bad_cov_is_a_usage_error(tmp_path, capsys, monkeypatch, kind, cov):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", str(tmp_path / "o"), "verify", kind, "--cov", cov,
+                 "--sizes", "64", "--batch", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --cov: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_every_experiment_flag_names_a_param_of_its_kind():
     from superconc.cli import _cmd_experiment, build_parser
     from superconc.experiments import PARAMS
