@@ -127,7 +127,12 @@ def rho_monte_carlo(cov: Covering, argmax_indices) -> RhoEstimate:
     if npaths < MC_RHO_MIN_PATHS:
         raise ValueError(f"Monte Carlo rho needs >= {MC_RHO_MIN_PATHS} paths")
     hist = np.bincount(idx, minlength=cov.n)
-    rho = float(max(hist[b].sum() for b in cov.blocks) / npaths)
+    # every block's count at once: the running total of the histogram over
+    # the concatenated blocks, differenced at block ends (exact in integers)
+    sizes = np.fromiter(map(len, cov.blocks), np.int64, len(cov.blocks))
+    ends = np.cumsum(sizes)
+    total = np.concatenate([[0], np.cumsum(hist[np.concatenate(cov.blocks)])])
+    rho = float(np.max(total[ends] - total[ends - sizes]) / npaths)
     se = math.sqrt(max(rho * (1 - rho), 1.0 / npaths) / npaths)
     return RhoEstimate(rho, "monte_carlo", se=se, degenerate=rho >= 1.0)
 

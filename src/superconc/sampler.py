@@ -12,6 +12,13 @@ and :func:`draw_rows` samples it as often as needed.  Two exact methods:
   rfftn(xi)) and crop to the lattice (Wood & Chan 1994; Dietrich & Newsam
   1997); the fast path for large lattices.
 
+By default a lattice of more than ``CHOLESKY_MAX_N`` points, in any
+dimension, is drawn by circulant embedding: a path then costs O(m log m)
+for an embedding of m points against 2n^2 for the Cholesky product.
+Where no embedding exists, because it stays negative at every doubling
+that fits the memory cap or needs lags past a table model's last one, the
+default falls back to Cholesky; an explicit ``method`` never falls back.
+
 Each path draws from its own counter-based stream (see :mod:`superconc.rng`),
 so batches are bit-reproducible regardless of chunking or scheduling.
 """
@@ -25,10 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .covariance import CovarianceModel, evaluate, gram_matrix
+from .covariance import CovarianceModel, TableRangeError, evaluate, gram_matrix
 
 DEFAULT_CAP_BYTES = 2**31
-CHOLESKY_MAX_N = 2048  # default method switches to circulant above this
+# the default method switches to circulant above this many lattice points:
+# with BLAS on one thread, 1e4 OU maxima draw in the same time by either
+# method at 768 points and twice as fast by circulant at 1024, and a 2-d
+# Gaussian-smooth grid breaks even between 23 x 23 and 25 x 25
+CHOLESKY_MAX_N = 768
 EMBED_REL_TOL = 1e-10
 EMBED_MAX_DOUBLINGS = 6
 # working bytes per element of one path while it is drawn: noise and product
@@ -132,13 +143,17 @@ def circulant_embedding(
     ``shape`` is the lattice, an int for a sequence.  The embedding starts
     at twice the lattice per axis and doubles until the FFT eigenvalues are
     nonnegative within a relative tolerance; residual roundoff is clipped.
-    Returns the eigenvalues, shaped like the embedding, and their count m.
+    A doubling is not tried when one path of it would exceed the memory cap,
+    since no path of it could be drawn.  Returns the eigenvalues, shaped
+    like the embedding, and their count m.
     """
     shape = tuple(int(s) for s in np.atleast_1d(shape))
     tried = []
     worst = math.inf
     for k in range(EMBED_MAX_DOUBLINGS + 1):
         ms = tuple(2 * s * 2**k for s in shape)
+        if k and DRAW_BYTES_PER_ELEM * math.prod(ms) > capacity_bytes():
+            break
         sq = sum(np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in ms)))
         eig = np.fft.fftn(evaluate(model, spacing * np.sqrt(sq))).real
         tried.append(ms)
@@ -166,7 +181,8 @@ def _cholesky_bytes(n: int) -> int:
 def plan_bytes(model: CovarianceModel, shape) -> int:
     """Working bytes to factor the lattice with the default method and draw
     one path: the gram and its Cholesky factor (none for the iid model), or
-    one path at the smallest embedding (twice the lattice per axis)."""
+    one path at the smallest embedding (twice the lattice per axis).  A
+    fallback to Cholesky meets the cap in :func:`make_plan` instead."""
     n = math.prod(shape)
     if _default_method(n) == "circulant":
         return DRAW_BYTES_PER_ELEM * 2 ** len(shape) * n
@@ -180,10 +196,16 @@ def make_plan(
     spacing: float = 1.0,
     method: str | None = None,
 ) -> LatticePlan:
-    """Factor the gram of the lattice of ``shape`` at ``spacing`` once."""
+    """Factor the gram of the lattice of ``shape`` at ``spacing`` once.
+
+    Without ``method`` a lattice above ``CHOLESKY_MAX_N`` points is embedded,
+    or factored by Cholesky if the embedding fails (:class:`EmbeddingError`
+    or :class:`TableRangeError`); the plan's ``method`` is the one used.
+    """
     if min(shape) < 1:
         raise ValueError("the lattice needs at least one point per axis")
     n = math.prod(shape)
+    fallback = method is None
     if method is None:
         method = _default_method(n)
     if method not in ("cholesky", "circulant"):
@@ -192,13 +214,18 @@ def make_plan(
     if model.kind == "iid":
         # gram is the identity; both factorizations reduce to raw noise
         return LatticePlan(method, shape, None)
-    if method == "cholesky":
-        _check_capacity(_cholesky_bytes(n))
-        gram = gram_matrix(model, _lattice_points(shape, spacing))
-        return LatticePlan(method, shape, _cholesky_factor(gram))
-    eig, _ = circulant_embedding(model, shape, spacing)
-    half = eig[..., : eig.shape[-1] // 2 + 1]
-    return LatticePlan(method, shape, np.sqrt(half), eig.shape)
+    if method == "circulant":
+        try:
+            eig, _ = circulant_embedding(model, shape, spacing)
+        except (EmbeddingError, TableRangeError):
+            if not fallback:
+                raise
+        else:
+            half = eig[..., : eig.shape[-1] // 2 + 1]
+            return LatticePlan(method, shape, np.sqrt(half), eig.shape)
+    _check_capacity(_cholesky_bytes(n))
+    gram = gram_matrix(model, _lattice_points(shape, spacing))
+    return LatticePlan("cholesky", shape, _cholesky_factor(gram))
 
 
 def draw_rows(plan: LatticePlan, batch: int, seed: int, offset: int = 0) -> np.ndarray:

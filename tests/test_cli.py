@@ -259,24 +259,25 @@ def test_missing_cov_file_exit_code(tmp_path, capsys):
     assert "config error: --cov" in capsys.readouterr().err
 
 
-# the gram and its Cholesky factor need 16 n^2 bytes: 67 MB at n = 2048 and
-# 66 MB for a 45 x 45 grid, while one path needs under 70 KB
-LOW_CAP = str(20 * 10**6)
+# the gram and its Cholesky factor need 16 n^2 bytes: 9.4 MB at n = 768 and
+# 8.5 MB for a 27 x 27 grid, the largest lattices Cholesky still factors by
+# default, while one path needs under 25 KB
+LOW_CAP = str(4 * 10**6)
 
 
 def test_sequence_factor_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
     assert main(["--out", str(tmp_path / "vs"), "verify", "variance_scaling",
-                 "--cov", OU_JSON, "--sizes", "2048"]) == 2
+                 "--cov", OU_JSON, "--sizes", "768"]) == 2
     assert "config error: capacity" in capsys.readouterr().err
 
 
 def test_field_factor_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
-    cfg_file = tmp_path / "field44.json"
+    cfg_file = tmp_path / "field26.json"
     cfg_file.write_text(json.dumps({
         "kind": "field_bound", "out": str(tmp_path / "f"),
         "model": {"kind": "gaussian_smooth", "params": {"lam2": 2.0}},
-        "params": {"d": 2, "extent": 44.0},
+        "params": {"d": 2, "extent": 26.0},
     }))
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
     assert main(["--config", str(cfg_file)]) == 2
@@ -287,7 +288,7 @@ def test_field_factor_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
 def test_sequence_command_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
     assert main(["--out", str(tmp_path / "o"), command, "--cov", OU_JSON,
-                 "--n", "2048"]) == 2
+                 "--n", "768"]) == 2
     assert "config error: capacity: " in capsys.readouterr().err
 
 
@@ -301,6 +302,31 @@ def test_bound_that_draws_nothing_ignores_the_cap(tmp_path, capsys, monkeypatch,
     assert main(["--out", str(tmp_path / "b"), "bound", "--cov", fast_ou,
                  "--n", "2048", *argv]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 2048
+
+
+# Cholesky factors these tables at 1000 points, but no circulant embeds them:
+# one turns to -1 past the lattice's lags, the other ends at lag 999
+PD_HEAD = [[0, 1], [1, 0.5], [2, 0.2], [3, 0], [999, 0]]
+NO_EMBEDDING = {"embedding": PD_HEAD + [[1000, -1], [64000, -1]], "table-range": PD_HEAD}
+
+
+@pytest.mark.parametrize("table", NO_EMBEDDING.values(), ids=NO_EMBEDDING)
+def test_sample_without_an_embedding_falls_back_to_cholesky(tmp_path, capsys, monkeypatch,
+                                                           table):
+    cov = json.dumps({"kind": "table", "table": table})
+    out = tmp_path / "s"
+    assert main(["--out", str(out), "sample", "--cov", cov, "--n", "1000",
+                 "--batch", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "cholesky"
+    plan = make_plan(CovarianceModel.from_json(cov), (1000,), method="cholesky")
+    assert np.array_equal(_csv(out / "data.csv")[1], draw_rows(plan, 2, 0))
+    assert main(["--out", str(tmp_path / "c"), "sample", "--cov", cov, "--n", "1000",
+                 "--batch", "2", "--method", "circulant"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)  # the fallback needs 16 MB
+    assert main(["--out", str(tmp_path / "l"), "sample", "--cov", cov, "--n", "1000",
+                 "--batch", "2"]) == 2
+    assert "config error: capacity: " in capsys.readouterr().err
 
 
 def test_config_typo_exit_code(tmp_path, capsys):

@@ -213,6 +213,18 @@ def test_rho_monte_carlo_histogram():
         rho_monte_carlo(cov, argmax[:100])
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 11), max_size=12), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_rho_monte_carlo_equals_the_per_block_sums(blocks, seed):
+    # blocks may overlap, repeat an index, run out of order or be empty
+    cov = Covering([np.array(b, dtype=np.int64) for b in blocks], n=12)
+    argmax = np.random.default_rng(seed).integers(0, 12, 10**4)
+    hist = np.bincount(argmax, minlength=12)
+    want = max(int(hist[b].sum()) for b in cov.blocks) / argmax.size
+    assert rho_monte_carlo(cov, argmax).rho == want
+
+
 def test_sudakov_exponent_and_analytic_rho():
     delta = 2.0  # iid gap
     eps = sudakov_exponent(delta)

@@ -130,14 +130,14 @@ def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):
 
 
 def test_validate_counts_the_cholesky_factor(tmp_path, monkeypatch):
-    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(20 * 10**6))
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(4 * 10**6))
     ou = CovarianceModel("ornstein_uhlenbeck", rate=1.0)
-    # the OU gram and its factor at n = 2048 need 67 MB; iid factors nothing,
+    # the OU gram and its factor at n = 768 need 9.4 MB; iid factors nothing,
     # and one path of the 4096-point circulant needs 262 KB
-    assert validate(_cfg(tmp_path, sizes=(2048,))) == []
+    assert validate(_cfg(tmp_path, sizes=(768,))) == []
     assert validate(_cfg(tmp_path, model=ou, sizes=(4096,))) == []
-    diags = validate(_cfg(tmp_path, model=ou, sizes=(2048, 4096)))
-    assert len(diags) == 1 and diags[0].startswith("capacity") and " 2048 points" in diags[0]
+    diags = validate(_cfg(tmp_path, model=ou, sizes=(768, 4096)))
+    assert len(diags) == 1 and diags[0].startswith("capacity") and " 768 points" in diags[0]
 
 
 @pytest.mark.parametrize("params", [{"spacing": 0.0}, {"d": 0}, {"d": 2, "extent": [4.0]},

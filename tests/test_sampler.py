@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superconc.covariance import CovarianceModel, gram_matrix
+from superconc.covariance import CovarianceModel, TableRangeError, evaluate, gram_matrix
 from superconc.sampler import (
     CapacityError,
     DecompositionError,
@@ -60,6 +62,87 @@ def test_default_method_switch(ou):
     assert small.method == "cholesky"
     big = sample_sequence(ou, 4096, 2, seed=0)
     assert big.method == "circulant"
+    # one switch at CHOLESKY_MAX_N = 768 points, whatever the dimension
+    for shape in [(768,), grid_geometry(2, [23.0, 31.0], 1.0), (8, 8, 12)]:
+        assert math.prod(shape) == 768 and make_plan(ou, shape).method == "cholesky"
+    for shape in [(769,), (1, 769), grid_geometry(2, 27.0, 1.0)]:
+        assert make_plan(ou, shape).method == "circulant"
+
+
+def test_default_draws_above_the_switch_are_the_circulant_draws(ou):
+    default = sample_sequence(ou, 1024, 8, seed=5)
+    assert default.method == "circulant"
+    assert np.array_equal(default.paths, sample_sequence(ou, 1024, 8, seed=5,
+                                                         method="circulant").paths)
+
+
+@pytest.mark.parametrize("model", [CovarianceModel("ornstein_uhlenbeck", rate=1.0),
+                                   CovarianceModel("gaussian_smooth", lam2=2.0)],
+                         ids=["ou", "smooth"])
+def test_default_draws_above_the_switch_have_the_lag_covariances(model):
+    n, batch = 1024, 400
+    x = sample_sequence(model, n, batch, seed=21).paths
+    for h in range(9):
+        per_path = (x[:, : n - h] * x[:, h:]).mean(axis=1)
+        se = per_path.std(ddof=1) / np.sqrt(batch)
+        assert abs(per_path.mean() - evaluate(model, h)) <= 5 * se
+
+
+# phi(0..3) = 1, 0.5, 0.2, 0 is positive definite on the integers (its symbol
+# 1 + cos w + 0.4 cos 2w stays above 0.28), so Cholesky factors the 1000-point
+# gram; the table then ends at lag 999, short of the 2000-point embedding's
+# lag 1000, or turns to -1 from lag 1000 on, which leaves a negative
+# eigenvalue at every doubling up to the table's last lag
+PD_HEAD = ((0.0, 1.0), (1.0, 0.5), (2.0, 0.2), (3.0, 0.0), (999.0, 0.0))
+NEGATIVE_TAIL = CovarianceModel("table", table=PD_HEAD + ((1000.0, -1.0), (64000.0, -1.0)))
+SHORT_TABLE = CovarianceModel("table", table=PD_HEAD)
+
+
+@pytest.mark.parametrize("model, error", [(NEGATIVE_TAIL, EmbeddingError),
+                                          (SHORT_TABLE, TableRangeError)],
+                         ids=["embedding", "table-range"])
+def test_default_falls_back_to_cholesky_without_an_embedding(model, error):
+    with pytest.raises(error):
+        make_plan(model, (1000,), method="circulant")
+    plan = make_plan(model, (1000,))
+    assert plan.method == "cholesky" and plan.embed_shape is None
+    explicit = make_plan(model, (1000,), method="cholesky")
+    assert np.array_equal(draw_rows(plan, 3, seed=1), draw_rows(explicit, 3, seed=1))
+
+
+def test_fallback_over_the_cap_raises_before_the_gram(monkeypatch):
+    # the gram and its factor at n = 1000 need 16 MB, one embedded path 64 KB
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(4 * 10**6))
+    monkeypatch.setattr("superconc.sampler.gram_matrix", None)  # must not be reached
+    with pytest.raises(CapacityError):
+        make_plan(SHORT_TABLE, (1000,))
+
+
+def test_3d_default_falls_back_before_the_embedding_outgrows_the_cap(monkeypatch):
+    # the 10^3 gram is the identity (phi = 0 from lag 1 to the lattice's
+    # longest, 15.6); every embedding meets phi = -1 past it.  Each doubling
+    # takes 8 times the memory: one path at 80^3 points needs 16.4 MB, over
+    # the cap, while the fallback's gram and factor need 16 MB.  Two doublings
+    # at most, so that a broken cap check costs 16 MB here, not 640^3 points
+    table = ((0.0, 1.0), (1.0, 0.0), (15.6, 0.0), (16.0, -1.0), (1e6, -1.0))
+    model = CovarianceModel("table", table=table)
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(16_100_000))
+    monkeypatch.setattr("superconc.sampler.EMBED_MAX_DOUBLINGS", 2)
+    with pytest.raises(EmbeddingError) as exc:
+        make_plan(model, (10, 10, 10), method="circulant")
+    assert exc.value.sizes == [(20, 20, 20), (40, 40, 40)]
+    assert make_plan(model, (10, 10, 10)).method == "cholesky"
+
+
+def test_fallback_reports_the_cholesky_failure():
+    # the stubborn table's gram is indefinite from 3 points on, so neither
+    # method draws 1000 points of it
+    stubborn = CovarianceModel(
+        "table", table=((0.0, 1.0), (1.0, 0.9), (2.0, 0.0), (1000.0, 0.0))
+    )
+    with pytest.raises(DecompositionError) as exc:
+        make_plan(stubborn, (1000,))
+    assert exc.value.order == 3
 
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
