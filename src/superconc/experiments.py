@@ -262,6 +262,18 @@ def validate(config: ExperimentConfig) -> list[str]:
         if (trials := int(p["trials"])) > STREAM_BLOCK:
             diags.append(f"field 'params.trials': {trials} trials overrun the "
                          f"{STREAM_BLOCK}-stream block of each estimate")
+        top = 2 if p["threshold"] == "prop51" else 6
+        if not 0 < p["delta"] <= top:
+            diags.append(f"field 'params.delta': {p['delta']!r} is outside (0, {top}] "
+                         f"of {p['threshold']}")
+        for name in ("c", "table_c"):
+            if p[name] is not None and not (isinstance(p[name], numbers.Real) and p[name] > 0):
+                diags.append(f"field 'params.{name}': {p[name]!r} is not a positive number")
+        grid = p["delta_grid"]
+        if grid is not None and not (isinstance(grid, list) and all(
+                isinstance(d, numbers.Real) and 0 < d <= 6 for d in grid)):
+            diags.append(f"field 'params.delta_grid': {grid!r} is not a list of deltas "
+                         "in (0, 6]")
     if config.kind == "sequence_bound" and batch_read and config.batch < MC_RHO_MIN_PATHS:
         diags.append(f"field 'batch': Monte Carlo rho needs >= {MC_RHO_MIN_PATHS} "
                      f"paths, got {config.batch}")
@@ -427,7 +439,7 @@ def _scan_class(p: dict) -> ScanClass:
     out is a SchemaError naming the param."""
     if p["sets"] is not None:
         try:
-            return ScanClass(int(p["n"]), np.asarray(p["sets"]))
+            return ScanClass(int(p["n"]), p["sets"])
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"field 'params.sets': {exc}") from exc
     spec = p["generator"]

@@ -77,9 +77,11 @@ def sample_maxima(
     of shape ``n`` (argmax then indexes the C-order grid), drawn in chunks.
 
     The covariance is factored once for all chunks.  Path i draws from
-    stream ``stream_offset + i``, so the result is identical to a single
-    unchunked call.  The default chunk holds at most 2**24 elements of draw
-    work and stays inside the memory cap.
+    stream ``stream_offset + i``, so its noise does not depend on the chunks.
+    Circulant maxima are then identical to a single unchunked call; Cholesky
+    maxima agree with it to a few ulp, as BLAS rounds a row of ``noise @
+    factor.T`` by the number of rows in the product.  The default chunk holds
+    at most 2**24 elements of draw work and stays inside the memory cap.
 
     The iid maximum of N lattice points has the exact law Phi^N, and its
     argmax is uniform and independent of it, so for the iid model path i

@@ -21,7 +21,7 @@ from .extremes import _stable_mean
 from .verify import fit_tail_rate, tail_from_deviations
 
 MAX_ALTERNATIVES = 64
-SCAN_BLOCK_ELEMS = 2**16  # normals drawn per block of null trials (512 KiB)
+SCAN_BLOCK_ELEMS = 2**16  # normals or set sums per block of null trials (512 KiB)
 # streams owned by each estimate of estimate_risk: E0max, calibration, null,
 # picker and each alternative start at consecutive multiples of this
 STREAM_BLOCK = 10**6
@@ -34,16 +34,21 @@ class ScanClass:
 
     def __post_init__(self):
         s = np.asarray(self.sets)
-        if s.ndim != 2:
-            raise ValueError("sets must be an (N, K) index array")
+        if s.ndim != 2 or s.shape[1] < 1:
+            raise ValueError("sets must be an (N, K) index array with K >= 1")
         if s.shape[0] < 2:
             raise ValueError("need at least 2 sets (thresholds involve log N)")
-        if s.min(initial=0) < 0 or s.max(initial=0) >= self.n:
+        # numpy reads a bool among the ints of a list as 0 or 1
+        bools = not isinstance(self.sets, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(self.sets, dtype=object).flat)
+        if bools or s.dtype.kind not in "iuf" or not np.array_equal(s, np.trunc(s)):
+            raise ValueError("set indices must be whole numbers, not bools")
+        if s.min() < 0 or s.max() >= self.n:
             raise ValueError("set indices must lie in [0, n)")
-        for row in s:
-            if len(np.unique(row)) != s.shape[1]:
-                raise ValueError("each set must consist of distinct indices")
-        object.__setattr__(self, "sets", np.ascontiguousarray(s, dtype=np.int64))
+        s = s.astype(np.int64)
+        if (np.diff(np.sort(s, axis=1), axis=1) == 0).any():
+            raise ValueError("each set must consist of distinct indices")
+        object.__setattr__(self, "sets", np.ascontiguousarray(s))
 
     @property
     def N(self) -> int:
@@ -72,11 +77,13 @@ def sliding_class(n: int, K: int) -> ScanClass:
 
 
 def set_sums(x: np.ndarray, cls: ScanClass) -> np.ndarray:
-    """X_S for every S; x is a vector or a (trials, n) matrix."""
+    """X_S for every S; x is a vector or a (trials, n) block.  The K columns
+    are added in order, so a row's sums are the same bits in any block."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[cls.sets].sum(axis=1)
-    return x[:, cls.sets].sum(axis=2)
+    sums = x[..., cls.sets[:, 0]]
+    for col in cls.sets.T[1:]:
+        sums += x[..., col]
+    return sums
 
 
 def threshold_prop51(K: int, delta: float, e0max: float) -> float:
@@ -111,15 +118,13 @@ def _null_scan_maxima(cls: ScanClass, trials: int, seed: int,
                       offset: int = 0, mu: float = 0.0,
                       shifted: np.ndarray | None = None) -> np.ndarray:
     out = np.empty(trials)
-    block = max(1, SCAN_BLOCK_ELEMS // cls.n)
+    block = max(1, SCAN_BLOCK_ELEMS // max(cls.n, cls.N))
     for lo in range(0, trials, block):
         x = rng.normal_rows(seed, min(block, trials - lo), cls.n, offset=offset + lo)
         if shifted is not None:
             x[:, shifted] += mu
-        # one row at a time: a batched 3-d set sum rounds differently
-        for i, row in enumerate(x):
-            out[lo + i] = set_sums(row, cls).max()
-        del x, row  # free this block before the next one is drawn
+        out[lo : lo + len(x)] = set_sums(x, cls).max(axis=1)
+        del x  # free this block before the next one is drawn
     return out
 
 

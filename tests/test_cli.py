@@ -342,6 +342,43 @@ def test_scan_trials_above_the_stream_block_exit_code(tmp_path, capsys):
     assert "config error: field 'params.trials'" in capsys.readouterr().err
 
 
+# each of these ran until the threshold raised, and exited 1 with a traceback
+@pytest.mark.parametrize("argv, params, named", [
+    (["--delta", "0"], None, "field 'params.delta': 0.0 is outside (0, 2] of prop51"),
+    (["--threshold", "prop52", "--delta", "7"], None,
+     "field 'params.delta': 7.0 is outside (0, 6] of prop52"),
+    (["--threshold", "prop52", "--c", "-1"], None,
+     "field 'params.c': -1.0 is not a positive number"),
+    (None, {"delta_grid": [0.1, -1]},
+     "field 'params.delta_grid': [0.1, -1] is not a list of deltas in (0, 6]"),
+    (None, {"table_c": 0}, "field 'params.table_c': 0 is not a positive number"),
+], ids=["delta-0", "prop52-delta-7", "prop52-c-negative", "delta-grid-negative",
+        "table-c-0"])
+def test_scan_param_out_of_range_exit_code(tmp_path, capsys, argv, params, named):
+    out = tmp_path / "o"
+    if argv is None:
+        argv = ["--config", _config_file(tmp_path, json.dumps(
+            {"kind": "scan_risk", "params": params}))]
+    else:
+        argv = ["scan", "--trials", "20", *argv]
+    assert main(["--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sets", [[[0.2, 0.7], [2, 3]], [[True, 2], [0, 3]]],
+                         ids=["fractions", "bool"])
+def test_scan_class_file_with_indices_that_are_not_whole_numbers_exit_code(tmp_path, capsys,
+                                                                          sets):
+    cls = tmp_path / "class.json"
+    cls.write_text(json.dumps({"n": 4, "sets": sets}))
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "scan", "--class", str(cls), "--mu", "1.0",
+                 "--trials", "20"]) == 2
+    assert capsys.readouterr().err.startswith("config error: field 'params.sets'")
+    assert not out.exists()
+
+
 def test_verify_has_no_alpha_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path / "vs"), "verify", "variance_scaling",

@@ -95,6 +95,20 @@ def test_sample_maxima_chunk_invariance(ou, method):
     assert np.array_equal(a1, a2)
 
 
+@pytest.mark.parametrize("n", [200, 500])
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+def test_sample_maxima_small_chunks(ou, method, n):
+    # the noise is per path either way; only BLAS rounds a row of the
+    # Cholesky product by the number of rows in it
+    m, a = sample_maxima(ou, n, 40, seed=3, method=method)
+    for chunk in (1, 2, 3):
+        mc, ac = sample_maxima(ou, n, 40, seed=3, method=method, chunk=chunk)
+        if method == "circulant":
+            assert np.array_equal(mc, m) and np.array_equal(ac, a)
+        else:
+            np.testing.assert_array_max_ulp(mc, m, maxulp=4)
+
+
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
 def test_sample_maxima_factors_once(ou, method, monkeypatch):
     calls = []

@@ -32,6 +32,27 @@ def test_scan_class_validation():
         ScanClass(4, np.array([0, 1]))  # not 2-d
 
 
+@pytest.mark.parametrize("sets", [
+    [[0.2, 0.7], [2, 3]],
+    [[0, 1.5], [2, 3]],
+    [[0, float("nan")], [2, 3]],
+    [[True, 2], [0, 3]],
+    np.array([[True, False], [False, True]]),
+    [["0", "1"], [2, 3]],
+], ids=["fractions", "fraction", "nan", "bool-in-list", "bool-array", "strings"])
+def test_scan_class_rejects_indices_that_are_not_whole_numbers(sets):
+    # a cast to int64 would have read [[0.2, 0.7], ...] as the set {0, 0}
+    with pytest.raises(ValueError, match="whole numbers"):
+        ScanClass(4, sets)
+
+
+def test_scan_class_takes_whole_floats_and_checks_distinctness_per_row():
+    cls = ScanClass(5, [[0.0, 4.0], [4, 0], [1, 3]])
+    assert cls.sets.dtype == np.int64 and cls.sets.tolist() == [[0, 4], [4, 0], [1, 3]]
+    with pytest.raises(ValueError, match="distinct"):
+        ScanClass(5, [[0, 1, 2], [3, 4, 3]])  # the repeat is not adjacent
+
+
 def test_generators():
     cls = disjoint_class(3, 4)
     assert cls.N == 3 and cls.K == 4 and cls.n == 12
@@ -43,6 +64,34 @@ def test_generators():
         disjoint_class(3, 4, n=10)
     with pytest.raises(ValueError):
         sliding_class(5, 5)
+
+
+def _pairs_class(n):
+    """All n (n - 1) / 2 pairs of n points: a class with N > n."""
+    return ScanClass(n, [[i, j] for i in range(n) for j in range(i + 1, n)])
+
+
+CLASSES = [disjoint_class(3, 10, n=33), sliding_class(30, 12), _pairs_class(12),
+           ScanClass(9, [[8, 0, 3], [2, 7, 5], [3, 4, 8]])]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=["disjoint", "sliding", "pairs", "unsorted"])
+def test_set_sums_of_a_row_do_not_depend_on_its_block(cls):
+    xs = np.random.default_rng(5).standard_normal((9, cls.n)) * 10.0 ** np.arange(-4, 5)[:, None]
+    block = set_sums(xs, cls)
+    assert block.shape == (9, cls.N)
+    for i, x in enumerate(xs):
+        assert np.array_equal(set_sums(x, cls), block[i])
+        assert np.array_equal(set_sums(xs[i:i + 1], cls)[0], block[i])
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=["disjoint", "sliding", "pairs", "unsorted"])
+def test_set_sums_are_within_k_epsilon_of_the_exact_sums(cls):
+    x = np.random.default_rng(6).standard_normal(cls.n) * np.geomspace(1e-6, 1e6, cls.n)
+    got = set_sums(x, cls)
+    eps = np.finfo(float).eps
+    for s, g in zip(cls.sets, got):
+        assert abs(g - math.fsum(x[s])) <= cls.K * eps * math.fsum(abs(x[s]))
 
 
 def test_set_sums_vector_and_matrix():
@@ -157,7 +206,29 @@ def test_null_scan_maxima_blocks_match_per_trial_streams(monkeypatch, block_rows
     assert np.array_equal(got, ref)
 
 
-def test_estimate_E0max_cached():
+@pytest.mark.parametrize("shift", [False, True])
+def test_null_scan_maxima_of_more_sets_than_points_match_per_trial_streams(monkeypatch,
+                                                                           shift):
+    from superconc import rng
+
+    cls = _pairs_class(12)  # N = 66 > n = 12
+    monkeypatch.setattr(scantest, "SCAN_BLOCK_ELEMS", 7 * cls.N)
+    rows = []
+    normal_rows = rng.normal_rows
+    monkeypatch.setattr(rng, "normal_rows",
+                        lambda seed, b, *a, **k: rows.append(b) or normal_rows(seed, b, *a, **k))
+    calls = []
+    sums = scantest.set_sums
+    monkeypatch.setattr(scantest, "set_sums", lambda *a: calls.append(a) or sums(*a))
+    kw = {"mu": 1.3, "shifted": cls.sets[40]} if shift else {}
+    got = scantest._null_scan_maxima(cls, 30, seed=4, offset=7, **kw)
+    # blocks of 7 rows: the block counts the 66 set sums of a row, not its 12 points
+    assert rows == [7, 7, 7, 7, 2] and len(calls) == len(rows)
+    monkeypatch.undo()
+    assert np.array_equal(got, _reference_null_scan_maxima(cls, 30, seed=4, offset=7, **kw))
+
+
+def test_estimate_E0max_is_deterministic():
     cls = disjoint_class(4, 4)
     a = estimate_E0max(cls, 10**4, seed=0)
     b = estimate_E0max(cls, 10**4, seed=0)
