@@ -162,6 +162,8 @@ CHOICES = {"tail_bounds": {"center": ("mean", "b_n")},
            "sequence_bound": {"rho": ("monte_carlo", "analytic")},
            "scan_risk": {"threshold": ("prop51", "prop52")},
            "sample_paths": {"method": ("cholesky", "circulant")}}
+# the params whose default is None that take something other than a number
+NOT_NUMBERS = {"sets", "delta_grid", "method"}
 # the params that count points, paths, trials or vectors, with their least value
 COUNTS = {"t_points": 1, "theta_points": 1, "growth_batch": 1, "trials": 1, "N_target": 2}
 
@@ -173,18 +175,20 @@ def _params(cfg) -> dict:
 
 def _param_diags(kind: str, p: dict) -> list[str]:
     """A diagnostic for each param of the kind's ``CHOICES`` set outside
-    them, each param with a numeric default that is not a number (extent may
-    be a list), each of the ``COUNTS`` below its least value, and each of
-    them and a given ``d`` that is not a whole number."""
+    them, each param with a numeric default, or a given one with a None
+    default outside ``NOT_NUMBERS``, that is not a number (extent may be a
+    list), each of the ``COUNTS`` below its least value, and each of them and
+    a given ``d`` that is not a whole number."""
     diags = []
     choices = CHOICES.get(kind, {})
     for name, default in PARAMS[kind].items():
         v = p[name]
         values = v if name == "extent" and isinstance(v, list) else [v]
+        numeric = isinstance(default, (int, float)) or (
+            default is None and v is not None and name not in NOT_NUMBERS)
         if name in choices and v != default and v not in choices[name]:
             diags.append(f"field 'params.{name}': {v!r} is not one of {list(choices[name])}")
-        elif isinstance(default, (int, float)) and not all(
-                isinstance(x, numbers.Real) for x in values):
+        elif numeric and not all(isinstance(x, numbers.Real) for x in values):
             diags.append(f"field 'params.{name}': {v!r} is not a number")
         elif name in COUNTS and v < COUNTS[name]:
             diags.append(f"field 'params.{name}': {v!r} is below {COUNTS[name]}")

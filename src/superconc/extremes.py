@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .sampler import capacity_bytes, draw_rows, make_plan
+from .sampler import block_rows, draw_rows, make_plan
 
 
 def _stable_mean(x: np.ndarray) -> float:
@@ -71,40 +71,37 @@ def centering_gap(maxima, n: int) -> float:
 
 def sample_maxima(
     model, n: int | tuple[int, ...], batch: int, seed: int, method: str | None = None,
-    chunk: int | None = None, spacing: float = 1.0, stream_offset: int = 0,
+    spacing: float = 1.0, stream_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (maxima, argmax) of a batch on a lattice of ``n`` points, or
-    of shape ``n`` (argmax then indexes the C-order grid), drawn in chunks.
+    of shape ``n`` (argmax then indexes the C-order grid), drawn in blocks
+    of :func:`sampler.block_rows` rows.
 
-    The covariance is factored once for all chunks.  Path i draws from
-    stream ``stream_offset + i``, so its noise does not depend on the chunks.
-    Circulant maxima are then identical to a single unchunked call; Cholesky
+    The covariance is factored once for all blocks.  Path i draws from
+    stream ``stream_offset + i``, so its noise does not depend on the blocks.
+    Circulant maxima are then identical to a single unblocked call; Cholesky
     maxima agree with it to a few ulp, as BLAS rounds a row of ``noise @
-    factor.T`` by the number of rows in the product.  The default chunk holds
-    at most 2**24 elements of draw work and stays inside the memory cap.
+    factor.T`` by the number of rows in the product.  The memory cap changes
+    the maxima only by changing the plan: at a cap of 4 MiB or more the
+    blocks do not depend on it.
 
     The iid maximum of N lattice points has the exact law Phi^N, and its
     argmax is uniform and independent of it, so for the iid model path i
     takes both from the first Philox block of its stream
     (:func:`rng.first_blocks`) instead of drawing N normals; ``method``
-    and ``chunk`` do not change the result there.
+    and the blocks do not change the result there.
     """
     shape = tuple(n) if np.iterable(n) else (n,)
     plan = make_plan(model, shape, spacing, method)  # factors nothing for iid
     if model.kind == "iid":
         return _iid_maxima(plan.n, batch, seed, stream_offset)
-    if chunk is None:
-        chunk = max(1, min(batch, (1 << 24) // plan.row_elems,
-                           capacity_bytes() // plan.row_bytes))
+    block = block_rows(plan.row_elems)
     maxima = np.empty(batch)
     argmax = np.empty(batch, dtype=np.int64)
-    done = 0
-    while done < batch:
-        b = min(chunk, batch - done)
-        paths = draw_rows(plan, b, seed, stream_offset + done)
-        maxima[done : done + b] = paths.max(axis=1)
-        argmax[done : done + b] = paths.argmax(axis=1)
-        done += b
+    for lo in range(0, batch, block):
+        paths = draw_rows(plan, min(block, batch - lo), seed, stream_offset + lo)
+        maxima[lo : lo + len(paths)] = paths.max(axis=1)
+        argmax[lo : lo + len(paths)] = paths.argmax(axis=1)
     return maxima, argmax
 
 

@@ -16,8 +16,9 @@ By default a lattice of more than ``CHOLESKY_MAX_N`` points, in any
 dimension, is drawn by circulant embedding: a path then costs O(m log m)
 for an embedding of m points against 2n^2 for the Cholesky product.
 Where no embedding exists, because it stays negative at every doubling
-that fits the memory cap or needs lags past a table model's last one, the
-default falls back to Cholesky; an explicit ``method`` never falls back.
+that fits the memory cap and the Cholesky factor's bytes, or needs lags past
+a table model's last one, the default falls back to Cholesky; an explicit
+``method`` never falls back.
 
 Each path draws from its own counter-based stream (see :mod:`superconc.rng`),
 so batches are bit-reproducible regardless of chunking or scheduling.
@@ -45,14 +46,30 @@ EMBED_MAX_DOUBLINGS = 6
 # working bytes per element of one path while it is drawn: noise and product
 # take 16, a 2-d embedding's noise, spectrum and transform about 24
 DRAW_BYTES_PER_ELEM = 32
-
-
-def capacity_bytes() -> int:
-    return int(os.environ.get("SUPERCONC_CAP_BYTES", DEFAULT_CAP_BYTES))
+# elements of draw work in one block of a batched draw, 4 MiB of it: with
+# BLAS on one thread, 1e4 OU maxima at n = 500 and 768 draw by Cholesky
+# within 7 % of the time of one product of every row
+BLOCK_ELEMS = 2**17
 
 
 class CapacityError(MemoryError):
     """Requested batch would exceed the configured memory cap."""
+
+
+def capacity_bytes() -> int:
+    """The memory cap: SUPERCONC_CAP_BYTES, a positive whole number of bytes."""
+    raw = os.environ.get("SUPERCONC_CAP_BYTES", str(DEFAULT_CAP_BYTES))
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise CapacityError(
+            f"SUPERCONC_CAP_BYTES={raw!r} is not a positive whole number of bytes")
+    return int(raw)
+
+
+def block_rows(row_elems: int) -> int:
+    """Rows of ``row_elems`` elements in one block of a batched draw: at least
+    one, within ``BLOCK_ELEMS`` elements of draw work, and within the cap only
+    where it is below 4 MiB; at any larger cap the block ignores it."""
+    return max(1, min(BLOCK_ELEMS, capacity_bytes() // DRAW_BYTES_PER_ELEM) // row_elems)
 
 
 class DecompositionError(ValueError):
@@ -136,23 +153,23 @@ def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
 
 
 def circulant_embedding(
-    model: CovarianceModel, shape, spacing: float = 1.0
+    model: CovarianceModel, shape, spacing: float = 1.0, max_bytes: int | None = None
 ) -> tuple[np.ndarray, int]:
     """Nonnegative eigenvalues of a circulant embedding of the lattice gram.
 
     ``shape`` is the lattice, an int for a sequence.  The embedding starts
     at twice the lattice per axis and doubles until the FFT eigenvalues are
     nonnegative within a relative tolerance; residual roundoff is clipped.
-    A doubling is not tried when one path of it would exceed the memory cap,
-    since no path of it could be drawn.  Returns the eigenvalues, shaped
-    like the embedding, and their count m.
+    A doubling is not tried when one path of it would exceed ``max_bytes``,
+    by default the memory cap, since no path of it could be drawn.  Returns
+    the eigenvalues, shaped like the embedding, and their count m.
     """
     shape = tuple(int(s) for s in np.atleast_1d(shape))
     tried = []
     worst = math.inf
     for k in range(EMBED_MAX_DOUBLINGS + 1):
         ms = tuple(2 * s * 2**k for s in shape)
-        if k and DRAW_BYTES_PER_ELEM * math.prod(ms) > capacity_bytes():
+        if k and DRAW_BYTES_PER_ELEM * math.prod(ms) > (max_bytes or capacity_bytes()):
             break
         sq = sum(np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in ms)))
         eig = np.fft.fftn(evaluate(model, spacing * np.sqrt(sq))).real
@@ -200,7 +217,8 @@ def make_plan(
 
     Without ``method`` a lattice above ``CHOLESKY_MAX_N`` points is embedded,
     or factored by Cholesky if the embedding fails (:class:`EmbeddingError`
-    or :class:`TableRangeError`); the plan's ``method`` is the one used.
+    or :class:`TableRangeError`) at every doubling whose one path needs no
+    more bytes than the Cholesky factor; the plan's ``method`` is the one used.
     """
     if min(shape) < 1:
         raise ValueError("the lattice needs at least one point per axis")
@@ -215,8 +233,9 @@ def make_plan(
         # gram is the identity; both factorizations reduce to raw noise
         return LatticePlan(method, shape, None)
     if method == "circulant":
+        limit = min(capacity_bytes(), _cholesky_bytes(n)) if fallback else None
         try:
-            eig, _ = circulant_embedding(model, shape, spacing)
+            eig, _ = circulant_embedding(model, shape, spacing, limit)
         except (EmbeddingError, TableRangeError):
             if not fallback:
                 raise

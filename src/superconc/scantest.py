@@ -18,10 +18,10 @@ import numpy as np
 
 from . import rng
 from .extremes import _stable_mean
+from .sampler import block_rows
 from .verify import fit_tail_rate, tail_from_deviations
 
 MAX_ALTERNATIVES = 64
-SCAN_BLOCK_ELEMS = 2**16  # normals or set sums per block of null trials (512 KiB)
 # streams owned by each estimate of estimate_risk: E0max, calibration, null,
 # picker and each alternative start at consecutive multiples of this
 STREAM_BLOCK = 10**6
@@ -118,7 +118,7 @@ def _null_scan_maxima(cls: ScanClass, trials: int, seed: int,
                       offset: int = 0, mu: float = 0.0,
                       shifted: np.ndarray | None = None) -> np.ndarray:
     out = np.empty(trials)
-    block = max(1, SCAN_BLOCK_ELEMS // max(cls.n, cls.N))
+    block = block_rows(max(cls.n, cls.N))  # a row holds n normals and N set sums
     for lo in range(0, trials, block):
         x = rng.normal_rows(seed, min(block, trials - lo), cls.n, offset=offset + lo)
         if shifted is not None:

@@ -4,6 +4,13 @@ import pytest
 from superconc.covariance import CovarianceModel
 
 
+@pytest.fixture(autouse=True)
+def _default_cap(monkeypatch):
+    """Every test starts under the default memory cap, whatever the shell
+    exports; a test that needs a cap sets its own."""
+    monkeypatch.delenv("SUPERCONC_CAP_BYTES", raising=False)
+
+
 @pytest.fixture(scope="session")
 def iid():
     return CovarianceModel("iid")

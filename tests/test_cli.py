@@ -265,6 +265,17 @@ def test_missing_cov_file_exit_code(tmp_path, capsys):
 LOW_CAP = str(4 * 10**6)
 
 
+@pytest.mark.parametrize("cap", ["abc", "", "1e9", "-5"])
+def test_malformed_cap_exit_code(tmp_path, capsys, monkeypatch, cap):
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", cap)
+    assert main(["--out", str(tmp_path / "vs"), "verify", "variance_scaling",
+                 "--cov", OU_JSON, "--sizes", "16", "--batch", "50"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: capacity: SUPERCONC_CAP_BYTES={cap!r} is not a positive "
+        "whole number of bytes\n")
+    assert not (tmp_path / "vs").exists()
+
+
 def test_sequence_factor_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
     assert main(["--out", str(tmp_path / "vs"), "verify", "variance_scaling",
@@ -429,11 +440,18 @@ def _config_file(tmp_path, text):
      "field 'params.d': 1.5 is not a whole number"),
     ('{"kind": "tail_bounds", "params": {"t_points": 2.5}}',
      "field 'params.t_points': 2.5 is not a whole number"),
+    ('{"kind": "scan_risk", "params": {"mu": "x"}}', "field 'params.mu': 'x' is not a number"),
+    ('{"kind": "tail_bounds", "params": {"K": "x"}}', "field 'params.K': 'x' is not a number"),
+    ('{"kind": "field_bound", "params": {"exponent_ratio": "x"}}',
+     "field 'params.exponent_ratio': 'x' is not a number"),
+    ('{"kind": "sign_vectors", "params": {"threshold": "x"}}',
+     "field 'params.threshold': 'x' is not a number"),
 ], ids=["unknown-param", "bad-generator", "bad-batch", "bad-sizes", "malformed-json",
         "center-outside-choices", "non-numeric-trials", "threshold-outside-choices",
         "rho-outside-choices", "null-number", "non-numeric-extent",
         "method-outside-choices", "growth-batch", "fractional-field-d",
-        "fractional-sample-d", "fractional-count"])
+        "fractional-sample-d", "fractional-count", "non-numeric-mu", "non-numeric-K",
+        "non-numeric-exponent-ratio", "non-numeric-signvec-threshold"])
 def test_config_mistake_exit_code(tmp_path, capsys, text, named):
     argv = ["--out", str(tmp_path / "o"), "--config", _config_file(tmp_path, text)]
     assert main(argv) == 2

@@ -87,36 +87,57 @@ def test_centering_gap_positive(rng_np):
     assert centering_gap(m, 1000) > 0
 
 
+def _block_rows(monkeypatch, model, shape, rows, method, spacing=1.0):
+    """Make a block of the plan's draws ``rows`` rows long."""
+    row_elems = make_plan(model, shape, spacing, method).row_elems
+    monkeypatch.setattr(sampler, "BLOCK_ELEMS", rows * row_elems)
+
+
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
-def test_sample_maxima_chunk_invariance(ou, method):
+def test_sample_maxima_chunk_invariance(ou, method, monkeypatch):
     m1, a1 = sample_maxima(ou, 20, 30, seed=6, method=method)
-    m2, a2 = sample_maxima(ou, 20, 30, seed=6, method=method, chunk=7)
+    _block_rows(monkeypatch, ou, (20,), 7, method)
+    m2, a2 = sample_maxima(ou, 20, 30, seed=6, method=method)
     assert np.array_equal(m1, m2)
     assert np.array_equal(a1, a2)
 
 
 @pytest.mark.parametrize("n", [200, 500])
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
-def test_sample_maxima_small_chunks(ou, method, n):
+def test_sample_maxima_small_chunks(ou, method, n, monkeypatch):
     # the noise is per path either way; only BLAS rounds a row of the
     # Cholesky product by the number of rows in it
     m, a = sample_maxima(ou, n, 40, seed=3, method=method)
     for chunk in (1, 2, 3):
-        mc, ac = sample_maxima(ou, n, 40, seed=3, method=method, chunk=chunk)
+        _block_rows(monkeypatch, ou, (n,), chunk, method)
+        mc, ac = sample_maxima(ou, n, 40, seed=3, method=method)
         if method == "circulant":
             assert np.array_equal(mc, m) and np.array_equal(ac, a)
         else:
             np.testing.assert_array_max_ulp(mc, m, maxulp=4)
 
 
+@pytest.mark.parametrize("method, n", [("cholesky", 500), ("circulant", 1024)])
+def test_sample_maxima_ignore_a_cap_of_4_mib_or_more(ou, method, n, monkeypatch):
+    # 2000 Cholesky paths of 500 points span 8 blocks of 262 rows at any cap
+    # of 4 MiB or more, so the product rounds each row the same way
+    m, a = sample_maxima(ou, n, 2000, seed=3)
+    assert make_plan(ou, (n,)).method == method
+    for cap in (4 * 2**20, 2**34):
+        monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(cap))
+        mc, ac = sample_maxima(ou, n, 2000, seed=3)
+        assert np.array_equal(mc, m) and np.array_equal(ac, a)
+
+
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
 def test_sample_maxima_factors_once(ou, method, monkeypatch):
+    _block_rows(monkeypatch, ou, (20,), 7, method)
     calls = []
     for name in ("_cholesky_factor", "circulant_embedding"):
         fn = getattr(sampler, name)
         monkeypatch.setattr(sampler, name,
                             lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
-    sample_maxima(ou, 20, 30, seed=6, method=method, chunk=7)
+    sample_maxima(ou, 20, 30, seed=6, method=method)
     assert len(calls) == 1
 
 
@@ -130,11 +151,12 @@ def test_sample_maxima_chunks_fit_a_low_cap(ou, monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
-def test_sample_maxima_on_a_field_matches_direct(gs, method):
+def test_sample_maxima_on_a_field_matches_direct(gs, method, monkeypatch):
     shape = grid_geometry(2, [5.0, 3.0], 0.5)
     direct = draw_rows(make_plan(gs, shape, 0.5, method), 12, seed=2, offset=30)
+    _block_rows(monkeypatch, gs, shape, 5, method, spacing=0.5)
     m, a = sample_maxima(gs, shape, 12, seed=2, method=method,
-                         chunk=5, spacing=0.5, stream_offset=30)
+                         spacing=0.5, stream_offset=30)
     assert np.array_equal(m, direct.max(axis=1))
     assert np.array_equal(a, direct.argmax(axis=1))
 
@@ -146,10 +168,11 @@ def test_sample_maxima_matches_direct(ou):
     assert np.array_equal(a, direct.paths.argmax(axis=1))
 
 
-def test_iid_maxima_ignore_chunk_and_split_stream_offset(iid):
+def test_iid_maxima_ignore_chunk_and_split_stream_offset(iid, monkeypatch):
     m, a = sample_maxima(iid, 64, 300, seed=9)
     for chunk in (1, 7, 300):
-        mc, ac = sample_maxima(iid, 64, 300, seed=9, chunk=chunk, method="circulant")
+        _block_rows(monkeypatch, iid, (64,), chunk, "circulant")
+        mc, ac = sample_maxima(iid, 64, 300, seed=9, method="circulant")
         assert np.array_equal(mc, m) and np.array_equal(ac, a)
     head = sample_maxima(iid, 64, 120, seed=9)
     tail = sample_maxima(iid, 64, 180, seed=9, stream_offset=120)

@@ -134,6 +134,33 @@ def test_3d_default_falls_back_before_the_embedding_outgrows_the_cap(monkeypatch
     assert make_plan(model, (10, 10, 10)).method == "cholesky"
 
 
+def test_default_route_tries_no_embedding_heavier_than_its_fallback(monkeypatch):
+    # the 10^3 gram is the identity, but no embedding is nonnegative.  Under
+    # a 20 MB cap an explicit circulant tries up to 80^3, whose one path needs
+    # 16.4 MB; the default route stops at 40^3, under the 16 MB of the
+    # Cholesky factor it falls back to
+    table = ((0.0, 1.0), (1.0, 0.0), (16.0, 0.0), (16.5, -0.3), (400.0, -0.3))
+    model = CovarianceModel("table", table=table)
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(20 * 10**6))
+    with pytest.raises(EmbeddingError) as exc:
+        make_plan(model, (10, 10, 10), method="circulant")
+    assert exc.value.sizes == [(20, 20, 20), (40, 40, 40), (80, 80, 80)]
+    tried = []
+
+    def recording(*a, **k):
+        try:
+            return circulant_embedding(*a, **k)
+        except EmbeddingError as err:
+            tried.append(err.sizes)
+            raise
+
+    monkeypatch.setattr("superconc.sampler.circulant_embedding", recording)
+    plan = make_plan(model, (10, 10, 10))
+    assert tried == [[(20, 20, 20), (40, 40, 40)]]
+    assert plan.method == "cholesky"
+    assert np.array_equal(plan.factor, np.eye(1000))
+
+
 def test_fallback_reports_the_cholesky_failure():
     # the stubborn table's gram is indefinite from 3 points on, so neither
     # method draws 1000 points of it

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superconc import scantest
+from superconc import sampler, scantest
 from superconc.scantest import (
     STREAM_BLOCK,
     ScanClass,
@@ -193,13 +193,11 @@ def _reference_null_scan_maxima(cls, trials, seed, offset=0, mu=0.0, shifted=Non
 @pytest.mark.parametrize("shift", [False, True])
 def test_null_scan_maxima_blocks_match_per_trial_streams(monkeypatch, block_rows, trials,
                                                          shift):
-    from superconc import scantest
-
     cls = sliding_class(60, 5)
     if block_rows is None:
-        trials += scantest.SCAN_BLOCK_ELEMS // cls.n  # one full default block and a tail
+        trials += sampler.BLOCK_ELEMS // cls.n  # one full default block and a tail
     else:
-        monkeypatch.setattr(scantest, "SCAN_BLOCK_ELEMS", block_rows * cls.n)
+        monkeypatch.setattr(sampler, "BLOCK_ELEMS", block_rows * cls.n)
     kw = {"mu": 0.8, "shifted": cls.sets[17]} if shift else {}
     got = scantest._null_scan_maxima(cls, trials, seed=9, offset=4 * 10**6, **kw)
     ref = _reference_null_scan_maxima(cls, trials, seed=9, offset=4 * 10**6, **kw)
@@ -212,7 +210,7 @@ def test_null_scan_maxima_of_more_sets_than_points_match_per_trial_streams(monke
     from superconc import rng
 
     cls = _pairs_class(12)  # N = 66 > n = 12
-    monkeypatch.setattr(scantest, "SCAN_BLOCK_ELEMS", 7 * cls.N)
+    monkeypatch.setattr(sampler, "BLOCK_ELEMS", 7 * cls.N)
     rows = []
     normal_rows = rng.normal_rows
     monkeypatch.setattr(rng, "normal_rows",
@@ -226,6 +224,22 @@ def test_null_scan_maxima_of_more_sets_than_points_match_per_trial_streams(monke
     assert rows == [7, 7, 7, 7, 2] and len(calls) == len(rows)
     monkeypatch.undo()
     assert np.array_equal(got, _reference_null_scan_maxima(cls, 30, seed=4, offset=7, **kw))
+
+
+def test_null_scan_maxima_under_a_cap_below_4_mib_draw_smaller_blocks(monkeypatch):
+    from superconc import rng
+
+    cls = sliding_class(60, 5)
+    rows = []
+    normal_rows = rng.normal_rows
+    monkeypatch.setattr(rng, "normal_rows",
+                        lambda seed, b, *a, **k: rows.append(b) or normal_rows(seed, b, *a, **k))
+    got = scantest._null_scan_maxima(cls, 3000, seed=2)
+    assert rows == [2184, 816]  # 2**17 elements hold 2184 rows of 60
+    rows.clear()
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(2**20))  # 2**15 elements of draw work
+    assert np.array_equal(scantest._null_scan_maxima(cls, 3000, seed=2), got)
+    assert rows == [546] * 5 + [270]
 
 
 def test_estimate_E0max_is_deterministic():
