@@ -16,9 +16,10 @@ By default a lattice of more than ``CHOLESKY_MAX_N`` points, in any
 dimension, is drawn by circulant embedding: a path then costs O(m log m)
 for an embedding of m points against 2n^2 for the Cholesky product.
 Where no embedding exists, because it stays negative at every doubling
-that fits the memory cap and the Cholesky factor's bytes, or needs lags past
-a table model's last one, the default falls back to Cholesky; an explicit
-``method`` never falls back.
+whose one path fits the memory cap and the Cholesky factor's bytes, or needs
+lags past a table model's last one, the default falls back to Cholesky, and
+to heavier doublings if the gram fails Cholesky; an explicit ``method``
+never falls back.
 
 Each path draws from its own counter-based stream (see :mod:`superconc.rng`),
 so batches are bit-reproducible regardless of chunking or scheduling.
@@ -153,23 +154,23 @@ def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
 
 
 def circulant_embedding(
-    model: CovarianceModel, shape, spacing: float = 1.0, max_bytes: int | None = None
+    model: CovarianceModel, shape, spacing: float = 1.0, *, max_bytes: int
 ) -> tuple[np.ndarray, int]:
     """Nonnegative eigenvalues of a circulant embedding of the lattice gram.
 
     ``shape`` is the lattice, an int for a sequence.  The embedding starts
     at twice the lattice per axis and doubles until the FFT eigenvalues are
     nonnegative within a relative tolerance; residual roundoff is clipped.
-    A doubling is not tried when one path of it would exceed ``max_bytes``,
-    by default the memory cap, since no path of it could be drawn.  Returns
-    the eigenvalues, shaped like the embedding, and their count m.
+    No doubling is tried whose one path would exceed ``max_bytes``; the
+    smallest embedding always is.  Returns the eigenvalues, shaped like the
+    embedding, and their count m.
     """
     shape = tuple(int(s) for s in np.atleast_1d(shape))
     tried = []
     worst = math.inf
     for k in range(EMBED_MAX_DOUBLINGS + 1):
         ms = tuple(2 * s * 2**k for s in shape)
-        if k and DRAW_BYTES_PER_ELEM * math.prod(ms) > (max_bytes or capacity_bytes()):
+        if k and DRAW_BYTES_PER_ELEM * math.prod(ms) > max_bytes:
             break
         sq = sum(np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in ms)))
         eig = np.fft.fftn(evaluate(model, spacing * np.sqrt(sq))).real
@@ -218,7 +219,8 @@ def make_plan(
     Without ``method`` a lattice above ``CHOLESKY_MAX_N`` points is embedded,
     or factored by Cholesky if the embedding fails (:class:`EmbeddingError`
     or :class:`TableRangeError`) at every doubling whose one path needs no
-    more bytes than the Cholesky factor; the plan's ``method`` is the one used.
+    more bytes than the Cholesky factor, and embedded at a heavier doubling
+    if the gram then fails Cholesky; the plan's ``method`` is the one used.
     """
     if min(shape) < 1:
         raise ValueError("the lattice needs at least one point per axis")
@@ -233,16 +235,34 @@ def make_plan(
         # gram is the identity; both factorizations reduce to raw noise
         return LatticePlan(method, shape, None)
     if method == "circulant":
-        limit = min(capacity_bytes(), _cholesky_bytes(n)) if fallback else None
+        cap = capacity_bytes()
+        # the default route goes on to the doublings whose one path outweighs
+        # the Cholesky factor only if that factor fails, trying the lighter
+        # ones again first
         try:
-            eig, _ = circulant_embedding(model, shape, spacing, limit)
+            return _circulant_plan(
+                model, shape, spacing, min(cap, _cholesky_bytes(n)) if fallback else cap)
         except (EmbeddingError, TableRangeError):
             if not fallback:
                 raise
-        else:
-            half = eig[..., : eig.shape[-1] // 2 + 1]
-            return LatticePlan(method, shape, np.sqrt(half), eig.shape)
-    _check_capacity(_cholesky_bytes(n))
+        try:
+            return _cholesky_plan(model, shape, spacing)
+        except DecompositionError as err:
+            try:
+                return _circulant_plan(model, shape, spacing, cap)
+            except (EmbeddingError, TableRangeError):
+                raise err from None
+    return _cholesky_plan(model, shape, spacing)
+
+
+def _circulant_plan(model, shape, spacing, max_bytes) -> LatticePlan:
+    eig, _ = circulant_embedding(model, shape, spacing, max_bytes=max_bytes)
+    half = eig[..., : eig.shape[-1] // 2 + 1]
+    return LatticePlan("circulant", shape, np.sqrt(half), eig.shape)
+
+
+def _cholesky_plan(model, shape, spacing) -> LatticePlan:
+    _check_capacity(_cholesky_bytes(math.prod(shape)))
     gram = gram_matrix(model, _lattice_points(shape, spacing))
     return LatticePlan("cholesky", shape, _cholesky_factor(gram))
 

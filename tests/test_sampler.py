@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from superconc.covariance import CovarianceModel, TableRangeError, evaluate, gram_matrix
 from superconc.sampler import (
+    DEFAULT_CAP_BYTES,
     CapacityError,
     DecompositionError,
     EmbeddingError,
@@ -161,6 +162,30 @@ def test_default_route_tries_no_embedding_heavier_than_its_fallback(monkeypatch)
     assert np.array_equal(plan.factor, np.eye(1000))
 
 
+def test_default_route_embeds_past_its_fallback_when_cholesky_fails():
+    # the Gaussian-smooth 10^3 gram fails Cholesky at minor 60, so the default
+    # route goes on past 40^3 to the 80^3 embedding an explicit circulant finds
+    gs = CovarianceModel("gaussian_smooth", lam2=0.05)
+    with pytest.raises(DecompositionError):
+        make_plan(gs, (10, 10, 10), method="cholesky")
+    plan = make_plan(gs, (10, 10, 10))
+    assert plan.method == "circulant" and plan.embed_shape == (80, 80, 80)
+    explicit = make_plan(gs, (10, 10, 10), method="circulant")
+    assert np.array_equal(draw_rows(plan, 2, seed=1), draw_rows(explicit, 2, seed=1))
+
+
+@pytest.mark.parametrize("rate, default", [(0.3, (40, 40, 40)), (0.2, None)])
+def test_default_route_prefers_cholesky_to_an_embedding_heavier_than_it(rate, default):
+    # at rate 0.3 the 10^3 OU lattice embeds at 40^3, 2 MB a path; at rate
+    # 0.2 only at 80^3, 16.4 MB a path against the 16 MB Cholesky factor
+    ou = CovarianceModel("ornstein_uhlenbeck", rate=rate)
+    explicit = make_plan(ou, (10, 10, 10), method="circulant")
+    assert explicit.embed_shape == (default or (80, 80, 80))
+    plan = make_plan(ou, (10, 10, 10))
+    assert plan.embed_shape == default
+    assert plan.method == ("circulant" if default else "cholesky")
+
+
 def test_fallback_reports_the_cholesky_failure():
     # the stubborn table's gram is indefinite from 3 points on, so neither
     # method draws 1000 points of it
@@ -188,7 +213,7 @@ def test_unknown_method_rejected(ou):
 
 
 def test_circulant_embedding_base_size(ou):
-    eig, m = circulant_embedding(ou, 4)
+    eig, m = circulant_embedding(ou, 4, max_bytes=DEFAULT_CAP_BYTES)
     assert m == 8
     assert np.all(eig >= 0)
     # eigenvalues are the DFT of the symmetrized first row phi(0..4) + mirror
@@ -198,7 +223,7 @@ def test_circulant_embedding_base_size(ou):
 
 
 def test_circulant_embedding_smooth_model_pads(gs):
-    eig, m = circulant_embedding(gs, 16)
+    eig, m = circulant_embedding(gs, 16, max_bytes=DEFAULT_CAP_BYTES)
     assert m % 32 == 0
     assert np.all(eig >= 0)
 
@@ -216,7 +241,7 @@ def test_embedding_failure_reports_sizes():
         "table", table=((0.0, 1.0), (1.0, 0.9), (2.0, 0.0), (1000.0, 0.0))
     )
     with pytest.raises(EmbeddingError) as exc:
-        circulant_embedding(stubborn, 2)
+        circulant_embedding(stubborn, 2, max_bytes=DEFAULT_CAP_BYTES)
     assert exc.value.worst < 0
     assert len(exc.value.sizes) >= 1
 
