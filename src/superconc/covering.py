@@ -47,16 +47,28 @@ class TrivialCoveringError(BoundError):
 
 @dataclass
 class Covering:
-    blocks: list[np.ndarray] = field(repr=False)  # 0-based index arrays
+    indptr: np.ndarray = field(repr=False)  # block b is indices[indptr[b]:indptr[b + 1]]
+    indices: np.ndarray = field(repr=False)  # int64 0-based index sets, end to end
     r0: float = 0.0
     multiplicity: int = 1
     provenance: str = "singletons"
     n: int = 0
 
+    @classmethod
+    def from_blocks(cls, blocks, **kw) -> Covering:
+        """The covering of the given index arrays, each taken as a set."""
+        sets = [np.unique(np.asarray(b, dtype=np.int64)) for b in blocks]
+        indptr = np.cumsum([0] + [len(b) for b in sets], dtype=np.int64)
+        return cls(indptr, np.concatenate([indptr[:0], *sets]), **kw)
+
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """Each block as a view of ``indices``, for per-block readers."""
+        return np.split(self.indices, self.indptr[1:-1]) if len(self.indptr) > 1 else []
+
 
 def singleton_covering(n: int, r0: float = 0.0) -> Covering:
-    blocks = [np.array([i]) for i in range(n)]
-    return Covering(blocks, r0=r0, multiplicity=1, provenance="singletons", n=n)
+    return Covering(np.arange(n + 1), np.arange(n), r0=r0, n=n)
 
 
 def build_sequence_covering(n: int, alpha: float) -> Covering:
@@ -75,13 +87,13 @@ def build_sequence_covering(n: int, alpha: float) -> Covering:
             f"2*floor(n^alpha) = {2 * m} >= n = {n}: a single block would "
             "cover everything; lower alpha"
         )
-    k_max = math.ceil(n / m) - 1
-    blocks = []
-    for k in range(1, k_max + 1):
-        lo = max(1, (k - 1) * m)
-        hi = min(n, (k + 1) * m)
-        blocks.append(np.arange(lo - 1, hi))
-    return Covering(blocks, r0=math.nan, multiplicity=3, provenance="sequence-blocks", n=n)
+    k = np.arange(1, math.ceil(n / m))
+    lo = np.maximum(1, (k - 1) * m) - 1
+    indptr = np.concatenate([[0], np.cumsum(np.minimum(n, (k + 1) * m) - lo)])
+    # block b is lo[b], lo[b] + 1, ...: a ramp that restarts at each block
+    indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - lo, np.diff(indptr))
+    return Covering(indptr, indices, r0=math.nan, multiplicity=3,
+                    provenance="sequence-blocks", n=n)
 
 
 def verify_covering(cov: Covering, gram: np.ndarray, r0: float):
@@ -93,9 +105,7 @@ def verify_covering(cov: Covering, gram: np.ndarray, r0: float):
     n = gram.shape[0]
     if cov.n != n:
         raise ValueError("covering size does not match gram dimension")
-    counts = np.zeros(n, dtype=np.int64)
-    for idx in cov.blocks:
-        counts[idx] += 1  # an index repeated within a block counts once
+    counts = np.bincount(cov.indices, minlength=n)  # blocks holding each index
     if counts.max(initial=0) > cov.multiplicity:
         return False, ("multiplicity", int(np.argmax(counts)))
 
@@ -127,12 +137,9 @@ def rho_monte_carlo(cov: Covering, argmax_indices) -> RhoEstimate:
     if npaths < MC_RHO_MIN_PATHS:
         raise ValueError(f"Monte Carlo rho needs >= {MC_RHO_MIN_PATHS} paths")
     hist = np.bincount(idx, minlength=cov.n)
-    # every block's count at once: the running total of the histogram over
-    # the concatenated blocks, differenced at block ends (exact in integers)
-    sizes = np.fromiter(map(len, cov.blocks), np.int64, len(cov.blocks))
-    ends = np.cumsum(sizes)
-    total = np.concatenate([[0], np.cumsum(hist[np.concatenate(cov.blocks)])])
-    rho = float(np.max(total[ends] - total[ends - sizes]) / npaths)
+    # block sums: hist's running total over indices, differenced at indptr (exact in integers)
+    total = np.concatenate([[0], np.cumsum(hist[cov.indices])])
+    rho = float(np.max(np.diff(total[cov.indptr])) / npaths)
     se = math.sqrt(max(rho * (1 - rho), 1.0 / npaths) / npaths)
     return RhoEstimate(rho, "monte_carlo", se=se, degenerate=rho >= 1.0)
 
@@ -196,7 +203,7 @@ class BoundReport:
         for k, v in self.__dict__.items():
             if k == "covering":
                 if v is not None:
-                    out["covering_blocks"] = len(v.blocks)
+                    out["covering_blocks"] = len(v.indptr) - 1
                     out["covering_multiplicity"] = v.multiplicity
                     out["covering_provenance"] = v.provenance
             elif v is not None:
@@ -280,8 +287,7 @@ def greedy_net(points: np.ndarray, s0: float) -> np.ndarray:
     s0 of it out of the free set.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = pts[:, None] if pts.ndim == 1 else pts
     free = np.ones(pts.shape[0], dtype=bool)
     kept: list[int] = []
     for i in range(pts.shape[0]):
@@ -300,8 +306,7 @@ def verify_net(points: np.ndarray, net_idx: np.ndarray, s0: float):
     farthest from the net.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = pts[:, None] if pts.ndim == 1 else pts
     net = pts[net_idx]
     best, pair = np.inf, (0, 0)
     for i in range(len(net) - 1):
@@ -323,17 +328,12 @@ def net_ball_covering(points: np.ndarray, net_idx: np.ndarray, radius: float,
                       r0: float) -> Covering:
     """Blocks = balls of the given radius around net points."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    blocks = []
-    for i in net_idx:
-        d2 = np.sum((pts - pts[i]) ** 2, axis=1)
-        blocks.append(np.nonzero(d2 <= radius * radius)[0])
-    member_count = np.zeros(pts.shape[0], dtype=int)
-    for b in blocks:
-        member_count[b] += 1
-    return Covering(blocks, r0=r0, multiplicity=int(member_count.max()),
-                    provenance="field-net", n=pts.shape[0])
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    blocks = [np.nonzero(np.sum((pts - pts[i]) ** 2, axis=1) <= radius * radius)[0]
+              for i in net_idx]
+    cov = Covering.from_blocks(blocks, r0=r0, provenance="field-net", n=pts.shape[0])
+    cov.multiplicity = int(np.bincount(cov.indices, minlength=cov.n).max())
+    return cov
 
 
 def estimate_field_growth(

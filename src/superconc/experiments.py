@@ -296,6 +296,11 @@ def validate(config: ExperimentConfig) -> list[str]:
             f"capacity: factoring the lattice of {math.prod(shape)} points and "
             f"drawing one path needs ~{need} bytes, cap is {capacity_bytes()}"
         )
+    # a correlated bound draws nothing, but its singleton covering holds two
+    # int64 arrays of n + 1 and n entries
+    if config.kind == "correlated_bound" and (cover := 16 * config.sizes[0]) > capacity_bytes():
+        diags.append(f"capacity: the singleton covering of {config.sizes[0]} points needs "
+                     f"~{cover} bytes, cap is {capacity_bytes()}")
     return diags
 
 

@@ -22,7 +22,10 @@ to heavier doublings if the gram fails Cholesky; an explicit ``method``
 never falls back.
 
 Each path draws from its own counter-based stream (see :mod:`superconc.rng`),
-so batches are bit-reproducible regardless of chunking or scheduling.
+so a path does not depend on scheduling.  Circulant and iid draws are also
+bit-identical across blocks of rows; Cholesky draws move with the block by a
+few ulp, because BLAS rounds a row of ``noise @ factor.T`` by the number of
+rows in the product.
 """
 
 from __future__ import annotations

@@ -315,6 +315,15 @@ def test_bound_that_draws_nothing_ignores_the_cap(tmp_path, capsys, monkeypatch,
     assert json.loads(capsys.readouterr().out)["n"] == 2048
 
 
+def test_correlated_bound_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
+    # the singleton covering of 10^6 points needs 16 MB (2048 points run, above)
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
+    assert main(["--out", str(tmp_path / "b"), "bound", "--pipeline", "correlated",
+                 "--n", str(10**6)]) == 2
+    assert "config error: capacity: the singleton covering" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 # Cholesky factors these tables at 1000 points, but no circulant embeds them:
 # one turns to -1 past the lattice's lags, the other ends at lag 999
 PD_HEAD = [[0, 1], [1, 0.5], [2, 0.2], [3, 0], [999, 0]]

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from superconc.covariance import CovarianceModel, evaluate, gram_matrix
 from superconc.extremes import sample_maxima
+from superconc.sampler import plan_bytes
 from superconc.covering import (
     DEFAULT_C_SUD,
     BoundError,
@@ -45,6 +48,21 @@ def test_block_construction_worked_example():
     assert list(cov.blocks[1]) == list(range(3, 12))
     assert list(cov.blocks[2]) == list(range(7, 16))
     assert cov.multiplicity == 3
+
+
+@pytest.mark.parametrize("n", [3, 10, 16, 17, 100, 257, 1000, 4097])
+def test_sequence_blocks_equal_the_per_k_loop(n):
+    for alpha in (0.1, 0.25, 0.3, 0.45, 0.5, 0.55, 0.6, 0.7, 0.9):
+        m = int(math.floor(n**alpha))
+        if 2 * m >= n:
+            continue
+        want = [np.arange(max(1, (k - 1) * m) - 1, min(n, (k + 1) * m))
+                for k in range(1, math.ceil(n / m))]
+        cov = build_sequence_covering(n, alpha)
+        assert cov.indptr.dtype == cov.indices.dtype == np.int64
+        assert len(cov.indptr) - 1 == len(cov.blocks) == len(want)
+        for got, ref in zip(cov.blocks, want):
+            assert np.array_equal(got, ref)
 
 
 def test_block_construction_covers_all_indices():
@@ -90,8 +108,8 @@ def test_verify_covering_accepts_and_witnesses(ou):
     ok, witness = verify_covering(cov, g, r0)
     assert ok and witness is None
     # drop the middle block: some close pair loses its shared block
-    broken = Covering(cov.blocks[:1] + cov.blocks[2:], r0=cov.r0,
-                      multiplicity=3, provenance="broken", n=n)
+    broken = Covering.from_blocks(cov.blocks[:1] + cov.blocks[2:], r0=cov.r0,
+                                  multiplicity=3, provenance="broken", n=n)
     ok, witness = verify_covering(broken, g, r0)
     assert not ok
     assert witness[0] == "pair"
@@ -100,7 +118,7 @@ def test_verify_covering_accepts_and_witnesses(ou):
 def test_verify_covering_multiplicity_witness(iid):
     n = 6
     blocks = [np.arange(6), np.arange(6), np.arange(6), np.arange(6)]
-    cov = Covering(blocks, multiplicity=3, n=n)
+    cov = Covering.from_blocks(blocks, multiplicity=3, n=n)
     ok, witness = verify_covering(cov, gram_matrix(iid, np.arange(n)), 0.5)
     assert not ok
     assert witness[0] == "multiplicity"
@@ -134,7 +152,7 @@ def test_verify_covering_matches_pairwise_reference(seed):
     if seed % 4 == 1:
         blocks += [np.array([n - 1])] * 4  # an over-covered index
     for mult in (1, 2, 3, 16):
-        cov = Covering(blocks, multiplicity=mult, n=n)
+        cov = Covering.from_blocks(blocks, multiplicity=mult, n=n)
         for r0 in (0.0, 0.6, 0.9, 1.0):
             assert verify_covering(cov, gram, r0) == _verify_covering_pairwise(cov, gram, r0)
 
@@ -145,7 +163,8 @@ def test_verify_covering_matches_pairwise_reference_on_sequence_blocks(ou):
     g = gram_matrix(ou, np.arange(n))
     r0 = float(evaluate(ou, 8.0))
     for drop in range(len(cov.blocks)):
-        broken = Covering(cov.blocks[:drop] + cov.blocks[drop + 1:], multiplicity=3, n=n)
+        broken = Covering.from_blocks(cov.blocks[:drop] + cov.blocks[drop + 1:],
+                                      multiplicity=3, n=n)
         assert verify_covering(broken, g, r0) == _verify_covering_pairwise(broken, g, r0)
     assert verify_covering(cov, g, r0) == (True, None)
 
@@ -202,6 +221,38 @@ def test_singleton_covering():
     assert cov.multiplicity == 1
 
 
+def test_singleton_covering_holds_two_arrays():
+    n = 10**6
+    cov = singleton_covering(n)
+    assert [f.name for f in fields(cov)][:2] == ["indptr", "indices"]
+    assert [type(getattr(cov, f.name)) for f in fields(cov)] == [
+        np.ndarray, np.ndarray, float, int, str, int]
+    assert np.array_equal(cov.indptr, np.arange(n + 1))
+    assert np.array_equal(cov.indices, np.arange(n))
+
+
+def test_iid_sequence_bound_fits_the_bytes_validate_counts(iid):
+    # validate sizes this run by one path of the lattice; the covering and
+    # Monte Carlo rho have to fit in that
+    n = 10**6
+    tracemalloc.start()
+    try:
+        sequence_bound(iid, n, 0.5, batch=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= plan_bytes(iid, (n,))
+
+
+def test_covering_from_blocks_takes_each_block_as_a_set():
+    cov = Covering.from_blocks([[3, 1, 3], [], [0, 2, 1]], n=4)
+    assert cov.indptr.tolist() == [0, 2, 2, 5]
+    assert cov.indices.tolist() == [1, 3, 0, 1, 2]
+    assert [b.tolist() for b in cov.blocks] == [[1, 3], [], [0, 1, 2]]
+    empty = Covering.from_blocks([], n=4)
+    assert empty.indptr.tolist() == [0] and empty.blocks == []
+
+
 def test_rho_monte_carlo_histogram():
     cov = build_sequence_covering(16, 0.5)
     argmax = np.tile(np.arange(16), 700)  # uniform argmax, 11200 paths
@@ -217,11 +268,13 @@ def test_rho_monte_carlo_histogram():
 @given(st.lists(st.lists(st.integers(0, 11), max_size=12), min_size=1, max_size=8),
        st.integers(0, 2**32 - 1))
 def test_rho_monte_carlo_equals_the_per_block_sums(blocks, seed):
-    # blocks may overlap, repeat an index, run out of order or be empty
-    cov = Covering([np.array(b, dtype=np.int64) for b in blocks], n=12)
+    # blocks may overlap, repeat an index, run out of order or be empty; a
+    # block is a set, so a repeated index counts once, as in verify_covering
+    cov = Covering.from_blocks(blocks, n=12)
     argmax = np.random.default_rng(seed).integers(0, 12, 10**4)
     hist = np.bincount(argmax, minlength=12)
-    want = max(int(hist[b].sum()) for b in cov.blocks) / argmax.size
+    want = max(int(hist[np.unique(np.array(b, dtype=np.int64))].sum()) for b in blocks)
+    want /= argmax.size
     assert rho_monte_carlo(cov, argmax).rho == want
 
 

@@ -119,6 +119,15 @@ def test_validate_iid_maxima_draw_no_path(tmp_path):
         assert diag.startswith("capacity: factoring the lattice of 100000000 points")
 
 
+def test_validate_counts_the_singleton_covering(tmp_path, monkeypatch):
+    # a correlated bound draws no path but holds its covering, 16 bytes a point
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(10**6))
+    assert validate(_cfg(tmp_path, kind="correlated_bound", sizes=(6 * 10**4,))) == []
+    [diag] = validate(_cfg(tmp_path, kind="correlated_bound", sizes=(7 * 10**4,)))
+    assert diag == ("capacity: the singleton covering of 70000 points needs ~1120000 "
+                    "bytes, cap is 1000000")
+
+
 def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):
     field = dict(kind="field_bound", model=SMOOTH,
                  params={"d": 2, "extent": 96.0, "growth_batch": 400})
