@@ -10,7 +10,10 @@ and :func:`draw_rows` samples it as often as needed.  Two exact methods:
   circulant C whose eigenvalues lambda are the FFT of its first row, then
   draw with real noise xi as X = C^{1/2} xi = irfftn(sqrt(lambda) *
   rfftn(xi)) and crop to the lattice (Wood & Chan 1994; Dietrich & Newsam
-  1997); the fast path for large lattices.
+  1997); the fast path for large lattices.  An axis of s points embeds in
+  m >= 2(s - 1) points, the fewest whose wrapped lags min(k, m - k) reach
+  every lag of the axis, rounded up to a 5-smooth m so that the FFT never
+  falls back to Bluestein's algorithm for a large prime factor.
 
 By default a lattice of more than ``CHOLESKY_MAX_N`` points, in any
 dimension, is drawn by circulant embedding: a path then costs O(m log m)
@@ -43,7 +46,9 @@ DEFAULT_CAP_BYTES = 2**31
 # the default method switches to circulant above this many lattice points:
 # with BLAS on one thread, 1e4 OU maxima draw in the same time by either
 # method at 768 points and twice as fast by circulant at 1024, and a 2-d
-# Gaussian-smooth grid breaks even between 23 x 23 and 25 x 25
+# Gaussian-smooth grid breaks even between 23 x 23 and 25 x 25.  Both were
+# measured with embeddings of twice the lattice per axis, before the base
+# size became 5-smooth; the switch stays at 768 so that no run moves method
 CHOLESKY_MAX_N = 768
 EMBED_REL_TOL = 1e-10
 EMBED_MAX_DOUBLINGS = 6
@@ -156,23 +161,45 @@ def _cholesky_factor(gram: np.ndarray) -> np.ndarray:
         raise DecompositionError(lo) from None
 
 
+def fast_size(k: int) -> int:
+    """The smallest 5-smooth whole number >= k, for k >= 1: an FFT of that
+    length runs on the radices 2, 3 and 5 alone."""
+    best = 1 << (k - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that takes it to k or past
+            best = min(best, p35 << ((k - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def base_embedding(shape) -> tuple[int, ...]:
+    """The smallest embedding tried for the lattice of ``shape``: per axis of
+    s points the 5-smooth m >= max(2(s - 1), 2), whose wrapped lags
+    min(k, m - k) reach every lag 0..s - 1 of the axis."""
+    return tuple(fast_size(max(2 * (s - 1), 2)) for s in shape)
+
+
 def circulant_embedding(
     model: CovarianceModel, shape, spacing: float = 1.0, *, max_bytes: int
 ) -> tuple[np.ndarray, int]:
     """Nonnegative eigenvalues of a circulant embedding of the lattice gram.
 
     ``shape`` is the lattice, an int for a sequence.  The embedding starts
-    at twice the lattice per axis and doubles until the FFT eigenvalues are
+    at :func:`base_embedding` and doubles until the FFT eigenvalues are
     nonnegative within a relative tolerance; residual roundoff is clipped.
     No doubling is tried whose one path would exceed ``max_bytes``; the
     smallest embedding always is.  Returns the eigenvalues, shaped like the
     embedding, and their count m.
     """
-    shape = tuple(int(s) for s in np.atleast_1d(shape))
+    base = base_embedding(int(s) for s in np.atleast_1d(shape))
     tried = []
     worst = math.inf
     for k in range(EMBED_MAX_DOUBLINGS + 1):
-        ms = tuple(2 * s * 2**k for s in shape)
+        ms = tuple(m << k for m in base)
         if k and DRAW_BYTES_PER_ELEM * math.prod(ms) > max_bytes:
             break
         sq = sum(np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in ms)))
@@ -202,11 +229,11 @@ def _cholesky_bytes(n: int) -> int:
 def plan_bytes(model: CovarianceModel, shape) -> int:
     """Working bytes to factor the lattice with the default method and draw
     one path: the gram and its Cholesky factor (none for the iid model), or
-    one path at the smallest embedding (twice the lattice per axis).  A
+    one path at the smallest embedding (:func:`base_embedding`).  A
     fallback to Cholesky meets the cap in :func:`make_plan` instead."""
     n = math.prod(shape)
     if _default_method(n) == "circulant":
-        return DRAW_BYTES_PER_ELEM * 2 ** len(shape) * n
+        return DRAW_BYTES_PER_ELEM * math.prod(base_embedding(shape))
     factor = 0 if model.kind == "iid" else _cholesky_bytes(n)
     return max(factor, DRAW_BYTES_PER_ELEM * n)
 

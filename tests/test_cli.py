@@ -104,7 +104,7 @@ STUBBORN = [[0, 1], [1, 0.9], [2, 0], [1000, 0]]  # as in test_embedding_failure
     (["verify", "variance_scaling", "--sizes", "64", "--batch", "50", "--cov",
       json.dumps({"kind": "table", "table": STUBBORN[:3] + [[100000, 0]]})],
      "leading minor of order 3 fails Cholesky"),
-    (["sample", "--method", "circulant", "--n", "2", "--cov",
+    (["sample", "--method", "circulant", "--n", "3", "--cov",
       json.dumps({"kind": "table", "table": STUBBORN})],
      "most negative eigenvalue -8.000e-01"),
 ], ids=["table-range", "cholesky", "embedding"])

@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 from superconc.covariance import CovarianceModel, TableRangeError, evaluate, gram_matrix
 from superconc.sampler import (
     DEFAULT_CAP_BYTES,
+    DRAW_BYTES_PER_ELEM,
+    EMBED_MAX_DOUBLINGS,
     CapacityError,
     DecompositionError,
     EmbeddingError,
+    base_embedding,
     circulant_embedding,
     draw_rows,
+    fast_size,
     grid_geometry,
     grid_points,
     make_plan,
+    plan_bytes,
     sample_sequence,
 )
 
@@ -119,33 +124,40 @@ def test_fallback_over_the_cap_raises_before_the_gram(monkeypatch):
         make_plan(SHORT_TABLE, (1000,))
 
 
+# The 7 x 8 x 14 lattice embeds at 12 x 15 x 27 points, and each doubling
+# takes 8 times the memory: one path at 24 x 30 x 54 needs 1.24 MB, at
+# 48 x 60 x 108 9.95 MB, just over the 9.83 MB of the 784-point gram and its
+# Cholesky factor, and at 96 x 120 x 216 79.6 MB.
+BOX = (7, 8, 14)
+BOX_EMBEDDINGS = [(12, 15, 27), (24, 30, 54), (48, 60, 108)]
+# phi = 1, 0.172 at lag 1 and 0 past it: the gram is I + 0.172 times the grid
+# graph's adjacency, positive definite since that adjacency's top eigenvalue
+# is 5.68 < 1 / 0.172.  On the torus of every embedding the adjacency reaches
+# -5.94 or below, so no embedding is nonnegative
+NO_EMBEDDING = CovarianceModel(
+    "table", table=((0.0, 1.0), (1.0, 0.172), (1.2, 0.0), (1e4, 0.0)))
+
+
 def test_3d_default_falls_back_before_the_embedding_outgrows_the_cap(monkeypatch):
-    # the 10^3 gram is the identity (phi = 0 from lag 1 to the lattice's
-    # longest, 15.6); every embedding meets phi = -1 past it.  Each doubling
-    # takes 8 times the memory: one path at 80^3 points needs 16.4 MB, over
-    # the cap, while the fallback's gram and factor need 16 MB.  Two doublings
-    # at most, so that a broken cap check costs 16 MB here, not 640^3 points
-    table = ((0.0, 1.0), (1.0, 0.0), (15.6, 0.0), (16.0, -1.0), (1e6, -1.0))
-    model = CovarianceModel("table", table=table)
-    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(16_100_000))
+    # under a 9.9 MB cap an explicit circulant stops before 48 x 60 x 108,
+    # while the fallback's gram and factor fit.  Two doublings at most, so
+    # that a broken cap check costs 10 MB here, not 768 x 960 x 1728 points
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(9_900_000))
     monkeypatch.setattr("superconc.sampler.EMBED_MAX_DOUBLINGS", 2)
     with pytest.raises(EmbeddingError) as exc:
-        make_plan(model, (10, 10, 10), method="circulant")
-    assert exc.value.sizes == [(20, 20, 20), (40, 40, 40)]
-    assert make_plan(model, (10, 10, 10)).method == "cholesky"
+        make_plan(NO_EMBEDDING, BOX, method="circulant")
+    assert exc.value.sizes == BOX_EMBEDDINGS[:2]
+    assert make_plan(NO_EMBEDDING, BOX).method == "cholesky"
 
 
 def test_default_route_tries_no_embedding_heavier_than_its_fallback(monkeypatch):
-    # the 10^3 gram is the identity, but no embedding is nonnegative.  Under
-    # a 20 MB cap an explicit circulant tries up to 80^3, whose one path needs
-    # 16.4 MB; the default route stops at 40^3, under the 16 MB of the
-    # Cholesky factor it falls back to
-    table = ((0.0, 1.0), (1.0, 0.0), (16.0, 0.0), (16.5, -0.3), (400.0, -0.3))
-    model = CovarianceModel("table", table=table)
+    # under a 20 MB cap an explicit circulant tries up to 48 x 60 x 108; the
+    # default route stops at 24 x 30 x 54, under the 9.83 MB of the Cholesky
+    # factor it falls back to
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(20 * 10**6))
     with pytest.raises(EmbeddingError) as exc:
-        make_plan(model, (10, 10, 10), method="circulant")
-    assert exc.value.sizes == [(20, 20, 20), (40, 40, 40), (80, 80, 80)]
+        make_plan(NO_EMBEDDING, BOX, method="circulant")
+    assert exc.value.sizes == BOX_EMBEDDINGS
     tried = []
 
     def recording(*a, **k):
@@ -156,32 +168,35 @@ def test_default_route_tries_no_embedding_heavier_than_its_fallback(monkeypatch)
             raise
 
     monkeypatch.setattr("superconc.sampler.circulant_embedding", recording)
-    plan = make_plan(model, (10, 10, 10))
-    assert tried == [[(20, 20, 20), (40, 40, 40)]]
+    plan = make_plan(NO_EMBEDDING, BOX)
+    assert tried == [BOX_EMBEDDINGS[:2]]
     assert plan.method == "cholesky"
-    assert np.array_equal(plan.factor, np.eye(1000))
+    gram = gram_matrix(NO_EMBEDDING, grid_points(3, [6.0, 7.0, 13.0], 1.0))
+    assert np.allclose(plan.factor @ plan.factor.T, gram, rtol=0, atol=1e-12)
 
 
 def test_default_route_embeds_past_its_fallback_when_cholesky_fails():
-    # the Gaussian-smooth 10^3 gram fails Cholesky at minor 60, so the default
-    # route goes on past 40^3 to the 80^3 embedding an explicit circulant finds
-    gs = CovarianceModel("gaussian_smooth", lam2=0.05)
+    # the Gaussian-smooth gram of the box fails Cholesky at minor 546, so the
+    # default route goes on past 24 x 30 x 54 to the 48 x 60 x 108 embedding
+    # an explicit circulant finds
+    gs = CovarianceModel("gaussian_smooth", lam2=0.15)
     with pytest.raises(DecompositionError):
-        make_plan(gs, (10, 10, 10), method="cholesky")
-    plan = make_plan(gs, (10, 10, 10))
-    assert plan.method == "circulant" and plan.embed_shape == (80, 80, 80)
-    explicit = make_plan(gs, (10, 10, 10), method="circulant")
+        make_plan(gs, BOX, method="cholesky")
+    plan = make_plan(gs, BOX)
+    assert plan.method == "circulant" and plan.embed_shape == BOX_EMBEDDINGS[2]
+    explicit = make_plan(gs, BOX, method="circulant")
     assert np.array_equal(draw_rows(plan, 2, seed=1), draw_rows(explicit, 2, seed=1))
 
 
-@pytest.mark.parametrize("rate, default", [(0.3, (40, 40, 40)), (0.2, None)])
+@pytest.mark.parametrize("rate, default", [(0.3, BOX_EMBEDDINGS[1]), (0.2, None)])
 def test_default_route_prefers_cholesky_to_an_embedding_heavier_than_it(rate, default):
-    # at rate 0.3 the 10^3 OU lattice embeds at 40^3, 2 MB a path; at rate
-    # 0.2 only at 80^3, 16.4 MB a path against the 16 MB Cholesky factor
+    # at spacing 1.5 and rate 0.3 the OU box embeds at 24 x 30 x 54, 1.24 MB
+    # a path; at rate 0.2 only at 48 x 60 x 108, 9.95 MB a path against the
+    # 9.83 MB Cholesky factor
     ou = CovarianceModel("ornstein_uhlenbeck", rate=rate)
-    explicit = make_plan(ou, (10, 10, 10), method="circulant")
-    assert explicit.embed_shape == (default or (80, 80, 80))
-    plan = make_plan(ou, (10, 10, 10))
+    explicit = make_plan(ou, BOX, 1.5, method="circulant")
+    assert explicit.embed_shape == (default or BOX_EMBEDDINGS[2])
+    plan = make_plan(ou, BOX, 1.5)
     assert plan.embed_shape == default
     assert plan.method == ("circulant" if default else "cholesky")
 
@@ -213,19 +228,78 @@ def test_unknown_method_rejected(ou):
 
 
 def test_circulant_embedding_base_size(ou):
+    # 4 points need lags 0..3, which a circulant of 2 (4 - 1) = 6 points holds
     eig, m = circulant_embedding(ou, 4, max_bytes=DEFAULT_CAP_BYTES)
-    assert m == 8
+    assert m == 6
     assert np.all(eig >= 0)
-    # eigenvalues are the DFT of the symmetrized first row phi(0..4) + mirror
-    wrapped = np.minimum(np.arange(8), 8 - np.arange(8))
+    # eigenvalues are the DFT of the symmetrized first row phi(0..3) + mirror
+    wrapped = np.minimum(np.arange(6), 6 - np.arange(6))
     row = np.exp(-wrapped.astype(float))
     assert np.allclose(eig, np.fft.fft(row).real)
 
 
 def test_circulant_embedding_smooth_model_pads(gs):
+    # 16 points embed at the 5-smooth 30 or a doubling of it
     eig, m = circulant_embedding(gs, 16, max_bytes=DEFAULT_CAP_BYTES)
-    assert m % 32 == 0
+    assert m in [30 << k for k in range(EMBED_MAX_DOUBLINGS + 1)]
     assert np.all(eig >= 0)
+
+
+def _five_smooth_at_least(k):
+    m = max(k, 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+def test_fast_size_is_the_smallest_five_smooth_size():
+    assert [fast_size(k) for k in range(1, 10_001)] == [
+        _five_smooth_at_least(k) for k in range(1, 10_001)]
+    # the 97-point axis of a field grid embeds at 192, not at 2 x 97 = 194
+    assert base_embedding((97, 97)) == (192, 192)
+    assert base_embedding((1, 2, 3, 769)) == (2, 2, 4, 1536)
+
+
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (5,), (97,), (769,), (7, 9)], ids=_shape_id)
+@pytest.mark.parametrize("model", [CovarianceModel("ornstein_uhlenbeck", rate=0.5),
+                                   CovarianceModel("gaussian_smooth", lam2=2.0)],
+                         ids=["ou", "smooth"])
+def test_cropped_circulant_is_the_gram(model, shape):
+    # the circulant the plan draws from has first row irfftn(lambda); at the
+    # base size, read at every pair of lattice points, it is their gram entry
+    plan = make_plan(model, shape, method="circulant")
+    assert plan.embed_shape == base_embedding(shape)
+    row = np.fft.irfftn(plan.factor**2, s=plan.embed_shape, axes=range(len(shape)))
+    index = np.indices(shape).reshape(len(shape), -1)
+    lags = (index[:, None, :] - index[:, :, None]) % np.array(plan.embed_shape)[:, None, None]
+    points = grid_points(len(shape), [s - 1.0 for s in shape], 1.0)
+    assert np.allclose(row[tuple(lags)], gram_matrix(model, points), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(769,), (1000,), (2048,), (29, 29), (97, 97), (10, 10, 10)],
+                         ids=_shape_id)
+@pytest.mark.parametrize("model", [CovarianceModel("ornstein_uhlenbeck", rate=1.0),
+                                   CovarianceModel("gaussian_smooth", lam2=2.0)],
+                         ids=["ou", "smooth"])
+def test_plan_bytes_counts_the_first_embedding(model, shape):
+    plan = make_plan(model, shape)
+    assert plan.embed_shape == base_embedding(shape)
+    assert plan_bytes(model, shape) == DRAW_BYTES_PER_ELEM * math.prod(plan.embed_shape)
+
+
+def test_power_of_two_sequences_keep_their_embedding(ou):
+    # 2 (n - 1) rounds up to 2n for these: their draws and bytes stay put
+    assert make_plan(ou, (2048,)).embed_shape == (4096,)
+    assert make_plan(ou, (4096,)).embed_shape == (8192,)
 
 
 def test_cholesky_failure_names_minor_order():
@@ -236,14 +310,15 @@ def test_cholesky_failure_names_minor_order():
 
 def test_embedding_failure_reports_sizes():
     # phi = (1, 0.9, 0, 0, ...) keeps a -0.8 circulant eigenvalue at every
-    # padded size, so the doubling loop exhausts itself
+    # even size, and 3 points embed at 4, so the doubling loop exhausts
+    # itself (at 2 points the 2-point circulant is the gram itself)
     stubborn = CovarianceModel(
         "table", table=((0.0, 1.0), (1.0, 0.9), (2.0, 0.0), (1000.0, 0.0))
     )
     with pytest.raises(EmbeddingError) as exc:
-        circulant_embedding(stubborn, 2, max_bytes=DEFAULT_CAP_BYTES)
-    assert exc.value.worst < 0
-    assert len(exc.value.sizes) >= 1
+        circulant_embedding(stubborn, 3, max_bytes=DEFAULT_CAP_BYTES)
+    assert exc.value.worst == pytest.approx(-0.8)
+    assert exc.value.sizes == [(4 << k,) for k in range(EMBED_MAX_DOUBLINGS + 1)]
 
 
 def test_capacity_cap(monkeypatch, ou):
