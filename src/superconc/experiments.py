@@ -309,6 +309,10 @@ def _cell_seed(seed: int, idx: int) -> int:
 
 
 def _map_cells(fn, cells, jobs: int):
+    """``[fn(c) for c in cells]``, on ``jobs`` threads when jobs > 1.  A
+    cell that draws circulant maxima opens its own pool of draw threads
+    (:func:`extremes.sample_maxima`), so jobs > 1 runs up to jobs times the
+    CPU count of threads; the results do not depend on either."""
     if jobs <= 1 or len(cells) <= 1:
         return [fn(c) for c in cells]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

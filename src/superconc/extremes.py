@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .sampler import block_rows, draw_rows, make_plan
+from .sampler import block_rows, draw_rows, draw_workers, make_plan
 
 
 def _stable_mean(x: np.ndarray) -> float:
@@ -85,6 +86,14 @@ def sample_maxima(
     the maxima only by changing the plan: at a cap of 4 MiB or more the
     blocks do not depend on it.
 
+    A circulant plan's blocks are drawn concurrently, one thread per CPU
+    available to the process (:func:`sampler.draw_workers`).  Each block
+    writes only its own slice, so the maxima do not depend on the CPU
+    count, and the first failing block's error is raised, in block order.
+    Cholesky blocks stay serial: their short rows are mostly stream
+    rekeying, which holds the interpreter lock, and their products would
+    stack threads on a threaded BLAS.
+
     The iid maximum of N lattice points has the exact law Phi^N, and its
     argmax is uniform and independent of it, so for the iid model path i
     takes both from the first Philox block of its stream
@@ -98,10 +107,20 @@ def sample_maxima(
     block = block_rows(plan.row_elems)
     maxima = np.empty(batch)
     argmax = np.empty(batch, dtype=np.int64)
-    for lo in range(0, batch, block):
+
+    def draw(lo):  # writes only its own block's slice
         paths = draw_rows(plan, min(block, batch - lo), seed, stream_offset + lo)
         maxima[lo : lo + len(paths)] = paths.max(axis=1)
         argmax[lo : lo + len(paths)] = paths.argmax(axis=1)
+
+    starts = range(0, batch, block)
+    workers = min(draw_workers(plan, block), len(starts))
+    if workers == 1:
+        for lo in starts:
+            draw(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(draw, starts))  # raises the first failing block's error
     return maxima, argmax
 
 

@@ -7,10 +7,11 @@ generation: the result depends only on the absolute stream index, never
 on scheduling or chunk boundaries.
 
 Stream s is exactly numpy's ``Philox(SeedSequence(seed, spawn_key=(s,)))``.
-``stream_keys`` runs the SeedSequence hash for a whole block of streams in
-one pass of uint32 array arithmetic, and ``generators`` rekeys one Philox
-per call with those keys instead of building a SeedSequence, a Philox and
-a Generator for every stream.  ``first_blocks`` goes one step further for
+``stream_keys`` runs the SeedSequence hash for a whole block of streams at
+once: it mixes the seed words once, as Python ints, and only the stream
+word and what follows it in uint32 array arithmetic.  ``generators`` rekeys
+one Philox per call with those keys instead of building a SeedSequence, a
+Philox and a Generator for every stream.  ``first_blocks`` goes one step further for
 callers that need only a few numbers per stream: it runs Philox4x64-10 on
 those keys in uint64 array arithmetic and returns each stream's first
 output block, with no generator at all.
@@ -51,40 +52,45 @@ def _seed_words(seed: int) -> list[int]:
     return words + [0] * (POOL_SIZE - len(words))
 
 
-def _xorshift(v: np.ndarray) -> np.ndarray:
-    return v ^ (v >> np.uint32(16))
+def _xorshift(v):
+    return v ^ (v >> 16)
 
 
-def _pool_keys(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence pool, then generate_state(2, uint64), for each entropy row."""
+def _pool_keys(run: list[int], streams: np.ndarray) -> np.ndarray:
+    """SeedSequence pool of the entropy ``run + [stream]``, then
+    generate_state(2, uint64), for each stream word below 2^32.  Every step
+    before the stream word depends on the seed alone, so it runs once on
+    Python ints; only the stream word and what follows are arrays."""
     hash_const = INIT_A
 
-    # the hash constant advances the same way for every row, so it stays scalar
+    # the hash constant advances the same way for every stream, so it stays
+    # scalar; v is a Python int or a uint32 array, x a Python int
     def hashmix(v):
         nonlocal hash_const
-        v = v ^ np.uint32(hash_const)
+        v = v ^ hash_const
         hash_const = (hash_const * MULT_A) & MASK32
-        return _xorshift(v * np.uint32(hash_const))
+        return _xorshift(v * hash_const & MASK32)
 
     def mix(x, y):
-        return _xorshift(np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y)
+        return _xorshift(((MIX_MULT_L * x & MASK32) - MIX_MULT_R * y) & MASK32)
 
-    # the run entropy is padded to at least POOL_SIZE words, so it fills the pool
-    pool = [hashmix(entropy[:, i]) for i in range(POOL_SIZE)]
+    # the run is padded to at least POOL_SIZE words, so it fills the pool
+    pool = [hashmix(w) for w in run[:POOL_SIZE]]
     for src in range(POOL_SIZE):
         for dst in range(POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(POOL_SIZE, entropy.shape[1]):
-        for dst in range(POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    for w in run[POOL_SIZE:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    stream = streams.astype(np.uint32)
+    pool = [mix(p, hashmix(stream)) for p in pool]
 
-    words = np.empty((entropy.shape[0], 4), dtype=np.uint64)
+    words = np.empty((len(stream), 4), dtype=np.uint64)
     hash_const = INIT_B
     for i in range(4):
-        v = pool[i] ^ np.uint32(hash_const)
+        v = pool[i] ^ hash_const
         hash_const = (hash_const * MULT_B) & MASK32
-        words[:, i] = _xorshift(v * np.uint32(hash_const))
+        words[:, i] = _xorshift(v * hash_const)
     # uint64 word j is uint32 words 2j (low half) and 2j + 1 (high half)
     return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
 
@@ -100,13 +106,10 @@ def stream_keys(seed: int, streams) -> np.ndarray:
     streams = np.asarray(streams).reshape(-1)
     if streams.size and streams.min() < 0:
         raise ValueError("expected non-negative integer")
-    keys = np.empty((streams.size, 2), dtype=np.uint64)
     small = streams <= MASK32
-    entropy = np.empty((int(small.sum()), len(run) + 1), dtype=np.uint32)
-    entropy[:, :-1] = run
-    entropy[:, -1] = streams[small]
-    keys[small] = _pool_keys(entropy)
-    # a stream of 2^32 or more is a multi-word spawn key; these are rare
+    keys = _pool_keys(run, np.where(small, streams, 0))
+    # a stream of 2^32 or more is a multi-word spawn key, keyed as stream 0
+    # above and again here; these are rare
     for i in np.flatnonzero(~small):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(streams[i]),))
         keys[i] = ss.generate_state(2, np.uint64)

@@ -29,6 +29,14 @@ so a path does not depend on scheduling.  Circulant and iid draws are also
 bit-identical across blocks of rows; Cholesky draws move with the block by a
 few ulp, because BLAS rounds a row of ``noise @ factor.T`` by the number of
 rows in the product.
+
+A batch of circulant draws runs its blocks on :func:`draw_workers` threads
+at once, one per CPU the process may use; each block draws its own rows and
+streams, so the bytes do not depend on the CPU count.  numpy's noise and
+FFTs release the interpreter lock on rows that long.  Cholesky, iid and
+scan-test blocks are drawn one after another: each of their short rows
+rekeys its stream in Python, holding the lock, which outweighs the draw, and
+Cholesky threads would stack on a threaded BLAS.
 """
 
 from __future__ import annotations
@@ -43,12 +51,17 @@ from . import rng
 from .covariance import CovarianceModel, TableRangeError, evaluate, gram_matrix
 
 DEFAULT_CAP_BYTES = 2**31
-# the default method switches to circulant above this many lattice points:
-# with BLAS on one thread, 1e4 OU maxima draw in the same time by either
-# method at 768 points and twice as fast by circulant at 1024, and a 2-d
-# Gaussian-smooth grid breaks even between 23 x 23 and 25 x 25.  Both were
-# measured with embeddings of twice the lattice per axis, before the base
-# size became 5-smooth; the switch stays at 768 so that no run moves method
+# the default method switches to circulant above this many lattice points.
+# It was set where 1e4 OU maxima drew in the same time by either method, with
+# BLAS on one thread, embeddings of twice the lattice per axis and one draw
+# thread; a 2-d Gaussian-smooth grid then broke even between 23 x 23 and
+# 25 x 25.  With 5-smooth embeddings, BLAS on one thread and circulant blocks
+# on 2 threads of a 2-core Xeon KVM guest, 1e4 OU maxima take, Cholesky /
+# circulant: 0.31 / 0.24 s at 512 points, 0.36 / 0.25 s at 640, 0.65 /
+# 0.39 s at 768 and 1.76 / 0.53 s at 1024 (one draw thread: 0.31 / 0.47,
+# 0.41 / 0.44, 0.70 / 0.53, 1.90 / 0.73), so the break-even now lies below
+# 512.  The switch stays at 768: moving it would change the bytes of every
+# run at the sizes it passes
 CHOLESKY_MAX_N = 768
 EMBED_REL_TOL = 1e-10
 EMBED_MAX_DOUBLINGS = 6
@@ -295,6 +308,17 @@ def _cholesky_plan(model, shape, spacing) -> LatticePlan:
     _check_capacity(_cholesky_bytes(math.prod(shape)))
     gram = gram_matrix(model, _lattice_points(shape, spacing))
     return LatticePlan("cholesky", shape, _cholesky_factor(gram))
+
+
+def draw_workers(plan: LatticePlan, block: int) -> int:
+    """Threads that draw the blocks of ``block`` rows of one batch at once:
+    for a circulant plan one per CPU available to the process, but no more
+    than the blocks that fit the memory cap together; one for Cholesky and
+    iid plans.  The caller takes at most one thread per block."""
+    if plan.embed_shape is None:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, capacity_bytes() // (block * plan.row_bytes)))
 
 
 def draw_rows(plan: LatticePlan, batch: int, seed: int, offset: int = 0) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from superconc.extremes import (
     sample_maxima,
 )
 from superconc import extremes, sampler
+from superconc.covariance import CovarianceModel
+from superconc.experiments import ExperimentConfig, run
 from superconc.sampler import draw_rows, grid_geometry, make_plan, sample_sequence
 
 
@@ -216,3 +220,94 @@ def test_iid_argmax_uniform(iid, shape):
     assert a.min() >= 0 and a.max() < n
     assert chisquare(np.bincount(a, minlength=n)).pvalue > 0.01
 
+
+def _cpus(monkeypatch, count):
+    """Make ``count`` CPUs available to the process."""
+    monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("model, shape, batch, pooled", [
+    ("ou", (1024,), 300, True),
+    ("gs", (40, 40), 100, True),
+    ("ou", (500,), 1100, False),
+])
+def test_sample_maxima_ignore_the_cpu_count(model, shape, batch, pooled, request,
+                                            monkeypatch):
+    model = request.getfixturevalue(model)
+    pools = []
+
+    class Pool(extremes.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(extremes, "ThreadPoolExecutor", Pool)
+    plan = make_plan(model, shape)
+    block = sampler.block_rows(plan.row_elems)
+    assert plan.method == ("circulant" if pooled else "cholesky") and batch > 4 * block
+    _cpus(monkeypatch, 1)
+    m, a = sample_maxima(model, shape, batch, seed=7)
+    assert pools == []
+    _cpus(monkeypatch, 4)  # four draw threads, switching as often as they can
+    assert sampler.draw_workers(plan, block) == (4 if pooled else 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mc, ac = sample_maxima(model, shape, batch, seed=7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == ([4] if pooled else [])
+    assert mc.tobytes() == m.tobytes() and ac.tobytes() == a.tobytes()
+
+
+def test_draw_workers_keep_blocks_in_flight_within_the_cap(ou, monkeypatch):
+    # a block of 64 rows of the 2048-point embedding of 1024 points is 4 MiB;
+    # a cap of 6 MiB holds one such block but not two, and leaves it 64 rows
+    plan = make_plan(ou, (1024,))
+    block = sampler.block_rows(plan.row_elems)
+    assert block * plan.row_bytes == 4 * 2**20
+    _cpus(monkeypatch, 4)
+    m, a = sample_maxima(ou, 1024, 300, seed=5)
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(6 * 2**20))
+    assert sampler.block_rows(plan.row_elems) == block
+    assert sampler.draw_workers(plan, block) == 1
+    mc, ac = sample_maxima(ou, 1024, 300, seed=5)
+    assert mc.tobytes() == m.tobytes() and ac.tobytes() == a.tobytes()
+
+
+def test_sample_maxima_raise_the_first_failing_block(ou, monkeypatch):
+    _cpus(monkeypatch, 4)
+    draw_rows = extremes.draw_rows
+
+    def failing(plan, rows, seed, offset):
+        block = sampler.block_rows(plan.row_elems)
+        if offset == 2 * block:
+            time.sleep(0.05)  # fails after the block behind it
+            raise ValueError("block 2")
+        if offset == 3 * block:
+            raise ValueError("block 3")
+        return draw_rows(plan, rows, seed, offset)
+
+    monkeypatch.setattr(extremes, "draw_rows", failing)
+    with pytest.raises(ValueError, match="block 2"):
+        sample_maxima(ou, 1024, 400, seed=1)
+
+
+@pytest.mark.parametrize("kind, model, jobs, fields", [
+    # 41 x 41 and 21 x 21 grids: the first is circulant, the second Cholesky
+    ("field_bound", ("gaussian_smooth", {"lam2": 2.0}), 1,
+     {"params": {"d": 2, "extent": 40.0, "growth_batch": 200}}),
+    # two circulant cells at once, each with its own pool
+    ("variance_scaling", ("ornstein_uhlenbeck", {"rate": 1.0}), 2,
+     {"sizes": (1024, 2048), "batch": 300}),
+])
+def test_run_ignores_the_cpu_count(kind, model, jobs, fields, tmp_path, monkeypatch):
+    outputs = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        cfg = ExperimentConfig(kind=kind, model=CovarianceModel(model[0], **model[1]),
+                               seed=3, out=str(tmp_path / str(cpus)), jobs=jobs, **fields)
+        paths = run(cfg)
+        outputs.append([paths[k].read_bytes() for k in ("csv", "summary")])
+    assert outputs[0] == outputs[1]
