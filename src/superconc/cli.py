@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: sample, bound, verify, scan, gumbel, signvec.  Global flags
---config / --seed / --jobs / --out.  Every subcommand runs an experiment
+--config / --seed / --out.  Every subcommand runs an experiment
 config: it writes data.csv, summary.json and manifest.json under --out and
 prints the summary on stdout; progress goes to stderr.  bound --pipeline
 picks the sequence_bound, field_bound or correlated_bound kind; sample runs
@@ -38,7 +38,7 @@ def _progress(msg: str):
 
 
 # attributes of a parsed experiment command that are not params of its kind
-_NOT_PARAMS = {"config", "seed", "jobs", "out", "command", "fn", "kind", "pipeline",
+_NOT_PARAMS = {"config", "seed", "out", "command", "fn", "kind", "pipeline",
                "cov", "sizes", "batch", "cls"}
 
 
@@ -60,8 +60,7 @@ def _cmd_experiment(args) -> int:
         fields["sizes"] = tuple(fields["sizes"])
     kind = getattr(args, "kind", None) or f"{args.pipeline}_bound"
     cfg = ExperimentConfig(kind=kind, model=load_model(getattr(args, "cov", None)),
-                           seed=args.seed, out=args.out, jobs=args.jobs, params=params,
-                           **fields)
+                           seed=args.seed, out=args.out, params=params, **fields)
     return _run_config(cfg)
 
 
@@ -79,7 +78,7 @@ def _run_config(cfg: ExperimentConfig) -> int:
 
 def _cmd_config(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
-    for name in ("seed", "out", "jobs"):
+    for name in ("seed", "out"):
         if getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     return _run_config(cfg)
@@ -89,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="superconc")
     p.add_argument("--config", help="run an experiment config JSON file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", default=None)
     sub = p.add_subparsers(dest="command")
 
@@ -166,7 +164,7 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     else:
-        for name, default in (("seed", 0), ("jobs", 1), ("out", "out")):
+        for name, default in (("seed", 0), ("out", "out")):
             if getattr(args, name) is None:
                 setattr(args, name, default)
     try:

@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -49,6 +48,8 @@ from .scantest import (
     threshold_table,
 )
 from .verify import (
+    LAPLACE_SE_GROUPS,
+    FitError,
     estimate_tail,
     fit_gaussian_rate,
     fit_tail_rate,
@@ -90,7 +91,6 @@ class ExperimentConfig:
     batch: int = 10**4
     seed: int = 0
     out: str = "out"
-    jobs: int = 1
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -101,7 +101,6 @@ class ExperimentConfig:
             "batch": self.batch,
             "seed": self.seed,
             "out": self.out,
-            "jobs": self.jobs,
             "params": self.params,
         }
 
@@ -117,7 +116,7 @@ class ExperimentConfig:
             "kind": str,
             "model": lambda m: CovarianceModel.from_json(json.dumps(m)),
             "sizes": _whole_list,
-            "batch": _whole, "seed": _whole, "out": str, "jobs": _whole, "params": dict,
+            "batch": _whole, "seed": _whole, "out": str, "params": dict,
         }
         kw = {}
         for name, value in obj.items():
@@ -278,9 +277,18 @@ def validate(config: ExperimentConfig) -> list[str]:
                 isinstance(d, numbers.Real) and 0 < d <= 6 for d in grid)):
             diags.append(f"field 'params.delta_grid': {grid!r} is not a list of deltas "
                          "in (0, 6]")
-    if config.kind == "sequence_bound" and batch_read and config.batch < MC_RHO_MIN_PATHS:
-        diags.append(f"field 'batch': Monte Carlo rho needs >= {MC_RHO_MIN_PATHS} "
-                     f"paths, got {config.batch}")
+    # the fewest paths each statistic takes: the KS distance of ks_to_gumbel,
+    # the jackknife of variance_with_se, 2 maxima in each SE group of
+    # laplace_check and Monte Carlo rho (the tail fit's need depends on the
+    # maxima, so run maps its FitError)
+    what, fewest = {
+        "gumbel_convergence": ("the KS distance to the Gumbel law", 100),
+        "variance_scaling": ("the jackknife SE", 3),
+        "laplace_check": ("the SE of the Laplace margin", 2 * LAPLACE_SE_GROUPS),
+        "sequence_bound": ("Monte Carlo rho", MC_RHO_MIN_PATHS),
+    }.get(config.kind, ("", 0))
+    if batch_read and config.batch < fewest:
+        diags.append(f"field 'batch': {what} needs >= {fewest} paths, got {config.batch}")
     if not sizes_ok:
         return diags
     try:
@@ -288,8 +296,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     except (TypeError, ValueError) as exc:
         diags.append(f"field 'params': {exc}")
         return diags
-    # chunks of paths shrink to fit the cap, so each lattice has to fit its
-    # factor and one path (a sample's one draw meets the cap when it is drawn)
+    # a block holds at least one path (sampler.block_rows), so each lattice
+    # has to fit its factor and one path (a sample's one draw meets the cap
+    # when it is drawn)
     need, shape = max(((plan_bytes(config.model, s), s) for s in shapes), default=(0, ()))
     if need > capacity_bytes():
         diags.append(
@@ -306,17 +315,6 @@ def validate(config: ExperimentConfig) -> list[str]:
 
 def _cell_seed(seed: int, idx: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(1)[0])
-
-
-def _map_cells(fn, cells, jobs: int):
-    """``[fn(c) for c in cells]``, on ``jobs`` threads when jobs > 1.  A
-    cell that draws circulant maxima opens its own pool of draw threads
-    (:func:`extremes.sample_maxima`), so jobs > 1 runs up to jobs times the
-    CPU count of threads; the results do not depend on either."""
-    if jobs <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))
 
 
 def write_csv(path: Path, header: list[str], rows):
@@ -344,14 +342,11 @@ def json_text(obj) -> str:
 
 
 def _per_size(cfg, sizes, stat):
-    """``stat(n, maxima)`` for each n in ``sizes``; the i-th size draws
-    ``cfg.batch`` maxima from cell seed i, cells mapped over ``cfg.jobs``."""
-    def cell(item):
-        i, n = item
-        maxima, _ = sample_maxima(cfg.model, n, cfg.batch, _cell_seed(cfg.seed, i))
-        return stat(n, maxima)
-
-    return _map_cells(cell, list(enumerate(sizes)), cfg.jobs)
+    """``stat(n, maxima)`` for each n in ``sizes``, in order; the i-th size
+    draws ``cfg.batch`` maxima from cell seed i, on the draw threads of
+    :func:`extremes.sample_maxima`."""
+    return [stat(n, sample_maxima(cfg.model, n, cfg.batch, _cell_seed(cfg.seed, i))[0])
+            for i, n in enumerate(sizes)]
 
 
 def _run_variance_scaling(cfg):
@@ -534,14 +529,15 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
     """Execute the experiment; writes data.csv, summary.json and manifest.json.
     A bound or a lattice that the inputs rule out (``covering.BoundError``, a
     table model's lag outside its table, a failed factorization or
-    embedding) is a SchemaError."""
+    embedding), or maxima too few for the tail fit, is a SchemaError."""
     diags = validate(config)
     if diags:
         raise SchemaError("; ".join(diags))
     t0 = time.monotonic()
     try:
         header, rows, summary = _RUNNERS[config.kind](config)
-    except (BoundError, TableRangeError, DecompositionError, EmbeddingError) as exc:
+    except (BoundError, TableRangeError, DecompositionError, EmbeddingError,
+            FitError) as exc:
         raise SchemaError(str(exc)) from exc
     wall = time.monotonic() - t0
     outdir = Path(config.out)

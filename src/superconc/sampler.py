@@ -20,9 +20,9 @@ dimension, is drawn by circulant embedding: a path then costs O(m log m)
 for an embedding of m points against 2n^2 for the Cholesky product.
 Where no embedding exists, because it stays negative at every doubling
 whose one path fits the memory cap and the Cholesky factor's bytes, or needs
-lags past a table model's last one, the default falls back to Cholesky, and
-to heavier doublings if the gram fails Cholesky; an explicit ``method``
-never falls back.
+lags past a table model's last one, the default falls back to Cholesky.
+At any size, a gram that fails Cholesky falls back to any embedding within
+the cap; an explicit ``method`` never falls back.
 
 Each path draws from its own counter-based stream (see :mod:`superconc.rng`),
 so a path does not depend on scheduling.  Circulant and iid draws are also
@@ -30,13 +30,14 @@ bit-identical across blocks of rows; Cholesky draws move with the block by a
 few ulp, because BLAS rounds a row of ``noise @ factor.T`` by the number of
 rows in the product.
 
-A batch of circulant draws runs its blocks on :func:`draw_workers` threads
-at once, one per CPU the process may use; each block draws its own rows and
-streams, so the bytes do not depend on the CPU count.  numpy's noise and
-FFTs release the interpreter lock on rows that long.  Cholesky, iid and
-scan-test blocks are drawn one after another: each of their short rows
-rekeys its stream in Python, holding the lock, which outweighs the draw, and
-Cholesky threads would stack on a threaded BLAS.
+:func:`draw_workers` is the program's one rule for threads.  A batch of
+circulant draws runs its blocks on that many threads at once, one per CPU
+the process may use; each block draws its own rows and streams, so the
+bytes do not depend on the CPU count.  numpy's noise and FFTs release the
+interpreter lock on rows that long.  Cholesky, iid and scan-test blocks
+are drawn one after another: each of their short rows rekeys its stream in
+Python, holding the lock, which outweighs the draw, and Cholesky threads
+would stack on a threaded BLAS.  So are the sizes of an experiment.
 """
 
 from __future__ import annotations
@@ -259,43 +260,38 @@ def make_plan(
 ) -> LatticePlan:
     """Factor the gram of the lattice of ``shape`` at ``spacing`` once.
 
-    Without ``method`` a lattice above ``CHOLESKY_MAX_N`` points is embedded,
-    or factored by Cholesky if the embedding fails (:class:`EmbeddingError`
-    or :class:`TableRangeError`) at every doubling whose one path needs no
-    more bytes than the Cholesky factor, and embedded at a heavier doubling
-    if the gram then fails Cholesky; the plan's ``method`` is the one used.
+    Without ``method`` the default route tries, in order, an embedding whose
+    one path needs no more bytes than the Cholesky factor (above
+    ``CHOLESKY_MAX_N`` points only), the Cholesky factor, and any embedding
+    within the cap; an embedding fails with :class:`EmbeddingError` or
+    :class:`TableRangeError`.  If all fail, the Cholesky failure is raised.
+    The plan's ``method`` is the one used.
     """
     if min(shape) < 1:
         raise ValueError("the lattice needs at least one point per axis")
-    n = math.prod(shape)
-    fallback = method is None
-    if method is None:
-        method = _default_method(n)
-    if method not in ("cholesky", "circulant"):
+    if method not in (None, "cholesky", "circulant"):
         raise ValueError(f"unknown method {method!r}")
-
+    n = math.prod(shape)
     if model.kind == "iid":
         # gram is the identity; both factorizations reduce to raw noise
-        return LatticePlan(method, shape, None)
+        return LatticePlan(method or _default_method(n), shape, None)
+    if method == "cholesky":
+        return _cholesky_plan(model, shape, spacing)
+    cap = capacity_bytes()
     if method == "circulant":
-        cap = capacity_bytes()
-        # the default route goes on to the doublings whose one path outweighs
-        # the Cholesky factor only if that factor fails, trying the lighter
-        # ones again first
+        return _circulant_plan(model, shape, spacing, cap)
+    if n > CHOLESKY_MAX_N:
         try:
-            return _circulant_plan(
-                model, shape, spacing, min(cap, _cholesky_bytes(n)) if fallback else cap)
+            return _circulant_plan(model, shape, spacing, min(cap, _cholesky_bytes(n)))
         except (EmbeddingError, TableRangeError):
-            if not fallback:
-                raise
+            pass
+    try:
+        return _cholesky_plan(model, shape, spacing)
+    except DecompositionError as err:
         try:
-            return _cholesky_plan(model, shape, spacing)
-        except DecompositionError as err:
-            try:
-                return _circulant_plan(model, shape, spacing, cap)
-            except (EmbeddingError, TableRangeError):
-                raise err from None
-    return _cholesky_plan(model, shape, spacing)
+            return _circulant_plan(model, shape, spacing, cap)
+        except (EmbeddingError, TableRangeError):
+            raise err from None
 
 
 def _circulant_plan(model, shape, spacing, max_bytes) -> LatticePlan:

@@ -87,11 +87,15 @@ def estimate_tail(maxima: np.ndarray, n: int, center: str, t_grid) -> TailEstima
     return tail_from_deviations(np.abs(maxima - cval), t_grid, center, cval)
 
 
+class FitError(ValueError):
+    """Too few points of a tail estimate lie in the range a fit takes."""
+
+
 def _select_fit_points(tail: TailEstimate, smin: float, smax: float):
     s = tail.survival
     loose = (s >= 1e-4) & (s <= 0.5) & (tail.t > 0)
     if loose.sum() < FIT_MIN_POINTS:
-        raise ValueError(
+        raise FitError(
             f"tail fit needs >= {FIT_MIN_POINTS} grid points with survival "
             "in [1e-4, 0.5]"
         )

@@ -291,14 +291,14 @@ def test_criterion_10_threshold_ordering():
 # 11. reproducibility: byte-identical reruns, bounded seed sensitivity
 
 def test_criterion_11_byte_identical_rerun(tmp_path):
-    def go(out, jobs):
+    def go(out):
         cfg = ExperimentConfig(
             kind="variance_scaling", model=IID, sizes=(16, 64), batch=4000,
-            seed=11, out=str(tmp_path / out), jobs=jobs, params={},
+            seed=11, out=str(tmp_path / out), params={},
         )
         return run(cfg)
-    a = go("a", jobs=2)
-    b = go("b", jobs=1)
+    a = go("a")
+    b = go("b")
     assert a["csv"].read_bytes() == b["csv"].read_bytes()
     assert a["summary"].read_bytes() == b["summary"].read_bytes()
 

@@ -156,16 +156,6 @@ def test_verify_variance_scaling(tmp_path, capsys):
     assert (tmp_path / "exp" / "manifest.json").exists()
 
 
-def test_verify_jobs_do_not_change_bytes(tmp_path, capsys):
-    def files(jobs):
-        out = tmp_path / f"j{jobs}"
-        assert main(["--seed", "2", "--jobs", str(jobs), "--out", str(out), "verify",
-                     "variance_scaling", "--sizes", "16", "64", "256", "--batch", "300"]) == 0
-        return (out / "data.csv").read_bytes(), (out / "summary.json").read_bytes()
-
-    assert files(1) == files(2)
-
-
 def test_verify_without_sizes_takes_the_config_default(tmp_path, capsys):
     # tail_bounds reads sizes[0] alone, so verify sets no sizes of its own
     assert main(["--out", str(tmp_path / "t"), "verify", "tail_bounds", "--batch", "2000"]) == 0
@@ -698,11 +688,9 @@ def _exit_code(argv) -> int:
     ("batch", 2.7, "2.7", "2.7 is not a whole number"),
     ("batch", True, "true", "True is not a whole number"),
     ("seed", 1.5, "1.5", "1.5 is not a whole number"),
-    ("jobs", 1.5, "1.5", "1.5 is not a whole number"),
-    ("jobs", "2", None, "'2' is not a whole number"),
     ("seed", -1, "-1", "-1 is below 0"),
 ], ids=["sizes-string", "sizes-fraction", "batch-fraction", "batch-bool", "seed-fraction",
-        "jobs-fraction", "jobs-string", "seed-negative"])
+        "seed-negative"])
 def test_top_level_field_mistake_exit_code(tmp_path, capsys, field, value, flag_value, named):
     out = tmp_path / "o"
     config = {"kind": "variance_scaling", "sizes": [64], "batch": 50, field: value}
@@ -710,7 +698,7 @@ def test_top_level_field_mistake_exit_code(tmp_path, capsys, field, value, flag_
     assert capsys.readouterr().err == f"config error: field '{field}': {named}\n"
     if flag_value is not None:
         flag = [f"--{field}", flag_value]
-        top, sub = (flag, []) if field in ("seed", "jobs") else ([], flag)
+        top, sub = (flag, []) if field == "seed" else ([], flag)
         argv = [*top, "--out", str(out), "verify", "variance_scaling", "--sizes", "64",
                 "--batch", "50", *sub]
         assert _exit_code(argv) == 2
@@ -718,6 +706,50 @@ def test_top_level_field_mistake_exit_code(tmp_path, capsys, field, value, flag_
                 else f"argument --{field}: invalid int value: '{flag_value}'")
         assert want in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_jobs_flag_is_a_usage_error(tmp_path, capsys):
+    # the draw threads follow the CPU count alone; no flag sets them
+    argv = ["--jobs", "2", "--out", str(tmp_path / "o"), "verify", "variance_scaling",
+            "--sizes", "16", "--batch", "50"]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: superconc [-h] [--config CONFIG] [--seed SEED] [--out OUT]")
+    assert not (tmp_path / "o").exists()
+
+
+def test_jobs_field_is_unknown(tmp_path, capsys):
+    config = {"kind": "variance_scaling", "sizes": [16], "batch": 50, "jobs": 2}
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "--config", _config_file(tmp_path, json.dumps(config))]) == 2
+    assert capsys.readouterr().err == "config error: unknown field(s) ['jobs']\n"
+    assert not out.exists()
+
+
+# each per-size kind's fewest paths: one fewer is a config error, that many run
+@pytest.mark.parametrize("argv, fewest, named", [
+    (["gumbel", "--sizes", "32"], 100, "the KS distance to the Gumbel law"),
+    (["verify", "variance_scaling", "--sizes", "16"], 3, "the jackknife SE"),
+    (["verify", "laplace_check", "--sizes", "16"], 40, "the SE of the Laplace margin"),
+], ids=["gumbel", "variance_scaling", "laplace_check"])
+def test_batch_below_the_fewest_paths_is_a_config_error(tmp_path, capsys, argv, fewest, named):
+    out = str(tmp_path / "o")
+    assert main(["--out", out, *argv, "--batch", str(fewest - 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: field 'batch': {named} needs >= {fewest} paths, got {fewest - 1}\n")
+    assert not (tmp_path / "o").exists()
+    assert main(["--out", out, *argv, "--batch", str(fewest)]) == 0
+
+
+def test_tail_fit_on_too_few_maxima_is_a_config_error(tmp_path, capsys):
+    # at seed 0, 3 iid maxima of 1024 points leave fewer than 5 grid points
+    # with survival in [1e-4, 0.5]; 4 maxima leave enough
+    out = str(tmp_path / "o")
+    assert main(["--out", out, "verify", "tail_bounds", "--batch", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tail fit needs >= 5 grid points with survival in [1e-4, 0.5]\n")
+    assert not (tmp_path / "o").exists()
+    assert main(["--out", out, "verify", "tail_bounds", "--batch", "4"]) == 0
 
 
 def test_verify_iid_maxima_at_a_hundred_million_points(tmp_path, capsys):

@@ -294,20 +294,20 @@ def test_sample_maxima_raise_the_first_failing_block(ou, monkeypatch):
         sample_maxima(ou, 1024, 400, seed=1)
 
 
-@pytest.mark.parametrize("kind, model, jobs, fields", [
+@pytest.mark.parametrize("kind, model, fields", [
     # 41 x 41 and 21 x 21 grids: the first is circulant, the second Cholesky
-    ("field_bound", ("gaussian_smooth", {"lam2": 2.0}), 1,
+    ("field_bound", ("gaussian_smooth", {"lam2": 2.0}),
      {"params": {"d": 2, "extent": 40.0, "growth_batch": 200}}),
-    # two circulant cells at once, each with its own pool
-    ("variance_scaling", ("ornstein_uhlenbeck", {"rate": 1.0}), 2,
+    # two circulant cells, one after the other, each with its own pool
+    ("variance_scaling", ("ornstein_uhlenbeck", {"rate": 1.0}),
      {"sizes": (1024, 2048), "batch": 300}),
 ])
-def test_run_ignores_the_cpu_count(kind, model, jobs, fields, tmp_path, monkeypatch):
+def test_run_ignores_the_cpu_count(kind, model, fields, tmp_path, monkeypatch):
     outputs = []
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         cfg = ExperimentConfig(kind=kind, model=CovarianceModel(model[0], **model[1]),
-                               seed=3, out=str(tmp_path / str(cpus)), jobs=jobs, **fields)
+                               seed=3, out=str(tmp_path / str(cpus)), **fields)
         paths = run(cfg)
         outputs.append([paths[k].read_bytes() for k in ("csv", "summary")])
     assert outputs[0] == outputs[1]

@@ -188,6 +188,20 @@ def test_default_route_embeds_past_its_fallback_when_cholesky_fails():
     assert np.array_equal(draw_rows(plan, 2, seed=1), draw_rows(explicit, 2, seed=1))
 
 
+def test_default_route_embeds_at_or_below_the_switch_when_cholesky_fails():
+    # the 400 points of the 20 x 20 grid take Cholesky by default, but the
+    # Gaussian-smooth gram at lam2 = 0.2 fails it at minor 338, so the
+    # default route goes on to the 40 x 40 embedding an explicit circulant finds
+    gs = CovarianceModel("gaussian_smooth", lam2=0.2)
+    with pytest.raises(DecompositionError) as exc:
+        make_plan(gs, (20, 20), method="cholesky")
+    assert exc.value.order == 338
+    plan = make_plan(gs, (20, 20))
+    assert plan.method == "circulant" and plan.embed_shape == (40, 40)
+    explicit = make_plan(gs, (20, 20), method="circulant")
+    assert np.array_equal(draw_rows(plan, 2, seed=1), draw_rows(explicit, 2, seed=1))
+
+
 @pytest.mark.parametrize("rate, default", [(0.3, BOX_EMBEDDINGS[1]), (0.2, None)])
 def test_default_route_prefers_cholesky_to_an_embedding_heavier_than_it(rate, default):
     # at spacing 1.5 and rate 0.3 the OU box embeds at 24 x 30 x 54, 1.24 MB
@@ -203,13 +217,14 @@ def test_default_route_prefers_cholesky_to_an_embedding_heavier_than_it(rate, de
 
 def test_fallback_reports_the_cholesky_failure():
     # the stubborn table's gram is indefinite from 3 points on, so neither
-    # method draws 1000 points of it
+    # method draws 500 points of it (Cholesky first) or 1000 (embedding first)
     stubborn = CovarianceModel(
         "table", table=((0.0, 1.0), (1.0, 0.9), (2.0, 0.0), (1000.0, 0.0))
     )
-    with pytest.raises(DecompositionError) as exc:
-        make_plan(stubborn, (1000,))
-    assert exc.value.order == 3
+    for n in (500, 1000):
+        with pytest.raises(DecompositionError) as exc:
+            make_plan(stubborn, (n,))
+        assert exc.value.order == 3
 
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
