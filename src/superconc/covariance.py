@@ -71,18 +71,22 @@ class CovarianceModel:
             if any(abs(v) > 1.0 + 1e-12 for _, v in self.table):
                 raise ValueError("|phi| must not exceed 1")
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The model as a JSON object, which :meth:`from_dict` reads back."""
         obj: dict = {"kind": self.kind}
         params = {name: getattr(self, name) for name in KIND_PARAMS[self.kind]}
         if params:
             obj["params"] = params
         if self.table is not None:
             obj["table"] = [list(p) for p in self.table]
-        return json.dumps(obj)
+        return obj
 
     @classmethod
     def from_json(cls, text: str) -> "CovarianceModel":
-        obj = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, obj) -> "CovarianceModel":
         kind = obj.get("kind") if isinstance(obj, dict) else None
         if kind not in KINDS:
             raise ValueError(f"unknown covariance kind {kind!r}")

@@ -180,7 +180,6 @@ class BoundReport:
     r0: float
     rho: float
     rho_source: str
-    c: float = 1.0
     n: int | None = None
     alpha: float | None = None
     m: int | None = None
@@ -230,7 +229,6 @@ def sequence_bound(
     alpha: float,
     rho_source: str = "monte_carlo",
     c_sud: float = DEFAULT_C_SUD,
-    c: float = 1.0,
     batch: int = MC_RHO_MIN_PATHS,
     seed: int = 0,
 ) -> BoundReport:
@@ -260,7 +258,7 @@ def sequence_bound(
     K_paper = max(float(evaluate(model, float(n) ** alpha)), 1.0 / math.log(n))
     return BoundReport(
         pipeline="sequence", K=K, r0=r0, rho=rho.rho, rho_source=rho.source,
-        c=c, n=n, alpha=alpha, m=m, rho_se=rho.se, eta=rho.eta, delta=delta,
+        n=n, alpha=alpha, m=m, rho_se=rho.se, eta=rho.eta, delta=delta,
         K_paper=K_paper, degenerate=rho.degenerate or not math.isfinite(K),
         covering=cov,
     )
@@ -373,7 +371,6 @@ def field_bound(
     spacing: float = 1.0,
     batch: int = 400,
     seed: int = 0,
-    c: float = 1.0,
     c1: float | None = None,
     c2: float | None = None,
 ) -> BoundReport:
@@ -399,7 +396,7 @@ def field_bound(
     K = max(float(evaluate(model, float(n_a) ** exponent_ratio)),
             1.0 / math.log(n_a))
     return BoundReport(
-        pipeline="field", K=K, r0=r0, rho=rho, rho_source="analytic", c=c,
+        pipeline="field", K=K, r0=r0, rho=rho, rho_source="analytic",
         N_A=n_a, s0=float(s0), c1=c1, c2=c2, fit_slope=slope,
         exponent_ratio=float(exponent_ratio),
         degenerate=rho >= 1.0, covering=cov,
@@ -409,9 +406,7 @@ def field_bound(
 # ---------------------------------------------------------------------------
 # epsilon-correlated vectors and sign-vector sets
 
-def correlated_bound(
-    eps: float, n: int, gram: np.ndarray | None = None, c: float = 1.0
-) -> BoundReport:
+def correlated_bound(eps: float, n: int, gram: np.ndarray | None = None) -> BoundReport:
     """Singleton-covering bound K = max(eps, 1/log n) for weak correlations."""
     if not 0 < eps < 1:
         raise BoundError(f"eps must lie in (0, 1), got {eps}")
@@ -427,7 +422,7 @@ def correlated_bound(
     K = max(eps, 1.0 / math.log(n))
     return BoundReport(
         pipeline="correlated", K=K, r0=eps, rho=1.0 / n, rho_source="analytic",
-        c=c, n=n, epsilon=eps, covering=singleton_covering(n, r0=eps),
+        n=n, epsilon=eps, covering=singleton_covering(n, r0=eps),
     )
 
 

@@ -96,7 +96,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "model": json.loads(self.model.to_json()),
+            "model": self.model.to_dict(),
             "sizes": list(self.sizes),
             "batch": self.batch,
             "seed": self.seed,
@@ -114,7 +114,7 @@ class ExperimentConfig:
             raise SchemaError(f"unknown field(s) {unknown}")
         coerce = {
             "kind": str,
-            "model": lambda m: CovarianceModel.from_json(json.dumps(m)),
+            "model": CovarianceModel.from_dict,
             "sizes": _whole_list,
             "batch": _whole, "seed": _whole, "out": str, "params": dict,
         }
@@ -246,9 +246,11 @@ def validate(config: ExperimentConfig) -> list[str]:
     who, n_read, batch_read = _reads(config.kind, p)
     if config.sizes != ExperimentConfig.sizes and config.sizes[:n_read] != config.sizes:
         diags.append(f"field 'sizes': {who} reads {'only sizes[0]' if n_read else 'no sizes'}")
-    sizes_ok = n_read == 0 or bool(config.sizes) and min(config.sizes) >= 1
+    # a sample may draw one point; every statistic and bound reads log n > 0
+    least = 1 if config.kind == "sample_paths" else 2
+    sizes_ok = n_read == 0 or bool(config.sizes) and min(config.sizes) >= least
     if not sizes_ok:
-        diags.append("field 'sizes': needs one or more entries, all positive")
+        diags.append(f"field 'sizes': needs one or more entries, each at least {least}")
     if not batch_read and config.batch != ExperimentConfig.batch:
         diags.append(f"field 'batch': {who} reads no batch")
     elif config.batch < 1:
@@ -419,25 +421,24 @@ def _run_laplace_check(cfg):
 
 
 def _run_bound(cfg):
-    """The kind's bound report as summary, with its (t, bound, gaussian_bound)
-    rows on the params' t grid."""
+    """The kind's bound report, with the params' tail rate ``c``, as summary,
+    and its (t, bound, gaussian_bound) rows on the params' t grid."""
     p = _params(cfg)
     if cfg.kind == "sequence_bound":
         report = sequence_bound(cfg.model, cfg.sizes[0], float(p["alpha"]),
-                                rho_source=p["rho"], c=float(p["c"]), batch=cfg.batch,
-                                seed=cfg.seed)
+                                rho_source=p["rho"], batch=cfg.batch, seed=cfg.seed)
     elif cfg.kind == "field_bound":
         report = field_bound(
             cfg.model, int(p["d"]), p["extent"], exponent_ratio=p["exponent_ratio"],
             spacing=float(p["spacing"]), batch=int(p["growth_batch"]), seed=cfg.seed,
-            c=float(p["c"]),
         )
     else:
-        report = correlated_bound(float(p["eps"]), cfg.sizes[0], c=float(p["c"]))
+        report = correlated_bound(float(p["eps"]), cfg.sizes[0])
+    c = float(p["c"])
     t_grid = np.linspace(0.0, float(p["t_max"]), int(p["t_points"]))
-    curve = tail_curve(report.K, report.c, t_grid)
+    curve = tail_curve(report.K, c, t_grid)
     rows = list(zip(t_grid, curve, gaussian_tail_curve(t_grid)))
-    summary = {**report.to_dict(), "crossover_window": crossover_window(report.K, report.c)}
+    summary = {**report.to_dict(), "c": c, "crossover_window": crossover_window(report.K, c)}
     return ["t", "bound", "gaussian_bound"], rows, summary
 
 

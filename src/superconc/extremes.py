@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .sampler import block_rows, draw_rows, draw_workers, make_plan
+from .sampler import make_plan, reduce_blocks
 
 
 def _stable_mean(x: np.ndarray) -> float:
@@ -75,24 +74,12 @@ def sample_maxima(
     spacing: float = 1.0, stream_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (maxima, argmax) of a batch on a lattice of ``n`` points, or
-    of shape ``n`` (argmax then indexes the C-order grid), drawn in blocks
-    of :func:`sampler.block_rows` rows.
+    of shape ``n`` (argmax then indexes the C-order grid), drawn block by
+    block with :func:`sampler.reduce_blocks`.
 
     The covariance is factored once for all blocks.  Path i draws from
-    stream ``stream_offset + i``, so its noise does not depend on the blocks.
-    Circulant maxima are then identical to a single unblocked call; Cholesky
-    maxima agree with it to a few ulp, as BLAS rounds a row of ``noise @
-    factor.T`` by the number of rows in the product.  The memory cap changes
-    the maxima only by changing the plan: at a cap of 4 MiB or more the
-    blocks do not depend on it.
-
-    A circulant plan's blocks are drawn concurrently, one thread per CPU
-    available to the process (:func:`sampler.draw_workers`).  Each block
-    writes only its own slice, so the maxima do not depend on the CPU
-    count, and the first failing block's error is raised, in block order.
-    Cholesky blocks stay serial: their short rows are mostly stream
-    rekeying, which holds the interpreter lock, and their products would
-    stack threads on a threaded BLAS.
+    stream ``stream_offset + i``, so only Cholesky maxima move with the
+    blocks, by a few ulp (see :mod:`sampler`).
 
     The iid maximum of N lattice points has the exact law Phi^N, and its
     argmax is uniform and independent of it, so for the iid model path i
@@ -104,24 +91,11 @@ def sample_maxima(
     plan = make_plan(model, shape, spacing, method)  # factors nothing for iid
     if model.kind == "iid":
         return _iid_maxima(plan.n, batch, seed, stream_offset)
-    block = block_rows(plan.row_elems)
-    maxima = np.empty(batch)
-    argmax = np.empty(batch, dtype=np.int64)
-
-    def draw(lo):  # writes only its own block's slice
-        paths = draw_rows(plan, min(block, batch - lo), seed, stream_offset + lo)
-        maxima[lo : lo + len(paths)] = paths.max(axis=1)
-        argmax[lo : lo + len(paths)] = paths.argmax(axis=1)
-
-    starts = range(0, batch, block)
-    workers = min(draw_workers(plan, block), len(starts))
-    if workers == 1:
-        for lo in starts:
-            draw(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(draw, starts))  # raises the first failing block's error
-    return maxima, argmax
+    parts = reduce_blocks(plan, batch, seed, lambda x: (x.max(axis=1), x.argmax(axis=1)),
+                          stream_offset)
+    # the leading empty pair keeps a batch of 0 two empty arrays
+    maxima, argmax = zip((np.empty(0), np.empty(0, dtype=np.int64)), *parts)
+    return np.concatenate(maxima), np.concatenate(argmax)
 
 
 def _iid_maxima(n: int, batch: int, seed: int, stream_offset: int):

@@ -26,24 +26,19 @@ the cap; an explicit ``method`` never falls back.
 
 Each path draws from its own counter-based stream (see :mod:`superconc.rng`),
 so a path does not depend on scheduling.  Circulant and iid draws are also
-bit-identical across blocks of rows; Cholesky draws move with the block by a
-few ulp, because BLAS rounds a row of ``noise @ factor.T`` by the number of
-rows in the product.
-
-:func:`draw_workers` is the program's one rule for threads.  A batch of
-circulant draws runs its blocks on that many threads at once, one per CPU
-the process may use; each block draws its own rows and streams, so the
-bytes do not depend on the CPU count.  numpy's noise and FFTs release the
-interpreter lock on rows that long.  Cholesky, iid and scan-test blocks
-are drawn one after another: each of their short rows rekeys its stream in
-Python, holding the lock, which outweighs the draw, and Cholesky threads
-would stack on a threaded BLAS.  So are the sizes of an experiment.
+bit-identical across blocks of rows and CPU counts.  A Cholesky lattice (768
+points or fewer, or a fallback) moves by a few ulp with both: BLAS rounds a
+row of ``noise @ factor.T`` by the rows in the product and by its own thread
+count, so its bytes match across machines only with BLAS pinned to one
+thread, as the benchmark pins it.  :func:`reduce_blocks` is the one loop over
+the blocks of a batch, and :func:`draw_workers` the one rule for threads.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,6 +310,34 @@ def draw_workers(plan: LatticePlan, block: int) -> int:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, capacity_bytes() // (block * plan.row_bytes)))
+
+
+def reduce_blocks(plan: LatticePlan, batch: int, seed: int, reduce, offset: int = 0,
+                  row_elems: int | None = None) -> list:
+    """``reduce(draw_rows(plan, rows, seed, offset + lo))`` for each block of
+    a batch, in block order.  Blocks hold :func:`block_rows` rows of
+    ``row_elems`` elements (default: the plan's); row i draws from stream
+    ``offset + i`` in any block.
+
+    The blocks run on :func:`draw_workers` threads: one per CPU for a
+    circulant plan, whose noise and FFTs release the interpreter lock on
+    rows that long; one for Cholesky and iid plans, whose short rows rekey
+    their streams in Python, holding the lock, and whose products would
+    stack threads on a threaded BLAS.  Each block reduces only its own rows,
+    so the results do not depend on the CPU count, and the first failing
+    block's error is raised, in block order.
+    """
+    block = block_rows(row_elems or plan.row_elems)
+    starts = range(0, batch, block)
+
+    def draw(lo):
+        return reduce(draw_rows(plan, min(block, batch - lo), seed, offset + lo))
+
+    workers = min(draw_workers(plan, block), len(starts))
+    if workers <= 1:  # an interrupt stops here; map submits every block at once
+        return [draw(lo) for lo in starts]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(draw, starts))
 
 
 def draw_rows(plan: LatticePlan, batch: int, seed: int, offset: int = 0) -> np.ndarray:

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .covariance import CovarianceModel
 from .extremes import _stable_mean
-from .sampler import block_rows
+from .sampler import make_plan, reduce_blocks
 from .verify import fit_tail_rate, tail_from_deviations
 
 MAX_ALTERNATIVES = 64
@@ -117,15 +118,15 @@ def threshold_table(K: int, N: int, e0max: float, deltas, c: float = 1.0):
 def _null_scan_maxima(cls: ScanClass, trials: int, seed: int,
                       offset: int = 0, mu: float = 0.0,
                       shifted: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty(trials)
-    block = block_rows(max(cls.n, cls.N))  # a row holds n normals and N set sums
-    for lo in range(0, trials, block):
-        x = rng.normal_rows(seed, min(block, trials - lo), cls.n, offset=offset + lo)
+    def scan_max(x):
         if shifted is not None:
             x[:, shifted] += mu
-        out[lo : lo + len(x)] = set_sums(x, cls).max(axis=1)
-        del x  # free this block before the next one is drawn
-    return out
+        return set_sums(x, cls).max(axis=1)
+
+    plan = make_plan(CovarianceModel("iid"), (cls.n,))
+    # a row holds n normals and N set sums
+    return np.concatenate(reduce_blocks(plan, trials, seed, scan_max, offset,
+                                        row_elems=max(cls.n, cls.N)))
 
 
 def estimate_E0max(cls: ScanClass, trials: int, seed: int) -> tuple[float, float]:

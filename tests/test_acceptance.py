@@ -97,21 +97,24 @@ def test_criterion_02_pair_maximum_closed_form():
 
 
 # --------------------------------------------------------------------------
-# 3. variance scaling: Var(M_n) * log n stays in a band and stops growing
+# 3. variance scaling: Var(M_n) * log n stays in a band, at its exact value
+
+# exact Var(M_n) * log n of the iid maximum, whose law is Phi^n, by
+# quadrature (bench/oracles.py, iid_mean_var); it is not monotone in n:
+# 0.852017 at n = 256 lies below 0.852447 at n = 4096
+IID_VAR_LOGN = {16: 0.817941, 256: 0.852017, 4096: 0.852447, 65536: 0.851127}
+
 
 def test_criterion_03_variance_scaling():
     sizes = (16, 256, 4096, 65536)
     batch = 2 * 10**4
-    scaled = []
     for i, n in enumerate(sizes):
         m, _ = sample_maxima(IID, n, batch, seed=100 + i)
         var, se = variance_with_se(m)
-        scaled.append((var * math.log(n), se * math.log(n)))
-    for v, _ in scaled:
-        assert 0.4 <= v <= 2.5
-    # non-increasing from n = 256 onward, within 2 combined SE
-    for (v1, s1), (v2, s2) in zip(scaled[1:], scaled[2:]):
-        assert v2 <= v1 + 2 * math.hypot(s1, s2)
+        scaled, scaled_se = var * math.log(n), se * math.log(n)
+        assert 0.4 <= scaled <= 2.5
+        # within 3 jackknife SE of the exact value
+        assert abs(scaled - IID_VAR_LOGN[n]) <= 3 * scaled_se
 
 
 # --------------------------------------------------------------------------

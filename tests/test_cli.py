@@ -672,6 +672,39 @@ def test_value_the_kind_does_not_read_exit_code(tmp_path, capsys, argv, config, 
     assert not out.exists()
 
 
+# every statistic and bound reads log n, so a size of 1 is a config error
+# wherever a kind other than sample reads it, not a traceback
+@pytest.mark.parametrize("argv", [
+    ["gumbel", "--sizes", "1"],
+    ["verify", "laplace_check", "--sizes", "1", "--batch", "100"],
+    ["verify", "tail_bounds", "--sizes", "1", "--batch", "100"],
+    ["verify", "variance_scaling", "--sizes", "64", "1"],
+    ["bound", "--n", "1"],
+    ["bound", "--n", "1", "--rho", "analytic"],
+    ["bound", "--pipeline", "correlated", "--n", "1"],
+    ["--config", '{"kind": "tail_bounds", "sizes": [1], "params": {"K": 0.5, "center": "b_n"}}'],
+], ids=["gumbel", "laplace", "tail", "variance", "bound-mc", "bound-analytic", "correlated",
+        "tail-config"])
+def test_size_below_2_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    if argv[0] == "--config":
+        argv = ["--config", _config_file(tmp_path, argv[1])]
+    assert main(["--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: field 'sizes': needs one or more entries, each at least 2"]
+    assert not out.exists()
+
+
+def test_size_2_is_valid_where_1_is_not():
+    for kind, params in (("gumbel_convergence", {}), ("laplace_check", {}),
+                         ("tail_bounds", {"K": 0.5, "center": "b_n"}),
+                         ("sequence_bound", {"rho": "analytic"}), ("correlated_bound", {})):
+        for n, ok in ((2, True), (1, False)):
+            cfg = ExperimentConfig(kind=kind, sizes=(n,), params=params)
+            assert (validate(cfg) == []) == ok, (kind, n)
+    assert validate(ExperimentConfig(kind="sample_paths", sizes=(1,), batch=2)) == []
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)

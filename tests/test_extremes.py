@@ -104,6 +104,8 @@ def test_sample_maxima_chunk_invariance(ou, method, monkeypatch):
     m2, a2 = sample_maxima(ou, 20, 30, seed=6, method=method)
     assert np.array_equal(m1, m2)
     assert np.array_equal(a1, a2)
+    m0, a0 = sample_maxima(ou, 20, 0, seed=6, method=method)  # no blocks at all
+    assert m0.shape == a0.shape == (0,) and a0.dtype == np.int64
 
 
 @pytest.mark.parametrize("n", [200, 500])
@@ -237,12 +239,12 @@ def test_sample_maxima_ignore_the_cpu_count(model, shape, batch, pooled, request
     model = request.getfixturevalue(model)
     pools = []
 
-    class Pool(extremes.ThreadPoolExecutor):
+    class Pool(sampler.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(extremes, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", Pool)
     plan = make_plan(model, shape)
     block = sampler.block_rows(plan.row_elems)
     assert plan.method == ("circulant" if pooled else "cholesky") and batch > 4 * block
@@ -278,7 +280,7 @@ def test_draw_workers_keep_blocks_in_flight_within_the_cap(ou, monkeypatch):
 
 def test_sample_maxima_raise_the_first_failing_block(ou, monkeypatch):
     _cpus(monkeypatch, 4)
-    draw_rows = extremes.draw_rows
+    draw_rows = sampler.draw_rows
 
     def failing(plan, rows, seed, offset):
         block = sampler.block_rows(plan.row_elems)
@@ -289,7 +291,7 @@ def test_sample_maxima_raise_the_first_failing_block(ou, monkeypatch):
             raise ValueError("block 3")
         return draw_rows(plan, rows, seed, offset)
 
-    monkeypatch.setattr(extremes, "draw_rows", failing)
+    monkeypatch.setattr(sampler, "draw_rows", failing)
     with pytest.raises(ValueError, match="block 2"):
         sample_maxima(ou, 1024, 400, seed=1)
 
@@ -303,6 +305,12 @@ def test_sample_maxima_raise_the_first_failing_block(ou, monkeypatch):
      {"sizes": (1024, 2048), "batch": 300}),
 ])
 def test_run_ignores_the_cpu_count(kind, model, fields, tmp_path, monkeypatch):
+    """A run writes the same bytes on 1 and 2 CPUs that the process may use.
+    The CPU count is patched where ``sampler.draw_workers`` reads it, so this
+    covers the draw threads; BLAS reads its own thread count, by which it
+    rounds a Cholesky lattice's ``noise @ factor.T`` (768 points or fewer,
+    or a fallback), so those bytes match across machines only with BLAS
+    pinned to one thread, as the benchmark pins it."""
     outputs = []
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)

@@ -242,6 +242,24 @@ def test_null_scan_maxima_under_a_cap_below_4_mib_draw_smaller_blocks(monkeypatc
     assert rows == [546] * 5 + [270]
 
 
+def test_null_scan_maxima_open_no_pool_under_4_cpus(monkeypatch):
+    # the null's plan is iid, which gets one draw thread on any CPU count
+    cls = sliding_class(60, 5)
+    got = scantest._null_scan_maxima(cls, 3000, seed=2)
+    pools = []
+
+    class Pool(sampler.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    assert np.array_equal(scantest._null_scan_maxima(cls, 3000, seed=2), got)
+    assert pools == []
+
+
 def test_estimate_E0max_is_deterministic():
     cls = disjoint_class(4, 4)
     a = estimate_E0max(cls, 10**4, seed=0)
