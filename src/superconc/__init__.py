@@ -6,7 +6,6 @@ from .covariance import CovarianceModel, check_hypotheses, evaluate, gram_matrix
 from .sampler import SampleBatch, sample_sequence
 from .extremes import (
     gumbel_cdf,
-    gumbel_sf,
     ks_to_gumbel,
     centering_gap,
     norm_constants,
@@ -46,7 +45,7 @@ from .experiments import ExperimentConfig, run, validate
 __all__ = [
     "CovarianceModel", "check_hypotheses", "evaluate", "gram_matrix",
     "SampleBatch", "sample_sequence",
-    "gumbel_cdf", "gumbel_sf", "ks_to_gumbel", "centering_gap",
+    "gumbel_cdf", "ks_to_gumbel", "centering_gap",
     "norm_constants", "sample_maxima",
     "BoundReport", "Covering", "build_sequence_covering", "correlated_bound",
     "field_bound", "find_sign_vectors", "gaussian_tail_curve", "sequence_bound",

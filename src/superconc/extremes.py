@@ -44,11 +44,6 @@ def gumbel_cdf(x):
     return np.exp(-np.exp(-np.asarray(x, dtype=float)))
 
 
-def gumbel_sf(x):
-    """P(G > x), computed as -expm1(-e^{-x}) for accuracy in the far tail."""
-    return -np.expm1(-np.exp(-np.asarray(x, dtype=float)))
-
-
 def ks_to_gumbel(maxima, n: int) -> float:
     """Exact one-sample KS distance of a_n (M - b_n) to the Gumbel law."""
     m = np.sort(np.asarray(maxima, dtype=float))

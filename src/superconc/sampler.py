@@ -260,7 +260,7 @@ def make_plan(
     ``CHOLESKY_MAX_N`` points only), the Cholesky factor, and any embedding
     within the cap; an embedding fails with :class:`EmbeddingError` or
     :class:`TableRangeError`.  If all fail, the Cholesky failure is raised.
-    The plan's ``method`` is the one used.
+    The plan's ``method`` is the one used, or ``"iid"`` for the iid model.
     """
     if min(shape) < 1:
         raise ValueError("the lattice needs at least one point per axis")
@@ -268,8 +268,8 @@ def make_plan(
         raise ValueError(f"unknown method {method!r}")
     n = math.prod(shape)
     if model.kind == "iid":
-        # gram is the identity; both factorizations reduce to raw noise
-        return LatticePlan(method or _default_method(n), shape, None)
+        # gram is the identity: any method draws raw noise and factors nothing
+        return LatticePlan("iid", shape, None)
     if method == "cholesky":
         return _cholesky_plan(model, shape, spacing)
     cap = capacity_bytes()

@@ -1,8 +1,8 @@
 """Scan test over a class of equal-cardinality index sets.
 
 The test statistic is the maximum of the set sums X_S, S in the class.
-The null is an iid standard normal vector; under the alternative one set
-has its coordinates shifted by mu.  The test rejects the null when
+The null is an iid standard normal vector; under the alternative mu is
+added to the coordinates of one set.  The test rejects the null when
 2 max_S X_S >= mu K + E_0[max_S X_S].  Two acceptance thresholds for mu
 are provided: a Gaussian-concentration threshold and a sharper one based
 on the exponential concentration of the maximum, which needs the tail
@@ -23,8 +23,9 @@ from .sampler import make_plan, reduce_blocks
 from .verify import fit_tail_rate, tail_from_deviations
 
 MAX_ALTERNATIVES = 64
-# streams owned by each estimate of estimate_risk: E0max, calibration, null,
-# picker and each alternative start at consecutive multiples of this
+# streams owned by each estimate of estimate_risk: E0max, calibration, the
+# null (which each alternative reads too) and picker start at consecutive
+# multiples of this
 STREAM_BLOCK = 10**6
 
 
@@ -115,18 +116,32 @@ def threshold_table(K: int, N: int, e0max: float, deltas, c: float = 1.0):
     return rows
 
 
-def _null_scan_maxima(cls: ScanClass, trials: int, seed: int,
-                      offset: int = 0, mu: float = 0.0,
-                      shifted: np.ndarray | None = None) -> np.ndarray:
-    def scan_max(x):
-        if shifted is not None:
-            x[:, shifted] += mu
-        return set_sums(x, cls).max(axis=1)
-
-    plan = make_plan(CovarianceModel("iid"), (cls.n,))
+def _scan_blocks(cls: ScanClass, trials: int, seed: int, offset: int, reduce) -> list:
+    """``reduce(set sums)`` of each block of null trials; trial i is stream offset + i."""
     # a row holds n normals and N set sums
-    return np.concatenate(reduce_blocks(plan, trials, seed, scan_max, offset,
-                                        row_elems=max(cls.n, cls.N)))
+    return reduce_blocks(make_plan(CovarianceModel("iid"), (cls.n,)), trials, seed,
+                         lambda x: reduce(set_sums(x, cls)), offset, row_elems=max(cls.n, cls.N))
+
+
+def _null_scan_maxima(cls: ScanClass, trials: int, seed: int, offset: int = 0) -> np.ndarray:
+    return np.concatenate(_scan_blocks(cls, trials, seed, offset, lambda s: s.max(axis=1)))
+
+
+def _risk_outcomes(cls: ScanClass, trials: int, seed: int, offset: int, tau: float,
+                   mu: float, chosen) -> tuple[np.ndarray, np.ndarray]:
+    """Per null trial, 1[max_S X_S >= tau] and the share of chosen j with
+    max_S (X_S + mu |S & S_j|) < tau: the alternative on S_j adds mu to the
+    coordinates of S_j, so each set sum moves by mu times its overlap."""
+    shifts = [mu * np.isin(cls.sets, cls.sets[j]).sum(axis=1) for j in chosen]
+
+    def outcomes(sums):
+        missed = np.zeros(len(sums), dtype=np.int64)
+        for shift in shifts:
+            missed += (sums + shift).max(axis=1) < tau
+        return sums.max(axis=1) >= tau, missed
+
+    reject, missed = zip(*_scan_blocks(cls, trials, seed, offset, outcomes))
+    return np.concatenate(reject), np.concatenate(missed) / len(shifts)
 
 
 def estimate_E0max(cls: ScanClass, trials: int, seed: int) -> tuple[float, float]:
@@ -192,8 +207,14 @@ def estimate_risk(
 
     When mu is None it is set to the acceptance threshold of the requested
     kind at delta_target; prop52 calibrates c on the null scan maximum
-    unless one is supplied.  When N > 64 the type II average runs over a
-    seeded uniform subsample of 64 sets.
+    unless one is supplied.  The type II average runs over every set, or
+    over a seeded uniform subsample of 64 sets when N > 64.
+
+    One null draw of ``trials`` vectors serves the null and every
+    alternative (common random numbers), so the SEs of the type II mean and
+    of the risk are sd/sqrt(trials) of their per-trial values.  Each
+    variance, like type I's binomial one, is floored at 1/trials so that
+    zero-count cells still report a resolution limit instead of SE = 0.
     """
     if threshold_kind not in ("prop51", "prop52"):
         raise ValueError("threshold kind must be 'prop51' or 'prop52'")
@@ -213,39 +234,23 @@ def estimate_risk(
             mu = threshold_prop52(cls.K, cls.N, delta_target, c_used, e0max)
 
     tau = (mu * cls.K + e0max) / 2.0
-
-    null_max = _null_scan_maxima(cls, trials, seed, offset=2 * STREAM_BLOCK)
-    type1 = float(np.mean(null_max >= tau))
-    # floor the binomial variance at 1/trials so zero-count cells still
-    # report a resolution limit instead of SE = 0
-    type1_se = math.sqrt(max(type1 * (1 - type1), 1.0 / trials) / trials)
-
     subsampled = cls.N > MAX_ALTERNATIVES
     if subsampled:
         picker = rng.stream_generator(seed, 3 * STREAM_BLOCK)
         chosen = picker.choice(cls.N, size=MAX_ALTERNATIVES, replace=False)
     else:
         chosen = np.arange(cls.N)
-    p2 = []
-    var2 = []
-    for j, s_idx in enumerate(chosen):
-        alt = _null_scan_maxima(
-            cls, trials, seed, offset=(4 + j) * STREAM_BLOCK,
-            mu=mu, shifted=cls.sets[s_idx],
-        )
-        pj = float(np.mean(alt < tau))
-        p2.append(pj)
-        var2.append(max(pj * (1 - pj), 1.0 / trials) / trials)
-    type2 = float(np.mean(p2))
-    type2_se = math.sqrt(sum(var2)) / len(p2)
-
+    reject, missed = _risk_outcomes(cls, trials, seed, 2 * STREAM_BLOCK, tau, mu, chosen)
+    type1, type2 = float(np.mean(reject)), float(np.mean(missed))
+    type1_se, type2_se, risk_se = (
+        math.sqrt(max(var, 1.0 / trials) / trials)
+        for var in (type1 * (1 - type1), np.var(missed), np.var(reject + missed)))
     risk = type1 + type2
-    risk_se = math.sqrt(type1_se**2 + type2_se**2)
     low_res = delta_target is not None and risk_se > delta_target / 3.0
     return RiskReport(
         mu=float(mu), delta_target=delta_target, threshold_kind=threshold_kind,
         c_used=c_used, e0max=e0max, e0max_se=e0se, tau=tau,
         type1=type1, type1_se=type1_se, type2_mean=type2, type2_se=type2_se,
         risk=risk, risk_se=risk_se, trials=trials,
-        n_alternatives=len(p2), subsampled=subsampled, low_resolution=low_res,
+        n_alternatives=len(chosen), subsampled=subsampled, low_resolution=low_res,
     )

@@ -8,7 +8,8 @@ analysis lives in the decisions ledger:
   unit-multiplicity inequality it checks is not attainable there.
 * ``test_criterion_10_prop52`` — with the exponential rate fitted on the
   null scan maximum, the exactly computable risk at the sharper threshold
-  is 0.231 > delta = 0.2, beyond the Monte Carlo tolerance.
+  is 0.2201 (type I 0.0613 + type II 0.1588) > delta = 0.2, beyond the
+  Monte Carlo tolerance.
 """
 
 import math
@@ -262,7 +263,9 @@ def test_criterion_09_sign_vectors():
 # 10. scan test risk at both thresholds, plus the threshold-ordering table
 #
 # The prop52 leg fails: with the rate fitted on the null scan maximum the
-# exact risk at (n, K, N) = (100, 10, 10), delta = 0.2 is 0.231 > delta.
+# exact risk at (n, K, N) = (100, 10, 10), delta = 0.2 is 0.2201 > delta
+# (type I 0.0613 + type II 0.1588, each below delta; closed form at the
+# test's mu = 1.0930, tau = 7.8890).
 # Left failing deliberately; see the decisions ledger.
 
 CLS = disjoint_class(10, 10, n=100)

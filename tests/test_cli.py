@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import superconc
+from superconc import rng
 from superconc.cli import main
 from superconc.sampler import draw_rows, make_plan, sample_sequence
 from superconc.covariance import CovarianceModel
@@ -69,6 +70,18 @@ def test_sample_data_is_the_draw(tmp_path, capsys, argv, shape, spacing, method)
     summary = json.loads(capsys.readouterr().out)
     assert summary["shape"] == list(shape) and summary["spacing"] == spacing
     assert summary["method"] == plan.method
+
+
+@pytest.mark.parametrize("n", [16, 1000])
+@pytest.mark.parametrize("method", [[], ["--method", "cholesky"], ["--method", "circulant"]],
+                         ids=["default", "cholesky", "circulant"])
+def test_iid_sample_names_no_factorization(tmp_path, capsys, n, method):
+    # an iid plan draws raw noise at any size, whatever method is asked for
+    out = tmp_path / "s"
+    assert main(["--seed", "3", "--out", str(out), "sample", "--cov", '{"kind": "iid"}',
+                 "--n", str(n), "--batch", "2", *method]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "iid"
+    assert np.array_equal(_csv(out / "data.csv")[1], rng.normal_rows(3, 2, n))
 
 
 def test_commands_share_the_default_out(tmp_path, capsys, monkeypatch):

@@ -189,6 +189,18 @@ def _reference_null_scan_maxima(cls, trials, seed, offset=0, mu=0.0, shifted=Non
     return out
 
 
+def _check_risk_outcomes(cls, trials, seed, offset, mu, chosen):
+    """The risk reducer's rejections and missed shares equal those of a
+    per-trial loop that adds mu to x on each chosen set S_j."""
+    null = _reference_null_scan_maxima(cls, trials, seed, offset)
+    tau = float(np.median(null)) + mu / 2  # so that each indicator takes both values
+    reject, missed = scantest._risk_outcomes(cls, trials, seed, offset, tau, mu, chosen)
+    alt = np.array([_reference_null_scan_maxima(cls, trials, seed, offset, mu, cls.sets[j])
+                    for j in chosen]) < tau
+    assert np.array_equal(reject, null >= tau) and 0 < reject.sum() < trials
+    assert np.array_equal(missed * len(chosen), alt.sum(axis=0)) and 0 < alt.mean() < 1
+
+
 @pytest.mark.parametrize("block_rows, trials", [(7, 23), (7, 7), (None, 5)])
 @pytest.mark.parametrize("shift", [False, True])
 def test_null_scan_maxima_blocks_match_per_trial_streams(monkeypatch, block_rows, trials,
@@ -198,9 +210,11 @@ def test_null_scan_maxima_blocks_match_per_trial_streams(monkeypatch, block_rows
         trials += sampler.BLOCK_ELEMS // cls.n  # one full default block and a tail
     else:
         monkeypatch.setattr(sampler, "BLOCK_ELEMS", block_rows * cls.n)
-    kw = {"mu": 0.8, "shifted": cls.sets[17]} if shift else {}
-    got = scantest._null_scan_maxima(cls, trials, seed=9, offset=4 * 10**6, **kw)
-    ref = _reference_null_scan_maxima(cls, trials, seed=9, offset=4 * 10**6, **kw)
+    if shift:
+        _check_risk_outcomes(cls, trials, 9, 4 * 10**6, 0.8, [17, 3, 55])
+        return
+    got = scantest._null_scan_maxima(cls, trials, seed=9, offset=4 * 10**6)
+    ref = _reference_null_scan_maxima(cls, trials, seed=9, offset=4 * 10**6)
     assert np.array_equal(got, ref)
 
 
@@ -218,12 +232,15 @@ def test_null_scan_maxima_of_more_sets_than_points_match_per_trial_streams(monke
     calls = []
     sums = scantest.set_sums
     monkeypatch.setattr(scantest, "set_sums", lambda *a: calls.append(a) or sums(*a))
-    kw = {"mu": 1.3, "shifted": cls.sets[40]} if shift else {}
-    got = scantest._null_scan_maxima(cls, 30, seed=4, offset=7, **kw)
+    if shift:
+        _check_risk_outcomes(cls, 30, 4, 7, 1.3, [40, 0, 65])
+    else:
+        got = scantest._null_scan_maxima(cls, 30, seed=4, offset=7)
     # blocks of 7 rows: the block counts the 66 set sums of a row, not its 12 points
     assert rows == [7, 7, 7, 7, 2] and len(calls) == len(rows)
-    monkeypatch.undo()
-    assert np.array_equal(got, _reference_null_scan_maxima(cls, 30, seed=4, offset=7, **kw))
+    if not shift:
+        monkeypatch.undo()
+        assert np.array_equal(got, _reference_null_scan_maxima(cls, 30, seed=4, offset=7))
 
 
 def test_null_scan_maxima_under_a_cap_below_4_mib_draw_smaller_blocks(monkeypatch):
@@ -309,6 +326,39 @@ def test_estimate_risk_subsamples_large_classes():
     rep = estimate_risk(cls, mu=50.0, trials=20, seed=0)
     assert rep.subsampled
     assert rep.n_alternatives == 64
+
+
+def test_estimate_risk_draws_the_null_once_for_every_alternative(monkeypatch):
+    offsets = []
+    reduce_blocks = scantest.reduce_blocks
+    monkeypatch.setattr(scantest, "reduce_blocks",
+                        lambda *a, **k: offsets.append(a[4]) or reduce_blocks(*a, **k))
+    cls = sliding_class(200, 3)  # 64 alternatives out of 198
+    rep = estimate_risk(cls, mu=1.5, trials=300, seed=5)
+    # E0max, then one draw for the null and all 64 alternatives
+    assert offsets == [0, 2 * STREAM_BLOCK] and rep.n_alternatives == 64
+    # type I reads the null scan maxima of the streams it has always read
+    null = scantest._null_scan_maxima(cls, 300, seed=5, offset=2 * STREAM_BLOCK)
+    assert rep.type1 == float(np.mean(null >= rep.tau))
+    assert rep.type1_se == math.sqrt(max(rep.type1 * (1 - rep.type1), 1 / 300) / 300)
+    assert rep.risk == rep.type1 + rep.type2_mean
+
+
+def test_estimate_risk_matches_the_disjoint_closed_form():
+    # disjoint sets: X_S are iid N(0, K) under the null, and the alternative
+    # moves only X_{S_j}, to N(mu K, K)
+    from scipy.stats import norm
+
+    N, K = 10, 10
+    rep = estimate_risk(disjoint_class(N, K), mu=1.0929970623858187, trials=2000, seed=0)
+    assert rep.tau == pytest.approx(7.888988727378853, rel=1e-12)
+    null_cdf = norm.cdf(rep.tau / math.sqrt(K))
+    type1 = 1 - null_cdf**N
+    type2 = norm.cdf((rep.tau - rep.mu * K) / math.sqrt(K)) * null_cdf ** (N - 1)
+    assert (type1, type2) == pytest.approx((0.06127, 0.15881), abs=5e-5)
+    assert abs(rep.type1 - type1) <= 3 * rep.type1_se
+    assert abs(rep.type2_mean - type2) <= 3 * rep.type2_se
+    assert abs(rep.risk - (type1 + type2)) <= 3 * rep.risk_se
 
 
 def test_estimate_risk_rejects_trials_above_the_stream_block(monkeypatch):
