@@ -25,7 +25,7 @@ import numpy as np
 from . import rng
 from .covariance import CovarianceModel, check_hypotheses, evaluate
 from .extremes import _stable_mean, sample_maxima
-from .sampler import box_extents, grid_geometry, grid_points
+from .sampler import box_extents, grid_geometry, grid_points, make_plan, reduce_blocks
 
 # default Sudakov minoration constant: E[max] >= c_sud * delta_gap * sqrt(log n)
 DEFAULT_C_SUD = 1.0 / math.sqrt(2.0 * math.pi * math.log(2.0))
@@ -334,6 +334,23 @@ def net_ball_covering(points: np.ndarray, net_idx: np.ndarray, radius: float,
     return cov
 
 
+def _dyadic_maxima(model, d: int, extent, spacing: float, batch: int, seed: int) -> list:
+    """(N, per-path maxima) of each dyadic sub-box [0, A/2^k] with N > 1, from
+    A down.  Each sub-box's lattice is a corner of A's, so one draw of A,
+    factored once with path i on stream i, gives every scale its exact law."""
+    scales, scale = [], np.array(box_extents(d, extent))
+    while (n_a := covering_number_box(scale, d)) > 1 and min(scale) >= spacing:
+        scales.append((n_a, grid_geometry(d, scale, spacing)))
+        scale = scale / 2.0
+    if len(scales) < 2:
+        raise BoundError(f"need at least 2 dyadic scales with N(A) > 1, got {len(scales)}")
+    plan = make_plan(model, scales[0][1], spacing)
+    corners = [(slice(None),) + tuple(slice(0, s) for s in shape) for _, shape in scales]
+    blocks = reduce_blocks(plan, batch, seed, lambda x: [
+        x.reshape(len(x), *plan.shape)[c].max(axis=tuple(range(1, d + 1))) for c in corners])
+    return [(n_a, np.concatenate(m)) for (n_a, _), m in zip(scales, zip(*blocks))]
+
+
 def estimate_field_growth(
     model: CovarianceModel,
     d: int,
@@ -342,20 +359,13 @@ def estimate_field_growth(
     batch: int = 400,
     seed: int = 0,
 ) -> tuple[float, float, float, list[tuple[int, float]]]:
-    """Estimate c1 <= m(A)/sqrt(log N(A)) <= c2 over dyadic sub-boxes.
+    """Estimate c1 <= m(A)/sqrt(log N(A)) <= c2 over dyadic sub-boxes, drawn
+    as the corners of one draw of A (:func:`_dyadic_maxima`).
 
     Returns (c1, c2, regression slope, per-scale (N, mean sup) data).
     """
-    data = []
-    scale = np.array(box_extents(d, extent))
-    while (n_a := covering_number_box(scale, d)) > 1 and min(scale) >= spacing:
-        shape = grid_geometry(d, scale, spacing)
-        maxima, _ = sample_maxima(model, shape, batch, seed, spacing=spacing,
-                                  stream_offset=len(data) * batch)
-        data.append((n_a, _stable_mean(maxima)))
-        scale = scale / 2.0
-    if len(data) < 2:
-        raise BoundError(f"need at least 2 dyadic scales with N(A) > 1, got {len(data)}")
+    data = [(n_a, _stable_mean(m))
+            for n_a, m in _dyadic_maxima(model, d, extent, spacing, batch, seed)]
     xs = np.array([math.sqrt(math.log(n_a)) for n_a, _ in data])
     ys = np.array([m for _, m in data])
     ratios = ys / xs
@@ -371,8 +381,6 @@ def field_bound(
     spacing: float = 1.0,
     batch: int = 400,
     seed: int = 0,
-    c1: float | None = None,
-    c2: float | None = None,
 ) -> BoundReport:
     """Field-pipeline constants: N(A), s_0-net covering and K_{N(A)}."""
     n_a = covering_number_box(extent, d)
@@ -380,9 +388,7 @@ def field_bound(
         raise BoundError(f"field bound needs N(A) > 1, got {n_a}")
     _gate_hypotheses(model)
 
-    slope = None
-    if c1 is None or c2 is None:
-        c1, c2, slope, _ = estimate_field_growth(model, d, extent, spacing, batch, seed)
+    c1, c2, slope, _ = estimate_field_growth(model, d, extent, spacing, batch, seed)
     if exponent_ratio is None:
         exponent_ratio = (c1 / c2) ** 2 / 8.0
 

@@ -65,42 +65,35 @@ def centering_gap(maxima, n: int) -> float:
 
 
 def sample_maxima(
-    model, n: int | tuple[int, ...], batch: int, seed: int, method: str | None = None,
-    spacing: float = 1.0, stream_offset: int = 0,
+    model, n: int, batch: int, seed: int, method: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (maxima, argmax) of a batch on a lattice of ``n`` points, or
-    of shape ``n`` (argmax then indexes the C-order grid), drawn block by
-    block with :func:`sampler.reduce_blocks`.
+    """Per-path (maxima, argmax) of a batch of sequences of ``n`` points, drawn
+    block by block with :func:`sampler.reduce_blocks` from one factoring.
+    Path i draws from stream i, so only Cholesky maxima move with the blocks,
+    by a few ulp (see :mod:`sampler`).
 
-    The covariance is factored once for all blocks.  Path i draws from
-    stream ``stream_offset + i``, so only Cholesky maxima move with the
-    blocks, by a few ulp (see :mod:`sampler`).
-
-    The iid maximum of N lattice points has the exact law Phi^N, and its
-    argmax is uniform and independent of it, so for the iid model path i
-    takes both from the first Philox block of its stream
-    (:func:`rng.first_blocks`) instead of drawing N normals; ``method``
-    and the blocks do not change the result there.
+    The iid maximum of n points has the exact law Phi^n and its argmax is
+    uniform and independent of it, so an iid path i takes both from the first
+    Philox block of its stream (:func:`rng.first_blocks`) instead of drawing n
+    normals; ``method`` and the blocks do not change the result there.
     """
-    shape = tuple(n) if np.iterable(n) else (n,)
-    plan = make_plan(model, shape, spacing, method)  # factors nothing for iid
+    plan = make_plan(model, (n,), method=method)  # factors nothing for iid
     if model.kind == "iid":
-        return _iid_maxima(plan.n, batch, seed, stream_offset)
-    parts = reduce_blocks(plan, batch, seed, lambda x: (x.max(axis=1), x.argmax(axis=1)),
-                          stream_offset)
+        return _iid_maxima(n, batch, seed)
+    parts = reduce_blocks(plan, batch, seed, lambda x: (x.max(axis=1), x.argmax(axis=1)))
     # the leading empty pair keeps a batch of 0 two empty arrays
     maxima, argmax = zip((np.empty(0), np.empty(0, dtype=np.int64)), *parts)
     return np.concatenate(maxima), np.concatenate(argmax)
 
 
-def _iid_maxima(n: int, batch: int, seed: int, stream_offset: int):
+def _iid_maxima(n: int, batch: int, seed: int):
     """Exact-law iid (maxima, argmax) from words w0, w1 of each path's block:
     U = ((w0 >> 12) + 1/2) 2^-52 lies strictly inside (0, 1), M = Phi^-1(U^(1/n))
     and argmax = mulhi(w1, n), whose bias is at most n / 2^64.  U keeps 52
     bits: with 53, the top word's (2^53 - 1) + 1/2 rounds to 2^53 and U to 1."""
     from scipy.special import ndtri_exp  # loaded here only: importing scipy costs set-up
 
-    words = rng.first_blocks(seed, stream_offset, stream_offset + batch)
+    words = rng.first_blocks(seed, 0, batch)
     u = ((words[:, 0] >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
     maxima = ndtri_exp(np.log(u) / n)
     argmax = rng.mulhi(words[:, 1], n).astype(np.int64)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superconc import covering, sampler
 from superconc.covariance import CovarianceModel, evaluate, gram_matrix
 from superconc.extremes import sample_maxima
 from superconc.sampler import plan_bytes
@@ -213,6 +214,44 @@ def test_field_growth_under_a_low_cap_matches_uncapped(monkeypatch):
     # 40 rows of the 61 x 61 circulant draw need ~19 MB; one row is ~0.5 MB
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(16 * 10**6))
     assert estimate_field_growth(smooth, 2, 60.0, batch=40, seed=3) == want
+
+
+@pytest.mark.parametrize("d, extent", [(1, 100.0), (2, 40.0)], ids=["cholesky", "circulant"])
+def test_field_growth_factors_once(d, extent, monkeypatch):
+    calls = []
+    for name in ("_cholesky_factor", "circulant_embedding"):
+        fn = getattr(sampler, name)
+        monkeypatch.setattr(sampler, name,
+                            lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
+    estimate_field_growth(CovarianceModel("gaussian_smooth", lam2=2.0), d, extent,
+                          batch=20, seed=0)
+    assert len(calls) == 1
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_field_maxima_grow_with_the_box(seed):
+    # every scale is a corner of one draw, so no path's maximum shrinks as
+    # the box grows, and neither do the means nor the fitted slope
+    smooth = CovarianceModel("gaussian_smooth", lam2=2.0)
+    scales = covering._dyadic_maxima(smooth, 2, 12.0, 1.0, 20, seed)
+    assert [n_a for n_a, _ in scales] == [36, 9, 4]
+    for (_, big), (_, small) in zip(scales, scales[1:]):
+        assert np.all(big >= small)
+    _, _, slope, data = estimate_field_growth(smooth, 2, 12.0, batch=20, seed=seed)
+    means = [m for _, m in data]
+    assert means == sorted(means, reverse=True) and slope >= 0
+
+
+def test_field_run_over_768_points_never_factors_cholesky(monkeypatch):
+    # a 41 x 41 box is drawn by circulant embedding alone, so BLAS's thread
+    # count, which rounds a Cholesky product, cannot move its bytes
+    def refuse(gram):
+        raise AssertionError(f"Cholesky factor of {len(gram)} points")
+
+    monkeypatch.setattr(sampler, "_cholesky_factor", refuse)
+    rep = field_bound(CovarianceModel("gaussian_smooth", lam2=2.0), 2, 40.0, batch=20)
+    assert rep.N_A == 400 and rep.fit_slope >= 0
 
 
 def test_singleton_covering():
@@ -437,9 +476,12 @@ def test_net_ball_covering_covers_everything():
     assert cov.multiplicity == member.max()
 
 
-def test_field_bound_constants_given_growth():
+def test_field_bound_constants_given_growth(monkeypatch):
     smooth = CovarianceModel("gaussian_smooth", lam2=2.0)  # phi(1) = 1/e < 1/2
-    rep = field_bound(smooth, 1, 100.0, c1=1.0, c2=2.0)
+    monkeypatch.setattr(covering, "estimate_field_growth",
+                        lambda *a: (1.0, 2.0, 0.5, []))
+    rep = field_bound(smooth, 1, 100.0)
+    assert (rep.c1, rep.c2, rep.fit_slope) == (1.0, 2.0, 0.5)
     assert rep.N_A == 50
     ratio = (1.0 / 2.0) ** 2 / 8.0
     assert rep.exponent_ratio == pytest.approx(ratio)

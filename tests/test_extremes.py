@@ -14,7 +14,7 @@ from superconc.extremes import (
     norm_constants,
     sample_maxima,
 )
-from superconc import extremes, sampler
+from superconc import covering, extremes, sampler
 from superconc.covariance import CovarianceModel
 from superconc.experiments import ExperimentConfig, run
 from superconc.sampler import draw_rows, grid_geometry, make_plan, sample_sequence
@@ -86,9 +86,9 @@ def test_centering_gap_positive(rng_np):
     assert centering_gap(m, 1000) > 0
 
 
-def _block_rows(monkeypatch, model, shape, rows, method, spacing=1.0):
+def _block_rows(monkeypatch, model, shape, rows, method):
     """Make a block of the plan's draws ``rows`` rows long."""
-    row_elems = make_plan(model, shape, spacing, method).row_elems
+    row_elems = make_plan(model, shape, method=method).row_elems
     monkeypatch.setattr(sampler, "BLOCK_ELEMS", rows * row_elems)
 
 
@@ -152,14 +152,25 @@ def test_sample_maxima_chunks_fit_a_low_cap(ou, monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
-def test_sample_maxima_on_a_field_matches_direct(gs, method, monkeypatch):
-    shape = grid_geometry(2, [5.0, 3.0], 0.5)
-    direct = draw_rows(make_plan(gs, shape, 0.5, method), 12, seed=2, offset=30)
-    _block_rows(monkeypatch, gs, shape, 5, method, spacing=0.5)
-    m, a = sample_maxima(gs, shape, 12, seed=2, method=method,
-                         spacing=0.5, stream_offset=30)
-    assert np.array_equal(m, direct.max(axis=1))
-    assert np.array_equal(a, direct.argmax(axis=1))
+def test_sample_maxima_on_a_field_matches_direct(gs, method):
+    # the field growth stage draws its full box once: [0, 100] of 101 points
+    # by Cholesky, [0, 40]^2 of 41 x 41 points by circulant embedding, and
+    # reads each dyadic sub-box [0, A/2^k] as the corner of that draw
+    d, extent = (1, 100.0) if method == "cholesky" else (2, 40.0)
+    full = grid_geometry(d, extent, 1.0)
+    plan = make_plan(gs, full)
+    # BLAS rounds a Cholesky row by the rows in the product: those 30 paths
+    # take one block, the circulant ones two
+    assert plan.method == method
+    assert (sampler.block_rows(plan.row_elems) >= 30) == (method == "cholesky")
+    paths = draw_rows(plan, 30, seed=2).reshape(30, *full)
+    scales = covering._dyadic_maxima(gs, d, extent, 1.0, 30, 2)
+    assert len(scales) == (6 if d == 1 else 5)
+    for k, (n_a, m) in enumerate(scales):
+        assert n_a == covering.covering_number_box(extent / 2**k, d)
+        corner = paths[(slice(None),) + tuple(slice(0, s) for s in
+                                              grid_geometry(d, extent / 2**k, 1.0))]
+        assert m.tobytes() == corner.reshape(30, -1).max(axis=1).tobytes()
 
 
 def test_sample_maxima_matches_direct(ou):
@@ -169,25 +180,21 @@ def test_sample_maxima_matches_direct(ou):
     assert np.array_equal(a, direct.paths.argmax(axis=1))
 
 
-def test_iid_maxima_ignore_chunk_and_split_stream_offset(iid, monkeypatch):
+def test_iid_maxima_ignore_the_blocks_and_method(iid, monkeypatch):
     m, a = sample_maxima(iid, 64, 300, seed=9)
     for chunk in (1, 7, 300):
         _block_rows(monkeypatch, iid, (64,), chunk, "circulant")
         mc, ac = sample_maxima(iid, 64, 300, seed=9, method="circulant")
         assert np.array_equal(mc, m) and np.array_equal(ac, a)
-    head = sample_maxima(iid, 64, 120, seed=9)
-    tail = sample_maxima(iid, 64, 180, seed=9, stream_offset=120)
-    assert np.array_equal(np.concatenate([head[0], tail[0]]), m)
-    assert np.array_equal(np.concatenate([head[1], tail[1]]), a)
 
 
-@pytest.mark.parametrize("n", [1, 1024, (300, 500)])
+@pytest.mark.parametrize("n", [1, 1024, 150_000])
 def test_iid_maxima_finite_at_extreme_words(iid, n, monkeypatch):
     words = np.array([[0] * 4, [2**64 - 1] * 4], dtype=np.uint64)
     monkeypatch.setattr(extremes.rng, "first_blocks", lambda seed, lo, hi: words[: hi - lo])
     m, a = sample_maxima(iid, n, 2, seed=0)
     assert np.all(np.isfinite(m)) and m[0] < m[1]
-    assert a.tolist() == [0, math.prod(np.atleast_1d(n)) - 1]
+    assert a.tolist() == [0, n - 1]
 
 
 def test_iid_maxima_follow_phi_to_the_n(iid):
@@ -208,12 +215,11 @@ def test_iid_maxima_match_raw_row_maxima(iid):
     assert ks_2samp(m, raw).pvalue > 0.01
 
 
-@pytest.mark.parametrize("shape", [(16,), (3, 5)])
-def test_iid_argmax_uniform(iid, shape):
+@pytest.mark.parametrize("n", [16, 15])
+def test_iid_argmax_uniform(iid, n):
     from scipy.stats import chisquare
 
-    n = math.prod(shape)
-    _, a = sample_maxima(iid, shape, 200 * n, seed=5)
+    _, a = sample_maxima(iid, n, 200 * n, seed=5)
     assert a.min() >= 0 and a.max() < n
     assert chisquare(np.bincount(a, minlength=n)).pvalue > 0.01
 
@@ -232,6 +238,12 @@ def _cpus(monkeypatch, count):
 def test_sample_maxima_ignore_the_cpu_count(model, shape, batch, pooled, request,
                                             monkeypatch):
     model = request.getfixturevalue(model)
+    if len(shape) == 1:
+        def draw():
+            return sample_maxima(model, shape[0], batch, seed=7)
+    else:  # the field growth stage: every dyadic scale of one draw of the box
+        def draw():
+            return [m for _, m in covering._dyadic_maxima(model, 2, 39.0, 1.0, batch, 7)]
     pools = []
 
     class Pool(sampler.ThreadPoolExecutor):
@@ -244,18 +256,19 @@ def test_sample_maxima_ignore_the_cpu_count(model, shape, batch, pooled, request
     block = sampler.block_rows(plan.row_elems)
     assert plan.method == ("circulant" if pooled else "cholesky") and batch > 4 * block
     _cpus(monkeypatch, 1)
-    m, a = sample_maxima(model, shape, batch, seed=7)
+    one = draw()
     assert pools == []
     _cpus(monkeypatch, 4)  # four draw threads, switching as often as they can
     assert sampler.draw_workers(plan, block) == (4 if pooled else 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        mc, ac = sample_maxima(model, shape, batch, seed=7)
+        four = draw()
     finally:
         sys.setswitchinterval(interval)
     assert pools == ([4] if pooled else [])
-    assert mc.tobytes() == m.tobytes() and ac.tobytes() == a.tobytes()
+    assert len(one) == (2 if len(shape) == 1 else 5)
+    assert [x.tobytes() for x in four] == [x.tobytes() for x in one]
 
 
 def test_draw_workers_keep_blocks_in_flight_within_the_cap(ou, monkeypatch):
@@ -292,7 +305,7 @@ def test_sample_maxima_raise_the_first_failing_block(ou, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, model, fields", [
-    # 41 x 41 and 21 x 21 grids: the first is circulant, the second Cholesky
+    # one 41 x 41 circulant draw gives all five scales, 41 x 41 down to 3 x 3
     ("field_bound", ("gaussian_smooth", {"lam2": 2.0}),
      {"params": {"d": 2, "extent": 40.0, "growth_batch": 200}}),
     # two circulant cells, one after the other, each with its own pool
@@ -303,9 +316,10 @@ def test_run_ignores_the_cpu_count(kind, model, fields, tmp_path, monkeypatch):
     """A run writes the same bytes on 1 and 2 CPUs that the process may use.
     The CPU count is patched where ``sampler.draw_workers`` reads it, so this
     covers the draw threads; BLAS reads its own thread count, by which it
-    rounds a Cholesky lattice's ``noise @ factor.T`` (768 points or fewer,
-    or a fallback), so those bytes match across machines only with BLAS
-    pinned to one thread, as the benchmark pins it."""
+    rounds a Cholesky lattice's ``noise @ factor.T``.  A field run draws by
+    Cholesky only where its full box has 768 points or fewer, or falls back,
+    so only there do its bytes match across machines only with BLAS pinned
+    to one thread, as the benchmark pins it."""
     outputs = []
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
