@@ -10,14 +10,13 @@ Built-in kinds:
     log_decay         phi(t) = 1 / (1 + amp * log(1 + t))
     table             linear interpolation of an explicit lag -> value map
 
-All kinds except ``table`` are non-increasing by construction; table
-models are checked numerically wherever monotonicity matters.
+All kinds except ``table`` are non-increasing by construction; a table is
+non-increasing exactly when its knot values are (:func:`check_hypotheses`).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,79 +144,30 @@ def evaluate(model: CovarianceModel, t):
     return out
 
 
-DEFAULT_PROBE_GRID = np.geomspace(2.0, 1e6, 200)
-BERMAN_TOL = 0.05
-
-
 @dataclass
 class HypothesisReport:
     nonincreasing: bool
     phi1_lt_half: bool
-    berman_ok: bool
-    berman_witness: float
-    probe_grid: np.ndarray = field(repr=False)
     details: dict = field(default_factory=dict)
 
-    @property
-    def all_ok(self) -> bool:
-        return self.nonincreasing and self.phi1_lt_half and self.berman_ok
 
+def check_hypotheses(model: CovarianceModel) -> HypothesisReport:
+    """Check the hypotheses of the tail bounds exactly: phi non-increasing
+    and phi(1) < 1/2.
 
-def check_hypotheses(model: CovarianceModel, probe_grid=None) -> HypothesisReport:
-    """Numerically check the monotonicity / mixing hypotheses on a grid.
-
-    Failures are report contents, not errors.  ``berman_ok`` is a numeric
-    proxy for phi(t) log t -> 0: it checks that |phi log| stays below a
-    small tolerance on the last quarter of the probe grid.  The grid is
-    recorded so the check is reproducible.
+    Every kind but ``table`` is non-increasing by construction.  A table is
+    linear between its knots, so it is non-increasing exactly when its knot
+    values are; the witness is the first pair of knot lags whose value
+    rises.  Failures are report contents, not errors.
     """
-    if probe_grid is None:
-        grid = DEFAULT_PROBE_GRID
-    else:
-        grid = np.asarray(probe_grid, dtype=float)
-        if grid.size == 0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("probe grid must be non-empty and increasing")
-
-    details: dict = {}
-
-    # table grids may extend past the tabulated range; clamp the probes
+    details: dict = {"phi1": evaluate(model, 1.0)}
     if model.kind == "table":
-        tmax = model.table[-1][0]
-        grid = grid[grid <= tmax]
-        details["probe_clamped_to"] = tmax
-
-    full = np.concatenate([[0.0, 1.0], grid]) if grid.size else np.array([0.0, 1.0])
-    full = np.unique(full)
-    phi_full = np.atleast_1d(evaluate(model, full))
-
-    diffs = np.diff(phi_full)
-    nonincreasing = bool(np.all(diffs <= 1e-12))
-    if not nonincreasing:
-        k = int(np.argmax(diffs > 1e-12))
-        details["nonincreasing_witness"] = (float(full[k]), float(full[k + 1]))
-
-    phi1 = evaluate(model, 1.0)
-    phi1_lt_half = bool(phi1 < 0.5)
-    details["phi1"] = float(phi1)
-
-    if grid.size:
-        w = np.abs(np.atleast_1d(evaluate(model, grid)) * np.log(grid))
-        tail = w[3 * len(w) // 4 :]
-        witness = float(np.max(tail)) if tail.size else float(np.max(w))
-        berman_ok = witness < BERMAN_TOL
-    else:
-        witness = math.nan
-        berman_ok = False
-        details["berman_no_probes"] = True
-
-    return HypothesisReport(
-        nonincreasing=nonincreasing,
-        phi1_lt_half=phi1_lt_half,
-        berman_ok=berman_ok,
-        berman_witness=witness,
-        probe_grid=grid,
-        details=details,
-    )
+        lags, vals = zip(*model.table)
+        rises = np.flatnonzero(np.diff(vals) > 1e-12)
+        if rises.size:
+            details["nonincreasing_witness"] = (lags[rises[0]], lags[rises[0] + 1])
+    return HypothesisReport("nonincreasing_witness" not in details,
+                            details["phi1"] < 0.5, details)
 
 
 def gram_matrix(model: CovarianceModel, points) -> np.ndarray:
@@ -248,6 +198,6 @@ def gram_matrix(model: CovarianceModel, points) -> np.ndarray:
     return gram
 
 
-def toeplitz_lags(model: CovarianceModel, n: int, spacing: float = 1.0) -> np.ndarray:
-    """phi at lags 0, h, ..., (n-1)h; first row of the sequence gram."""
-    return np.atleast_1d(evaluate(model, spacing * np.arange(n)))
+def toeplitz_lags(model: CovarianceModel, n: int) -> np.ndarray:
+    """phi at lags 0, 1, ..., n - 1; first row of the sequence gram."""
+    return np.atleast_1d(evaluate(model, np.arange(n)))

@@ -27,7 +27,7 @@ from .covariance import CovarianceModel, check_hypotheses, evaluate
 from .extremes import _stable_mean, sample_maxima
 from .sampler import box_extents, grid_geometry, grid_points, make_plan, reduce_blocks
 
-# default Sudakov minoration constant: E[max] >= c_sud * delta_gap * sqrt(log n)
+# Sudakov minoration constant C: E[max] >= C * delta_gap * sqrt(log n)
 DEFAULT_C_SUD = 1.0 / math.sqrt(2.0 * math.pi * math.log(2.0))
 
 MC_RHO_MIN_PATHS = 10**4
@@ -144,18 +144,16 @@ def rho_monte_carlo(cov: Covering, argmax_indices) -> RhoEstimate:
     return RhoEstimate(rho, "monte_carlo", se=se, degenerate=rho >= 1.0)
 
 
-def sudakov_exponent(delta: float, c_sud: float = DEFAULT_C_SUD) -> float:
+def sudakov_exponent(delta: float) -> float:
     """Exponent eps in P(I = i) <= 2/n^eps from the minoration of E[max]."""
-    return (c_sud * delta) ** 2 / 2.0
+    return (DEFAULT_C_SUD * delta) ** 2 / 2.0
 
 
-def rho_analytic_sequence(
-    n: int, alpha: float, delta: float, c_sud: float = DEFAULT_C_SUD
-) -> RhoEstimate:
+def rho_analytic_sequence(n: int, alpha: float, delta: float) -> RhoEstimate:
     """Block argmax probability bound rho = min(1, 4/n^eta), eta = eps - alpha."""
     if delta <= 0:
         raise ValueError("analytic rho needs delta = 2(1 - phi(1)) > 0")
-    eps = sudakov_exponent(delta, c_sud)
+    eps = sudakov_exponent(delta)
     eta = eps - alpha
     if eta <= 0:
         raise BoundError(
@@ -228,7 +226,6 @@ def sequence_bound(
     n: int,
     alpha: float,
     rho_source: str = "monte_carlo",
-    c_sud: float = DEFAULT_C_SUD,
     batch: int = MC_RHO_MIN_PATHS,
     seed: int = 0,
 ) -> BoundReport:
@@ -250,7 +247,7 @@ def sequence_bound(
         # argmax is uniform by exchangeability: rho = 1/n exactly
         rho = RhoEstimate(1.0 / n, "analytic")
     elif rho_source == "analytic":
-        rho = rho_analytic_sequence(n, alpha, delta, c_sud)
+        rho = rho_analytic_sequence(n, alpha, delta)
     else:
         raise ValueError(f"unknown rho source {rho_source!r}")
 
@@ -293,33 +290,6 @@ def greedy_net(points: np.ndarray, s0: float) -> np.ndarray:
             kept.append(i)
             free[i:] &= np.sum((pts[i:] - pts[i]) ** 2, axis=1) > s0 * s0
     return np.array(kept)
-
-
-def verify_net(points: np.ndarray, net_idx: np.ndarray, s0: float):
-    """Exhaustive separation + maximality check; returns (ok, witness).
-
-    Distances are taken from one net point at a time, so memory stays at a
-    few arrays of n points.  The separation witness is the closest net pair,
-    first in row-major order; the maximality witness is the first point
-    farthest from the net.
-    """
-    pts = np.asarray(points, dtype=float)
-    pts = pts[:, None] if pts.ndim == 1 else pts
-    net = pts[net_idx]
-    best, pair = np.inf, (0, 0)
-    for i in range(len(net) - 1):
-        row = np.sqrt(np.sum((net[i + 1:] - net[i]) ** 2, axis=1))
-        j = int(np.argmin(row))
-        if row[j] < best:  # strict: an earlier row keeps a tie
-            best, pair = row[j], (i, i + 1 + j)
-    if best <= s0:
-        return False, ("separation", int(net_idx[pair[0]]), int(net_idx[pair[1]]))
-    nearest = np.full(pts.shape[0], np.inf)
-    for p in net:
-        np.minimum(nearest, np.sqrt(np.sum((pts - p) ** 2, axis=1)), out=nearest)
-    if np.any(nearest > s0):
-        return False, ("maximality", int(np.argmax(nearest)))
-    return True, None
 
 
 def net_ball_covering(points: np.ndarray, net_idx: np.ndarray, radius: float,
@@ -412,19 +382,12 @@ def field_bound(
 # ---------------------------------------------------------------------------
 # epsilon-correlated vectors and sign-vector sets
 
-def correlated_bound(eps: float, n: int, gram: np.ndarray | None = None) -> BoundReport:
+def correlated_bound(eps: float, n: int) -> BoundReport:
     """Singleton-covering bound K = max(eps, 1/log n) for weak correlations."""
     if not 0 < eps < 1:
         raise BoundError(f"eps must lie in (0, 1), got {eps}")
     if n < 2:
         raise BoundError(f"n must be at least 2, got {n}")
-    if gram is not None:
-        off = gram - np.diag(np.diag(gram))
-        if np.any(off > eps):
-            i, j = np.unravel_index(int(np.argmax(off)), off.shape)
-            raise ValueError(
-                f"gram entry ({i}, {j}) = {off[i, j]:.6g} exceeds eps = {eps}"
-            )
     K = max(eps, 1.0 / math.log(n))
     return BoundReport(
         pipeline="correlated", K=K, r0=eps, rho=1.0 / n, rho_source="analytic",
@@ -493,18 +456,6 @@ def find_sign_vectors(
         accepted=found, saturated=found < N_target,
         pair_tests=pair_tests, pair_pass=pair_pass,
     )
-
-
-def verify_sign_vectors(vectors: np.ndarray, threshold: float):
-    """Exhaustive pairwise check; returns (ok, witness pair or None)."""
-    v = np.asarray(vectors, dtype=np.int64)
-    dots = v @ v.T
-    np.fill_diagonal(dots, 0)
-    bad = np.abs(dots) > threshold
-    if bad.any():
-        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return False, (int(i), int(j))
-    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,10 @@ CHOICES = {"tail_bounds": {"center": ("mean", "b_n")},
 # the params whose default is None that take something other than a number
 NOT_NUMBERS = {"sets", "delta_grid", "method"}
 # the params that count points, paths, trials or vectors, with their least value
-COUNTS = {"t_points": 1, "theta_points": 1, "growth_batch": 1, "trials": 1, "N_target": 2}
+COUNTS = {"n": 1, "t_points": 1, "theta_points": 1, "growth_batch": 1, "trials": 1,
+          "N_target": 2}
+# the params that scale a bound or a tail rate, which must be positive
+POSITIVE = {"K", "c", "table_c"}
 
 
 def _params(cfg) -> dict:
@@ -176,8 +179,9 @@ def _param_diags(kind: str, p: dict) -> list[str]:
     """A diagnostic for each param of the kind's ``CHOICES`` set outside
     them, each param with a numeric default, or a given one with a None
     default outside ``NOT_NUMBERS``, that is not a number (extent may be a
-    list), each of the ``COUNTS`` below its least value, and each of them and
-    a given ``d`` that is not a whole number."""
+    list), each given one of the ``COUNTS`` below its least value, each given
+    one of ``POSITIVE`` that is not above 0, and each given count or ``d``
+    that is not a whole number."""
     diags = []
     choices = CHOICES.get(kind, {})
     for name, default in PARAMS[kind].items():
@@ -189,9 +193,13 @@ def _param_diags(kind: str, p: dict) -> list[str]:
             diags.append(f"field 'params.{name}': {v!r} is not one of {list(choices[name])}")
         elif numeric and not all(isinstance(x, numbers.Real) for x in values):
             diags.append(f"field 'params.{name}': {v!r} is not a number")
+        elif v is None:
+            continue
         elif name in COUNTS and v < COUNTS[name]:
             diags.append(f"field 'params.{name}': {v!r} is below {COUNTS[name]}")
-        elif (name in COUNTS or name == "d" and v is not None) and not (
+        elif name in POSITIVE and not v > 0:
+            diags.append(f"field 'params.{name}': {v!r} is not a positive number")
+        elif (name in COUNTS or name == "d") and not (
                 isinstance(v, numbers.Real) and float(v).is_integer()):
             diags.append(f"field 'params.{name}': {v!r} is not a whole number")
     return diags
@@ -271,9 +279,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         if not 0 < p["delta"] <= top:
             diags.append(f"field 'params.delta': {p['delta']!r} is outside (0, {top}] "
                          f"of {p['threshold']}")
-        for name in ("c", "table_c"):
-            if p[name] is not None and not (isinstance(p[name], numbers.Real) and p[name] > 0):
-                diags.append(f"field 'params.{name}': {p[name]!r} is not a positive number")
         grid = p["delta_grid"]
         if grid is not None and not (isinstance(grid, list) and all(
                 isinstance(d, numbers.Real) and 0 < d <= 6 for d in grid)):

@@ -200,8 +200,9 @@ def circulant_embedding(
     ``shape`` is the lattice, an int for a sequence.  The embedding starts
     at :func:`base_embedding` and doubles until the FFT eigenvalues are
     nonnegative within a relative tolerance; residual roundoff is clipped.
-    No doubling is tried whose one path would exceed ``max_bytes``; the
-    smallest embedding always is.  Returns the eigenvalues, shaped like the
+    No size is computed whose one path would exceed ``max_bytes``: a
+    doubling over it ends the search, and a smallest embedding over it is a
+    :class:`CapacityError`.  Returns the eigenvalues, shaped like the
     embedding, and their count m.
     """
     base = base_embedding(int(s) for s in np.atleast_1d(shape))
@@ -209,7 +210,10 @@ def circulant_embedding(
     worst = math.inf
     for k in range(EMBED_MAX_DOUBLINGS + 1):
         ms = tuple(m << k for m in base)
-        if k and DRAW_BYTES_PER_ELEM * math.prod(ms) > max_bytes:
+        if (nbytes := DRAW_BYTES_PER_ELEM * math.prod(ms)) > max_bytes:
+            if not k:
+                raise CapacityError(f"the smallest circulant embedding {ms} needs ~{nbytes} "
+                                    f"bytes a path, limit is {max_bytes}")
             break
         sq = sum(np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in ms)))
         eig = np.fft.fftn(evaluate(model, spacing * np.sqrt(sq))).real
@@ -260,6 +264,8 @@ def make_plan(
     ``CHOLESKY_MAX_N`` points only), the Cholesky factor, and any embedding
     within the cap; an embedding fails with :class:`EmbeddingError` or
     :class:`TableRangeError`.  If all fail, the Cholesky failure is raised.
+    An embedding whose smallest size is over its byte limit is never
+    computed; it raises :class:`CapacityError`.
     The plan's ``method`` is the one used, or ``"iid"`` for the iid model.
     """
     if min(shape) < 1:

@@ -151,15 +151,15 @@ def estimate_E0max(cls: ScanClass, trials: int, seed: int) -> tuple[float, float
     return _stable_mean(maxima), se
 
 
-def calibrate_c(cls: ScanClass, trials: int = 10**4, seed: int = 0) -> float:
-    """Fit the exponential tail constant on the null scan maximum.
+def calibrate_c(cls: ScanClass, seed: int = 0) -> float:
+    """Fit the exponential tail constant on 10^4 null scan maxima.
 
     The maximum of N set sums of K standard normals concentrates at scale
     sqrt(K / log N), so the deviations are fitted against the bound
     6 exp(-c t / sqrt(K / log N)), recovering the constant of the
     acceptance threshold.
     """
-    maxima = _null_scan_maxima(cls, trials, seed, offset=STREAM_BLOCK)
+    maxima = _null_scan_maxima(cls, 10**4, seed, offset=STREAM_BLOCK)
     dev = np.abs(maxima - _stable_mean(maxima))
     grid = np.linspace(0.0, float(np.quantile(dev, 0.9995)), 48)[1:]
     tail = tail_from_deviations(dev, grid, "mean", _stable_mean(maxima))

@@ -5,7 +5,7 @@ Drawing the maxima is the caller's job (``extremes.sample_maxima``)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +33,11 @@ def variance_with_se(x: np.ndarray) -> tuple[float, float]:
     return var, se
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95 % Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
-    p = k / n
+    p, z = k / n, 1.96
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -60,8 +60,6 @@ class TailEstimate:
     hi: np.ndarray
     center: str
     center_value: float
-    sample_size: int
-    low_resolution: np.ndarray = field(repr=False, default=None)
 
 
 def tail_from_deviations(dev: np.ndarray, t_grid, center: str,
@@ -71,10 +69,9 @@ def tail_from_deviations(dev: np.ndarray, t_grid, center: str,
     counts = np.array([(dev >= ti).sum() for ti in t])
     surv = counts / b
     bands = np.array([wilson_interval(int(k), b) for k in counts])
-    low_res = t > dev.max(initial=0.0)
     return TailEstimate(
         t=t, survival=surv, lo=bands[:, 0], hi=bands[:, 1], center=center,
-        center_value=center_value, sample_size=b, low_resolution=low_res,
+        center_value=center_value,
     )
 
 
@@ -91,7 +88,7 @@ class FitError(ValueError):
     """Too few points of a tail estimate lie in the range a fit takes."""
 
 
-def _select_fit_points(tail: TailEstimate, smin: float, smax: float):
+def _select_fit_points(tail: TailEstimate):
     s = tail.survival
     loose = (s >= 1e-4) & (s <= 0.5) & (tail.t > 0)
     if loose.sum() < FIT_MIN_POINTS:
@@ -99,7 +96,7 @@ def _select_fit_points(tail: TailEstimate, smin: float, smax: float):
             f"tail fit needs >= {FIT_MIN_POINTS} grid points with survival "
             "in [1e-4, 0.5]"
         )
-    return (s >= smin) & (s <= smax) & (tail.t > 0)
+    return (s >= FIT_SURVIVAL_MIN) & (s <= FIT_SURVIVAL_MAX) & (tail.t > 0)
 
 
 # An exponential tail 6 exp(-c x) has -log(s/6) affine in x with a
@@ -117,17 +114,15 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def fit_tail_rate(
-    tail: TailEstimate, K: float,
-    smin: float = FIT_SURVIVAL_MIN, smax: float = FIT_SURVIVAL_MAX,
-) -> FitResult:
+def fit_tail_rate(tail: TailEstimate, K: float) -> FitResult:
     """Least-squares rate of survival ~ 6 exp(-c t / sqrt(K)).
 
-    Fits -log(survival/6) against t/sqrt(K) over the admissible survival
-    range.  ok is False when the fit detects curvature (R^2 < 0.9 or a
-    clearly negative intercept) or the rate is nonpositive.
+    Fits -log(survival/6) against t/sqrt(K) where the survival lies in
+    [FIT_SURVIVAL_MIN, FIT_SURVIVAL_MAX].  ok is False when the fit detects
+    curvature (R^2 < 0.9 or a clearly negative intercept) or the rate is
+    nonpositive.
     """
-    mask = _select_fit_points(tail, smin, smax)
+    mask = _select_fit_points(tail)
     t = tail.t[mask]
     y = -np.log(tail.survival[mask] / 6.0)
     x = t / math.sqrt(K)
@@ -138,12 +133,9 @@ def fit_tail_rate(
     )
 
 
-def fit_gaussian_rate(
-    tail: TailEstimate,
-    smin: float = FIT_SURVIVAL_MIN, smax: float = FIT_SURVIVAL_MAX,
-) -> FitResult:
+def fit_gaussian_rate(tail: TailEstimate) -> FitResult:
     """Comparison fit of survival ~ 2 exp(-a t^2 / 2) on the same range."""
-    mask = _select_fit_points(tail, smin, smax)
+    mask = _select_fit_points(tail)
     t = tail.t[mask]
     y = -np.log(tail.survival[mask] / 2.0)
     x = t**2 / 2.0

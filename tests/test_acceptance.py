@@ -28,8 +28,6 @@ from superconc.covering import (
     rho_analytic_sequence,
     sequence_bound,
     verify_covering,
-    verify_net,
-    verify_sign_vectors,
 )
 from superconc.experiments import ExperimentConfig, run
 from superconc.extremes import (
@@ -48,6 +46,8 @@ from superconc.verify import (
     laplace_check,
     variance_with_se,
 )
+
+from checkers import verify_net, verify_sign_vectors
 
 IID = CovarianceModel("iid")
 OU = CovarianceModel("ornstein_uhlenbeck", rate=1.0)

@@ -458,12 +458,17 @@ def _config_file(tmp_path, text):
      "field 'params.exponent_ratio': 'x' is not a number"),
     ('{"kind": "sign_vectors", "params": {"threshold": "x"}}',
      "field 'params.threshold': 'x' is not a number"),
+    ('{"kind": "laplace_check", "sizes": [64], "params": {"K": 0}}',
+     "field 'params.K': 0 is not a positive number"),
+    ('{"kind": "tail_bounds", "sizes": [64], "params": {"K": -1}}',
+     "field 'params.K': -1 is not a positive number"),
 ], ids=["unknown-param", "bad-generator", "bad-batch", "bad-sizes", "malformed-json",
         "center-outside-choices", "non-numeric-trials", "threshold-outside-choices",
         "rho-outside-choices", "null-number", "non-numeric-extent",
         "method-outside-choices", "growth-batch", "fractional-field-d",
         "fractional-sample-d", "fractional-count", "non-numeric-mu", "non-numeric-K",
-        "non-numeric-exponent-ratio", "non-numeric-signvec-threshold"])
+        "non-numeric-exponent-ratio", "non-numeric-signvec-threshold", "laplace-K-0",
+        "tail-K-negative"])
 def test_config_mistake_exit_code(tmp_path, capsys, text, named):
     argv = ["--out", str(tmp_path / "o"), "--config", _config_file(tmp_path, text)]
     assert main(argv) == 2
@@ -557,8 +562,12 @@ def test_every_experiment_flag_names_a_param_of_its_kind():
      "field 'params.trials': 0 is below 1"),
     (["signvec", "--N", "1"], {"kind": "sign_vectors", "params": {"N_target": 1}},
      "field 'params.N_target': 1 is below 2"),
+    (["signvec", "--n", "-1"], {"kind": "sign_vectors", "params": {"n": -1}},
+     "field 'params.n': -1 is below 1"),
+    (["signvec", "--n", "0"], {"kind": "sign_vectors", "params": {"n": 0}},
+     "field 'params.n': 0 is below 1"),
 ], ids=["generator-not-int", "generator-one-int", "generator-window", "t-points",
-        "theta-points", "trials", "N-target"])
+        "theta-points", "trials", "N-target", "signvec-n-negative", "signvec-n-0"])
 def test_mistake_on_both_routes_exit_code(tmp_path, capsys, argv, config, named):
     out = tmp_path / "o"
     assert main(["--out", str(out), *argv]) == 2
@@ -572,6 +581,8 @@ def test_mistake_on_both_routes_exit_code(tmp_path, capsys, argv, config, named)
 
 OU_SLOW = {"kind": "ornstein_uhlenbeck", "params": {"rate": 0.5}}
 OU = json.loads(OU_JSON)
+# falls from lag 0 to lag 1, but rises from 0.2 at lag 0.3 to 0.4 at lag 0.6
+GAP_TABLE = {"kind": "table", "table": [[0, 1], [0.3, 0.2], [0.6, 0.4], [1, 0.1], [40, 0]]}
 
 
 # each bound mistake, through the bound subcommand and the same config file
@@ -592,7 +603,11 @@ OU = json.loads(OU_JSON)
      {"kind": "field_bound", "params": {"extent": 2.0}}, "N(A) > 1, got 1"),
     (["--pipeline", "field", "--alpha", "0.3"],
      {"kind": "field_bound", "params": {"alpha": 0.3}}, "field_bound takes no ['alpha']"),
-], ids=["mc-batch", "phi1", "trivial-covering", "eta", "eps", "one-ball", "foreign-flag"])
+    (["--cov", json.dumps(GAP_TABLE), "--n", "16"],
+     {"kind": "sequence_bound", "model": GAP_TABLE, "sizes": [16]},
+     "phi must be non-increasing; violated near lags (0.3, 0.6)"),
+], ids=["mc-batch", "phi1", "trivial-covering", "eta", "eps", "one-ball", "foreign-flag",
+        "table-gap"])
 def test_bound_mistake_exit_code(tmp_path, capsys, argv, config, named):
     out = tmp_path / "o"
     assert main(["--out", str(out), "bound", *argv]) == 2

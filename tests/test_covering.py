@@ -36,9 +36,9 @@ from superconc.covering import (
     sudakov_exponent,
     tail_curve,
     verify_covering,
-    verify_net,
-    verify_sign_vectors,
 )
+
+from checkers import verify_net, verify_sign_vectors
 
 
 def test_block_construction_worked_example():
@@ -369,10 +369,27 @@ def test_sequence_bound_rejects_bad_phi1():
         sequence_bound(slow, 64, 0.5)
 
 
-def test_sequence_bound_report_dict(ou):
-    rep = sequence_bound(ou, 256, 0.5, rho_source="analytic", c_sud=2.0)
+# phi falls from lag 0 to lag 1 and on past it, but rises from 0.2 at
+# lag 0.3 to 0.4 at lag 0.6
+GAP_TABLE = CovarianceModel("table", table=((0.0, 1.0), (0.3, 0.2), (0.6, 0.4), (1.0, 0.1),
+                                            (40.0, 0.0)))
+
+
+def test_bounds_reject_a_table_that_rises_between_its_knots():
+    with pytest.raises(HypothesisError, match=r"lags \(0\.3, 0\.6\)"):
+        sequence_bound(GAP_TABLE, 16, 0.5)
+    with pytest.raises(HypothesisError, match=r"lags \(0\.3, 0\.6\)"):
+        field_bound(GAP_TABLE, 1, 8.0)
+
+
+def test_sequence_bound_report_dict():
+    # at OU rate 5, delta = 1.987 gives eps = 0.453 with the default Sudakov
+    # constant, so alpha = 0.2 leaves eta = 0.253 and the analytic route holds
+    fast = CovarianceModel("ornstein_uhlenbeck", rate=5.0)
+    rep = sequence_bound(fast, 256, 0.2, rho_source="analytic")
     d = rep.to_dict()
     assert d["pipeline"] == "sequence"
+    assert d["rho_source"] == "analytic" and d["eta"] > 0
     assert "covering_blocks" in d
     assert d["covering_multiplicity"] == 3
 
@@ -494,10 +511,6 @@ def test_field_bound_constants_given_growth(monkeypatch):
 def test_correlated_bound():
     rep = correlated_bound(0.1, 1024)
     assert rep.K == pytest.approx(max(0.1, 1 / math.log(1024)))
-    g = np.eye(3)
-    g[0, 1] = g[1, 0] = 0.5
-    with pytest.raises(ValueError, match="exceeds eps"):
-        correlated_bound(0.1, 3, gram=g)
     with pytest.raises(ValueError):
         correlated_bound(1.5, 10)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,21 @@ def test_capacity_cap(monkeypatch, ou):
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", "1000")
     with pytest.raises(CapacityError):
         sample_sequence(ou, 64, 64, seed=0)
+
+
+def test_an_embedding_over_the_cap_is_refused_before_it_is_computed(monkeypatch, ou):
+    # 10^5 points embed at 200 000, 6.4 MB a path: make_plan raises at a
+    # 1 MB cap, by either route, without computing the embedding's FFT
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", "1000000")
+    tracemalloc.start()
+    try:
+        for method in (None, "circulant"):
+            with pytest.raises(CapacityError, match="needs ~6400000 bytes a path"):
+                make_plan(ou, (100_000,), method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_grid_points_1d():

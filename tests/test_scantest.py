@@ -287,8 +287,8 @@ def test_estimate_E0max_is_deterministic():
 
 def test_calibrate_c_positive_and_deterministic():
     cls = disjoint_class(6, 6)
-    c1 = calibrate_c(cls, trials=10**4, seed=0)
-    c2 = calibrate_c(cls, trials=10**4, seed=0)
+    c1 = calibrate_c(cls, seed=0)
+    c2 = calibrate_c(cls, seed=0)
     assert c1 == c2
     assert c1 > 0
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from superconc.extremes import sample_maxima
 from superconc.verify import (
     FIT_R2_OK,
+    FIT_SURVIVAL_MAX,
+    FIT_SURVIVAL_MIN,
     TailEstimate,
     estimate_tail,
     fit_gaussian_rate,
@@ -24,7 +26,6 @@ def _synthetic_tail(t, survival):
     s = np.asarray(survival, dtype=float)
     return TailEstimate(
         t=t, survival=s, lo=s, hi=s, center="mean", center_value=0.0,
-        sample_size=10**6, low_resolution=np.zeros_like(t, dtype=bool),
     )
 
 
@@ -55,7 +56,6 @@ def test_tail_from_deviations_counts():
     dev = np.array([0.1, 0.5, 0.5, 2.0])
     tail = tail_from_deviations(dev, [0.0, 0.5, 1.0, 3.0], "mean", 0.0)
     assert list(tail.survival) == [1.0, 0.75, 0.25, 0.0]
-    assert list(tail.low_resolution) == [False, False, False, True]
     assert np.all(tail.lo <= tail.survival)
     assert np.all(tail.survival <= tail.hi)
 
@@ -76,10 +76,12 @@ def test_estimate_tail_centers_differ_by_shift(iid):
 
 
 def test_fit_exact_exponential_recovers_rate():
+    # survival 6 exp(-4 t) from 0.30 down to 0.0067, inside the fit's window
     K = 0.25
-    t = np.linspace(0.05, 2.0, 30)
+    t = np.linspace(0.75, 1.7, 30)
     tail = _synthetic_tail(t, 6 * np.exp(-2 * t / math.sqrt(K)))
-    fit = fit_tail_rate(tail, K, smin=0.0, smax=1.0)
+    assert np.all((tail.survival >= FIT_SURVIVAL_MIN) & (tail.survival <= FIT_SURVIVAL_MAX))
+    fit = fit_tail_rate(tail, K)
     assert fit.rate == pytest.approx(2.0, abs=1e-6)
     assert fit.intercept == pytest.approx(0.0, abs=1e-9)
     assert fit.r2 == pytest.approx(1.0)
@@ -88,18 +90,18 @@ def test_fit_exact_exponential_recovers_rate():
 
 def test_fit_flags_gaussian_shape_as_non_exponential():
     # curvature detection: a Gaussian synthetic survival must not pass as
-    # exponential, on the default range and on a wide one
+    # exponential on the fit's window
     t = np.linspace(0.05, 6.0, 120)
     tail = _synthetic_tail(t, 2 * np.exp(-(t**2) / 2))
     assert not fit_tail_rate(tail, 1.0).ok
-    tail2 = _synthetic_tail(t, 2 * np.exp(-(t**2) / 2))
-    assert not fit_tail_rate(tail2, 1.0, smin=1e-9).ok
 
 
 def test_fit_gaussian_rate_exact():
-    t = np.linspace(0.05, 4.0, 40)
+    # survival 2 exp(-0.35 t^2) from 0.299 down to 0.0012, inside the window
+    t = np.linspace(2.33, 4.6, 40)
     tail = _synthetic_tail(t, 2 * np.exp(-0.7 * t**2 / 2))
-    fit = fit_gaussian_rate(tail, smin=0.0, smax=1.0)
+    assert np.all((tail.survival >= FIT_SURVIVAL_MIN) & (tail.survival <= FIT_SURVIVAL_MAX))
+    fit = fit_gaussian_rate(tail)
     assert fit.rate == pytest.approx(0.7, abs=1e-9)
     assert fit.r2 == pytest.approx(1.0)
 
@@ -114,12 +116,13 @@ def test_fit_needs_enough_points():
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=0.05, max_value=5.0))
 def test_fit_scale_consistency(K):
-    # quadrupling K halves the abscissa, doubling the fitted rate exactly
-    t = np.linspace(0.05, 4.0, 50)
+    # quadrupling K halves the abscissa, doubling the fitted rate exactly;
+    # the survival runs from 0.29 down to 0.0011, inside the fit's window
+    t = np.linspace(2.2, 6.5, 50)
     tail = _synthetic_tail(t, np.exp(-1.3 * t) * 5.0)
-    f1 = fit_tail_rate(tail, K, smin=0.0, smax=1.0)
+    f1 = fit_tail_rate(tail, K)
     tail2 = _synthetic_tail(t, np.exp(-1.3 * t) * 5.0)
-    f2 = fit_tail_rate(tail2, 4 * K, smin=0.0, smax=1.0)
+    f2 = fit_tail_rate(tail2, 4 * K)
     assert f2.rate == pytest.approx(2 * f1.rate, rel=1e-9)
 
 
