@@ -361,23 +361,16 @@ def _run_variance_scaling(cfg):
         var, se = variance_with_se(maxima)
         return n, var, se, var * math.log(n)
 
+    header = ["n", "var", "se", "var_times_logn"]
     rows = _per_size(cfg, cfg.sizes, stat)
-    summary = {
-        "per_n": [
-            {"n": n, "var": v, "se": se, "var_times_logn": vl}
-            for n, v, se, vl in rows
-        ]
-    }
-    return ["n", "var", "se", "var_times_logn"], rows, summary
+    return header, rows, {"per_n": [dict(zip(header, row)) for row in rows]}
 
 
 def _run_gumbel_convergence(cfg):
+    header = ["n", "ks", "centering_gap"]
     rows = _per_size(cfg, cfg.sizes,
                      lambda n, m: (n, ks_to_gumbel(m, n), centering_gap(m, n)))
-    summary = {
-        "per_n": [{"n": n, "ks": k, "centering_gap": g} for n, k, g in rows]
-    }
-    return ["n", "ks", "centering_gap"], rows, summary
+    return header, rows, {"per_n": [dict(zip(header, row)) for row in rows]}
 
 
 def _K(p, n) -> float:

@@ -327,8 +327,8 @@ def reduce_blocks(plan: LatticePlan, batch: int, seed: int, reduce, offset: int 
 
     The blocks run on :func:`draw_workers` threads: one per CPU for a
     circulant plan, whose noise and FFTs release the interpreter lock on
-    rows that long; one for Cholesky and iid plans, whose short rows rekey
-    their streams in Python, holding the lock, and whose products would
+    rows that long; one for Cholesky and iid plans, whose short rows move
+    their Philox counter in Python, holding the lock, and whose products would
     stack threads on a threaded BLAS.  Each block reduces only its own rows,
     so the results do not depend on the CPU count, and the first failing
     block's error is raised, in block order.

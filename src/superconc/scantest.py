@@ -20,7 +20,7 @@ from . import rng
 from .covariance import CovarianceModel
 from .extremes import _stable_mean
 from .sampler import make_plan, reduce_blocks
-from .verify import fit_tail_rate, tail_from_deviations
+from .verify import estimate_tail, fit_tail_rate
 
 MAX_ALTERNATIVES = 64
 # streams owned by each estimate of estimate_risk: E0max, calibration, the
@@ -162,7 +162,7 @@ def calibrate_c(cls: ScanClass, seed: int = 0) -> float:
     maxima = _null_scan_maxima(cls, 10**4, seed, offset=STREAM_BLOCK)
     dev = np.abs(maxima - _stable_mean(maxima))
     grid = np.linspace(0.0, float(np.quantile(dev, 0.9995)), 48)[1:]
-    tail = tail_from_deviations(dev, grid, "mean", _stable_mean(maxima))
+    tail = estimate_tail(maxima, cls.n, "mean", grid)
     k_fit = cls.K / math.log(cls.N)
     fit = fit_tail_rate(tail, k_fit)
     if fit.rate <= 0:

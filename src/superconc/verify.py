@@ -62,26 +62,21 @@ class TailEstimate:
     center_value: float
 
 
-def tail_from_deviations(dev: np.ndarray, t_grid, center: str,
-                         center_value: float) -> TailEstimate:
-    t = np.asarray(t_grid, dtype=float)
-    b = len(dev)
-    counts = np.array([(dev >= ti).sum() for ti in t])
-    surv = counts / b
-    bands = np.array([wilson_interval(int(k), b) for k in counts])
-    return TailEstimate(
-        t=t, survival=surv, lo=bands[:, 0], hi=bands[:, 1], center=center,
-        center_value=center_value,
-    )
-
-
 def estimate_tail(maxima: np.ndarray, n: int, center: str, t_grid) -> TailEstimate:
     """Empirical survival of |M - center| on a t grid with Wilson bands, for
     maxima over ``n`` points; ``center`` is 'mean' or 'b_n'."""
     if center not in ("mean", "b_n"):
         raise ValueError("center must be 'mean' or 'b_n'")
     cval = _stable_mean(maxima) if center == "mean" else norm_constants(n).b_n
-    return tail_from_deviations(np.abs(maxima - cval), t_grid, center, cval)
+    dev = np.abs(maxima - cval)
+    t = np.asarray(t_grid, dtype=float)
+    b = len(dev)
+    counts = np.array([(dev >= ti).sum() for ti in t])
+    bands = np.array([wilson_interval(int(k), b) for k in counts])
+    return TailEstimate(
+        t=t, survival=counts / b, lo=bands[:, 0], hi=bands[:, 1], center=center,
+        center_value=cval,
+    )
 
 
 class FitError(ValueError):

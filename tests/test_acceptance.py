@@ -263,9 +263,9 @@ def test_criterion_09_sign_vectors():
 # 10. scan test risk at both thresholds, plus the threshold-ordering table
 #
 # The prop52 leg fails: with the rate fitted on the null scan maximum the
-# exact risk at (n, K, N) = (100, 10, 10), delta = 0.2 is 0.2201 > delta
-# (type I 0.0613 + type II 0.1588, each below delta; closed form at the
-# test's mu = 1.0930, tau = 7.8890).
+# exact risk at (n, K, N) = (100, 10, 10), delta = 0.2 is 0.2262 > delta
+# (type I 0.0628 + type II 0.1634, each below delta; closed form at the
+# test's mu = 1.08375, tau = 7.85988).
 # Left failing deliberately; see the decisions ledger.
 
 CLS = disjoint_class(10, 10, n=100)

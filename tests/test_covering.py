@@ -552,7 +552,7 @@ def _reference_sign_vectors(n, N_target, threshold, seed, max_tries):
 @pytest.mark.parametrize("n, N_target, threshold, seed, max_tries", [
     (64, 8, 64 ** (2 / 3), 5, 10**5),
     (33, 40, 12.0, 2, 10**5),
-    (100, 50, 1.0, 0, 4200),  # saturates past one block of stream keys
+    (100, 50, 1.0, 0, 4200),  # saturates after more than 4096 streams
 ])
 def test_find_sign_vectors_matches_stream_generator_loop(n, N_target, threshold, seed,
                                                          max_tries):

@@ -6,47 +6,66 @@ import pytest
 
 from superconc import rng
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70 + 3, 2**200 + 1]
-STREAMS = [0, 1, 10**6, 2**31, 2**32 - 1]
+EDGE_STREAMS = [0, rng.KEY_BLOCK - 1, rng.KEY_BLOCK, 2**40, 2**64 - 1]
 
 
-def seed_sequence_key(seed, stream):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    return ss.generate_state(2, np.uint64)
+def reference(seed, stream):
+    """numpy's own Philox for the stream: the seed's key, counter (0, stream, 0, 0)."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return np.random.Philox(key=key, counter=np.array([0, stream, 0, 0], dtype=np.uint64))
 
 
 def reference_rows(seed, rows, cols, offset):
-    return np.stack([rng.stream_generator(seed, offset + i).standard_normal(cols)
+    return np.stack([np.random.Generator(reference(seed, offset + i)).standard_normal(cols)
                      for i in range(rows)])
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_stream_keys_match_seed_sequence(seed):
-    keys = rng.stream_keys(seed, STREAMS)
-    assert keys.dtype == np.uint64 and keys.shape == (len(STREAMS), 2)
-    for stream, key in zip(STREAMS, keys):
-        assert np.array_equal(key, seed_sequence_key(seed, stream))
-
-
 @pytest.mark.parametrize("seed", [0, 2**70 + 3])
-def test_stream_keys_multiword_streams(seed):
-    streams = [5, 2**32, 2**40 + 7, 2**64 + 1, 2**32 - 1]
-    keys = rng.stream_keys(seed, np.array(streams, dtype=object))
-    for stream, key in zip(streams, keys):
-        assert np.array_equal(key, seed_sequence_key(seed, stream))
+@pytest.mark.parametrize("stream", EDGE_STREAMS)
+def test_every_entry_point_draws_numpy_philox_at_the_stream_counter(seed, stream):
+    advanced = np.random.Philox(key=reference(seed, 0).state["state"]["key"])
+    advanced.advance(stream << 64)
+    raw = reference(seed, stream).random_raw(8)
+    assert np.array_equal(advanced.random_raw(8), raw)
+    assert np.array_equal(rng.stream_generator(seed, stream).bit_generator.random_raw(8), raw)
+    [g] = rng.generators(seed, stream, stream + 1)
+    assert np.array_equal(g.bit_generator.random_raw(8), raw)
+    assert np.array_equal(rng.first_blocks(seed, stream, stream + 1)[0], raw[:4])
+    assert np.array_equal(rng.normal_rows(seed, 1, 9, offset=stream),
+                          reference_rows(seed, 1, 9, stream))
 
 
-def test_stream_keys_accept_numpy_seed_and_empty_streams():
-    assert np.array_equal(rng.stream_keys(np.int64(7), [3])[0], seed_sequence_key(7, 3))
-    assert rng.stream_keys(7, []).shape == (0, 2)
+@pytest.mark.parametrize("start, stop", [(2**64, 2**64 + 1), (2**64 - 1, 2**64 + 1),
+                                         (-1, 0), (-2, 4)])
+def test_streams_outside_the_range_raise(start, stop):
+    calls = [lambda: rng.first_blocks(0, start, stop),
+             lambda: list(rng.generators(0, start, stop)),
+             lambda: rng.normal_rows(0, stop - start, 2, offset=start),
+             lambda: rng.stream_generator(0, start if start < 0 else stop - 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            call()
 
 
-@pytest.mark.parametrize("seed, streams", [(-1, [0]), (0, [-1]), (0, [3, -2])])
-def test_stream_keys_reject_negative(seed, streams):
+def test_a_negative_seed_raises():
     with pytest.raises(ValueError):
-        np.random.SeedSequence(entropy=seed, spawn_key=(min(streams),))
-    with pytest.raises(ValueError):
-        rng.stream_keys(seed, streams)
+        np.random.SeedSequence(-1)
+    calls = [lambda: rng.first_blocks(-1, 0, 3), lambda: list(rng.generators(-1, 0, 3)),
+             lambda: rng.normal_rows(-1, 3, 2), lambda: rng.stream_generator(-1, 0)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_numpy_seed_and_empty_range():
+    seed = np.int64(7)
+    assert np.array_equal(rng.stream_generator(seed, 3).bit_generator.random_raw(4),
+                          reference(7, 3).random_raw(4))
+    assert np.array_equal(rng.first_blocks(seed, 3, 4), rng.first_blocks(7, 3, 4))
+    assert np.array_equal(rng.normal_rows(seed, 2, 3, offset=3), reference_rows(7, 2, 3, 3))
+    assert rng.first_blocks(7, 5, 5).shape == (0, 4)
+    assert rng.normal_rows(7, 0, 3, offset=2**64).shape == (0, 3)
+    assert list(rng.generators(7, 5, 5)) == []
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**33])
@@ -101,7 +120,7 @@ def test_first_blocks_equal_stream_generators(seed, start, stop):
     got = rng.first_blocks(seed, start, stop)
     assert got.dtype == np.uint64 and got.shape == (stop - start, 4)
     for s, row in zip(range(start, stop), got):
-        assert np.array_equal(row, rng.stream_generator(seed, s).bit_generator.random_raw(4))
+        assert np.array_equal(row, reference(seed, s).random_raw(4))
     assert rng.first_blocks(seed, start, start).shape == (0, 4)
 
 

@@ -15,7 +15,6 @@ from superconc.verify import (
     fit_gaussian_rate,
     fit_tail_rate,
     laplace_check,
-    tail_from_deviations,
     variance_with_se,
     wilson_interval,
 )
@@ -53,8 +52,10 @@ def test_wilson_interval():
 
 
 def test_tail_from_deviations_counts():
-    dev = np.array([0.1, 0.5, 0.5, 2.0])
-    tail = tail_from_deviations(dev, [0.0, 0.5, 1.0, 3.0], "mean", 0.0)
+    # mean 2 and deviations 1.5, 0.25, 0.75, 0.5, all exact in binary
+    maxima = np.array([3.5, 1.75, 1.25, 1.5])
+    tail = estimate_tail(maxima, 4, "mean", [0.0, 0.5, 1.0, 3.0])
+    assert tail.center_value == 2.0
     assert list(tail.survival) == [1.0, 0.75, 0.25, 0.0]
     assert np.all(tail.lo <= tail.survival)
     assert np.all(tail.survival <= tail.hi)
