@@ -225,8 +225,9 @@ def _lattices(cfg, p) -> list[tuple[int, ...]]:
     """The shapes of the lattices the run factors and draws paths of: the
     grid of a kind with ``d`` that reads no sizes, else one sequence per size
     it reads; none where it reads no batch, and none for the iid maxima of
-    the per-size kinds and tail_bounds, which take one Philox block per path.
-    A grid the params rule out is ``grid_geometry``'s ValueError."""
+    the per-size kinds and tail_bounds, which take one raw word and one
+    bounded integer per path.  A grid the params rule out is
+    ``grid_geometry``'s ValueError."""
     _, n_read, batch_read = _reads(cfg.kind, p)
     if n_read == 0 and p.get("d") is not None:
         return [grid_geometry(int(p["d"]), p["extent"], float(p["spacing"]))]

@@ -73,9 +73,10 @@ def sample_maxima(
     by a few ulp (see :mod:`sampler`).
 
     The iid maximum of n points has the exact law Phi^n and its argmax is
-    uniform and independent of it, so an iid path i takes both from the first
-    Philox block of its stream (:func:`rng.first_blocks`) instead of drawing n
-    normals; ``method`` and the blocks do not change the result there.
+    uniform and independent of it, so an iid batch takes path i's maximum
+    from word i of stream 0 and its argmax from draw i of stream 1 instead
+    of drawing n normals; ``method`` and the blocks do not change the result
+    there, and a batch is a prefix of any larger one.
     """
     plan = make_plan(model, (n,), method=method)  # factors nothing for iid
     if model.kind == "iid":
@@ -87,14 +88,14 @@ def sample_maxima(
 
 
 def _iid_maxima(n: int, batch: int, seed: int):
-    """Exact-law iid (maxima, argmax) from words w0, w1 of each path's block:
-    U = ((w0 >> 12) + 1/2) 2^-52 lies strictly inside (0, 1), M = Phi^-1(U^(1/n))
-    and argmax = mulhi(w1, n), whose bias is at most n / 2^64.  U keeps 52
-    bits: with 53, the top word's (2^53 - 1) + 1/2 rounds to 2^53 and U to 1."""
+    """Exact-law iid (maxima, argmax): word w of stream 0 gives
+    U = ((w >> 12) + 1/2) 2^-52, strictly inside (0, 1), and M = Phi^-1(U^(1/n));
+    the argmax is numpy's exactly uniform ``integers(n)`` on stream 1.  U keeps
+    52 bits: with 53, the top word's (2^53 - 1) + 1/2 rounds to 2^53 and U to 1."""
     from scipy.special import ndtri_exp  # loaded here only: importing scipy costs set-up
 
-    words = rng.first_blocks(seed, 0, batch)
-    u = ((words[:, 0] >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+    words = rng.stream_generator(seed, 0).bit_generator.random_raw(batch)
+    u = ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
     maxima = ndtri_exp(np.log(u) / n)
-    argmax = rng.mulhi(words[:, 1], n).astype(np.int64)
+    argmax = rng.stream_generator(seed, 1).integers(n, size=batch)
     return maxima, argmax

@@ -34,14 +34,18 @@ def variance_with_se(x: np.ndarray) -> tuple[float, float]:
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
-    """95 % Wilson score interval for a binomial proportion."""
+    """95 % Wilson score interval for a binomial proportion; its ends are
+    exactly 0 at k = 0 and exactly 1 at k = n, where rounding would leave
+    them an ulp inside."""
     if n == 0:
         return 0.0, 1.0
     p, z = k / n, 1.96
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if k == 0 else max(0.0, center - half)
+    hi = 1.0 if k == n else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass

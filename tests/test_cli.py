@@ -814,7 +814,8 @@ def test_tail_fit_on_too_few_maxima_is_a_config_error(tmp_path, capsys):
 
 
 def test_verify_iid_maxima_at_a_hundred_million_points(tmp_path, capsys):
-    # iid maxima take one Philox block per path, so no path of 10^8 points is sized
+    # iid maxima take one raw word and one bounded integer per path, so no path
+    # of 10^8 points is sized
     assert main(["--out", str(tmp_path / "vs"), "verify", "variance_scaling",
                  "--sizes", str(10**8), "--batch", "1000"]) == 0
     [row] = json.loads(capsys.readouterr().out)["per_n"]

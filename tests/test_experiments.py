@@ -109,8 +109,8 @@ def test_validate_capacity_estimate(tmp_path, monkeypatch):
 
 
 def test_validate_iid_maxima_draw_no_path(tmp_path):
-    # one Philox block per path at any n; a sample still draws its 10^8 points,
-    # as do OU maxima
+    # one raw word and one bounded integer per path at any n; a sample still
+    # draws its 10^8 points, as do OU maxima
     assert validate(_cfg(tmp_path, sizes=(10**8,), batch=1000)) == []
     for cfg in (_cfg(tmp_path, kind="sample_paths", sizes=(10**8,), batch=1),
                 _cfg(tmp_path, model=OU, sizes=(10**8,), batch=1000)):

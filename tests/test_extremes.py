@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,11 +191,25 @@ def test_iid_maxima_ignore_the_blocks_and_method(iid, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 1024, 150_000])
 def test_iid_maxima_finite_at_extreme_words(iid, n, monkeypatch):
-    words = np.array([[0] * 4, [2**64 - 1] * 4], dtype=np.uint64)
-    monkeypatch.setattr(extremes.rng, "first_blocks", lambda seed, lo, hi: words[: hi - lo])
+    words = np.array([0, 2**64 - 1], dtype=np.uint64)
+    stream_generator = extremes.rng.stream_generator
+
+    def stub(seed, stream):
+        if stream == 0:  # the maxima's words
+            return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda k: words[:k]))
+        return stream_generator(seed, stream)
+
+    monkeypatch.setattr(extremes.rng, "stream_generator", stub)
     m, a = sample_maxima(iid, n, 2, seed=0)
     assert np.all(np.isfinite(m)) and m[0] < m[1]
-    assert a.tolist() == [0, n - 1]
+    assert a.dtype == np.int64 and np.all((0 <= a) & (a < n))
+
+
+@pytest.mark.parametrize("n", [1, 15, 1024])
+def test_iid_batch_is_a_prefix_of_a_larger_batch(iid, n):
+    m, a = sample_maxima(iid, n, 50, seed=8)
+    m3, a3 = sample_maxima(iid, n, 150, seed=8)
+    assert m.tobytes() == m3[:50].tobytes() and np.array_equal(a, a3[:50])
 
 
 def test_iid_maxima_follow_phi_to_the_n(iid):

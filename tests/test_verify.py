@@ -61,6 +61,15 @@ def test_tail_from_deviations_counts():
     assert np.all(tail.survival <= tail.hi)
 
 
+@pytest.mark.parametrize("b", [6, 21, 31, 38])
+def test_estimate_tail_band_holds_a_survival_of_one(b):
+    # every deviation is >= 0, none is >= 10: the Wilson band ends at exactly 1 and 0
+    tail = estimate_tail(np.linspace(-1.0, 1.0, b), b, "mean", [0.0, 10.0])
+    assert list(tail.survival) == [1.0, 0.0]
+    assert tail.hi[0] == 1.0 and tail.lo[1] == 0.0
+    assert np.all(tail.lo <= tail.survival) and np.all(tail.survival <= tail.hi)
+
+
 def test_estimate_tail_center_validation(iid):
     m, _ = sample_maxima(iid, 8, 10, seed=0)
     with pytest.raises(ValueError):
