@@ -307,7 +307,9 @@ def validate(config: ExperimentConfig) -> list[str]:
     # a block holds at least one path (sampler.block_rows), so each lattice
     # has to fit its factor and one path (a sample's one draw meets the cap
     # when it is drawn)
-    need, shape = max(((plan_bytes(config.model, s), s) for s in shapes), default=(0, ()))
+    spacing = float(p.get("spacing", 1.0))
+    need, shape = max(((plan_bytes(config.model, s, spacing), s) for s in shapes),
+                      default=(0, ()))
     if need > capacity_bytes():
         diags.append(
             f"capacity: factoring the lattice of {math.prod(shape)} points and "

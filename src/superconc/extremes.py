@@ -92,10 +92,52 @@ def _iid_maxima(n: int, batch: int, seed: int):
     U = ((w >> 12) + 1/2) 2^-52, strictly inside (0, 1), and M = Phi^-1(U^(1/n));
     the argmax is numpy's exactly uniform ``integers(n)`` on stream 1.  U keeps
     52 bits: with 53, the top word's (2^53 - 1) + 1/2 rounds to 2^53 and U to 1."""
-    from scipy.special import ndtri_exp  # loaded here only: importing scipy costs set-up
-
     words = rng.stream_generator(seed, 0).bit_generator.random_raw(batch)
     u = ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
-    maxima = ndtri_exp(np.log(u) / n)
+    maxima = _ndtri_exp(np.log(u) / n)
     argmax = rng.stream_generator(seed, 1).integers(n, size=batch)
     return maxima, argmax
+
+
+# Wichura's AS241 (PPND16, Appl. Statist. 37, 1988): rational approximations
+# of Phi^-1 in the centre, |p - 1/2| <= 0.425, and in the tails in
+# r = sqrt(-log(tail probability)), for r <= 5 and past it; highest degree first
+_CENTRE = ((2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+            4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+            1.3314166789178437745e2, 3.3871328727963666080e0),
+           (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+            2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+            4.2313330701600911252e1, 1.0))
+_NEAR = ((7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+          1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+          4.63033784615654529590e0, 1.42343711074968357734e0),
+         (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+          1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+          2.05319162663775882187e0, 1.0))
+_FAR = ((2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+         2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+         5.46378491116411436990e0, 6.65790464350110377720e0),
+        (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+         7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+         5.99832206555887937690e-1, 1.0))
+
+
+def _ratio(coeffs, x):
+    return np.polyval(coeffs[0], x) / np.polyval(coeffs[1], x)
+
+
+def _ndtri_exp(y: np.ndarray) -> np.ndarray:
+    """Phi^-1(e^y) for an array of y < 0, by AS241 on the log scale.  Above
+    p = e^y = 1/2, p - 1/2 and the upper tail's probability 1 - p come from
+    expm1(y), which keeps the digits that rounding e^y near 1 would lose."""
+    q = np.where(y > -math.log(2.0), np.expm1(y) + 0.5, np.exp(y) - 0.5)
+    centre = np.abs(q) <= 0.425
+    out = np.empty_like(y)
+    qc = q[centre]
+    out[centre] = qc * _ratio(_CENTRE, 0.180625 - qc * qc)
+    upper = q[~centre] > 0
+    yt = y[~centre]
+    r = np.sqrt(-np.where(upper, np.log(-np.expm1(yt)), yt))
+    tail = np.where(r <= 5.0, _ratio(_NEAR, r - 1.6), _ratio(_FAR, r - 5.0))
+    out[~centre] = np.where(upper, tail, -tail)
+    return out

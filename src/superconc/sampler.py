@@ -11,9 +11,12 @@ and :func:`draw_rows` samples it as often as needed.  Two exact methods:
   draw with real noise xi as X = C^{1/2} xi = irfftn(sqrt(lambda) *
   rfftn(xi)) and crop to the lattice (Wood & Chan 1994; Dietrich & Newsam
   1997); the fast path for large lattices.  An axis of s points embeds in
-  m >= 2(s - 1) points, the fewest whose wrapped lags min(k, m - k) reach
-  every lag of the axis, rounded up to a 5-smooth m so that the FFT never
-  falls back to Bluestein's algorithm for a large prime factor.
+  m >= min(2(s - 1), s + L) points, where |phi| is at most 2^-53 past L
+  lattice steps: every lag k < s of the axis either keeps its wrap
+  min(k, m - k) = k or has both k and m - k past L, so the cropped circulant
+  is the gram up to rounding.  m is rounded up to a 5-smooth size so that
+  the FFT never falls back to Bluestein's algorithm for a large prime
+  factor.
 
 By default a lattice of more than ``CHOLESKY_MAX_N`` points, in any
 dimension, is drawn by circulant embedding: a path then costs O(m log m)
@@ -51,15 +54,18 @@ DEFAULT_CAP_BYTES = 2**31
 # It was set where 1e4 OU maxima drew in the same time by either method, with
 # BLAS on one thread, embeddings of twice the lattice per axis and one draw
 # thread; a 2-d Gaussian-smooth grid then broke even between 23 x 23 and
-# 25 x 25.  With 5-smooth embeddings, BLAS on one thread and circulant blocks
-# on 2 threads of a 2-core Xeon KVM guest, 1e4 OU maxima take, Cholesky /
-# circulant: 0.31 / 0.24 s at 512 points, 0.36 / 0.25 s at 640, 0.65 /
-# 0.39 s at 768 and 1.76 / 0.53 s at 1024 (one draw thread: 0.31 / 0.47,
-# 0.41 / 0.44, 0.70 / 0.53, 1.90 / 0.73), so the break-even now lies below
-# 512.  The switch stays at 768: moving it would change the bytes of every
-# run at the sizes it passes
+# 25 x 25.  With embeddings of about n + 36 points (OU at rate 1), BLAS on one
+# thread and circulant blocks on 2 threads of a 2-core Xeon KVM guest, 1e4 OU
+# maxima take, Cholesky / circulant: 0.16-0.23 / 0.20-0.23 s at 256 points,
+# 0.34-0.38 / 0.28-0.32 s at 512, 0.75-0.78 / 0.27-0.30 s at 768 and
+# 2.27-2.29 / 0.33 s at 1024 (one draw thread: 0.21 / 0.23, 0.40 / 0.31,
+# 0.81 / 0.43, 2.14 / 0.47), so the break-even lies between 256 and 512.  The
+# switch stays at 768: moving it would change the bytes of every run at the
+# sizes it passes
 CHOLESKY_MAX_N = 768
 EMBED_REL_TOL = 1e-10
+# |phi| at or below this is the rounding of phi(0) = 1: a lag past it may wrap
+TINY = 2.0**-53
 EMBED_MAX_DOUBLINGS = 6
 # working bytes per element of one path while it is drawn: noise and product
 # take 16, a 2-d embedding's noise, spectrum and transform about 24
@@ -185,11 +191,48 @@ def fast_size(k: int) -> int:
     return best
 
 
-def base_embedding(shape) -> tuple[int, ...]:
-    """The smallest embedding tried for the lattice of ``shape``: per axis of
-    s points the 5-smooth m >= max(2(s - 1), 2), whose wrapped lags
-    min(k, m - k) reach every lag 0..s - 1 of the axis."""
-    return tuple(fast_size(max(2 * (s - 1), 2)) for s in shape)
+def _reach(model: CovarianceModel | None, spacing: float, most: int) -> int:
+    """A lag L in lattice steps, at most ``most``, past which |phi| is rounding:
+    |phi(t)| <= ``TINY`` at every t >= spacing (L + 1).  ``most`` without a
+    model, or for a table whose last knot is above ``TINY``.
+
+    Every kind but ``table`` is non-increasing and nonnegative, so L is the
+    last lag above ``TINY``.  A table is linear between its knots, so L is
+    the last lag short of the knot after its last knot above ``TINY``.
+    Either is found by bisection, without an array of lags."""
+    if model is None:
+        return most
+    if model.kind == "table":
+        last = max(i for i, (_, v) in enumerate(model.table) if abs(v) > TINY)
+        if last + 1 == len(model.table):
+            return most
+        past = model.table[last + 1][0]
+
+        def above(t):
+            return t < past
+    else:
+        def above(t):
+            return evaluate(model, t) > TINY
+    lo, hi = 0, most + 1  # lag lo is above; hi is past the search
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(spacing * mid) else (lo, mid)
+    return lo
+
+
+def base_embedding(shape, model: CovarianceModel | None = None,
+                   spacing: float = 1.0) -> tuple[int, ...]:
+    """The smallest embedding tried for the lattice of ``shape`` at
+    ``spacing``: per axis of s points the 5-smooth m >= max(min(2(s - 1),
+    s + L), 2), with L from :func:`_reach`.
+
+    A lag k < s whose wrap min(k, m - k) is not k then has k and m - k both
+    past L, so the circulant cropped to the lattice differs from its gram
+    only where both entries lie within ``TINY`` of 0 (Wood & Chan 1994;
+    Gneiting et al. 2006).  Without a model, m >= 2(s - 1) wraps no lag of
+    the axis at all."""
+    return tuple(fast_size(max(min(2 * (s - 1), s + _reach(model, spacing, s - 2)), 2))
+                 for s in shape)
 
 
 def circulant_embedding(
@@ -205,7 +248,7 @@ def circulant_embedding(
     :class:`CapacityError`.  Returns the eigenvalues, shaped like the
     embedding, and their count m.
     """
-    base = base_embedding(int(s) for s in np.atleast_1d(shape))
+    base = base_embedding([int(s) for s in np.atleast_1d(shape)], model, spacing)
     tried = []
     worst = math.inf
     for k in range(EMBED_MAX_DOUBLINGS + 1):
@@ -239,14 +282,18 @@ def _cholesky_bytes(n: int) -> int:
     return 2 * n * n * 8  # the gram and its lower factor
 
 
-def plan_bytes(model: CovarianceModel, shape) -> int:
+def plan_bytes(model: CovarianceModel, shape, spacing: float = 1.0) -> int:
     """Working bytes to factor the lattice with the default method and draw
     one path: the gram and its Cholesky factor (none for the iid model), or
     one path at the smallest embedding (:func:`base_embedding`).  A
     fallback to Cholesky meets the cap in :func:`make_plan` instead."""
     n = math.prod(shape)
     if _default_method(n) == "circulant":
-        return DRAW_BYTES_PER_ELEM * math.prod(base_embedding(shape))
+        # an iid plan embeds nothing, but is counted at 2(s - 1) per axis,
+        # which holds sequence_bound's covering and Monte Carlo rho (48 MB
+        # traced at 10^6 points, against 64 MB)
+        reach = None if model.kind == "iid" else model
+        return DRAW_BYTES_PER_ELEM * math.prod(base_embedding(shape, reach, spacing))
     factor = 0 if model.kind == "iid" else _cholesky_bytes(n)
     return max(factor, DRAW_BYTES_PER_ELEM * n)
 

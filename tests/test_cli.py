@@ -328,9 +328,11 @@ def test_correlated_bound_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch
 
 
 # Cholesky factors these tables at 1000 points, but no circulant embeds them:
-# one turns to -1 past the lattice's lags, the other ends at lag 999
+# one turns to -1 past the lattice's lags, the other ends at lag 999 above
+# 2^-53, short of the 2000-point embedding's lag 1000
 PD_HEAD = [[0, 1], [1, 0.5], [2, 0.2], [3, 0], [999, 0]]
-NO_EMBEDDING = {"embedding": PD_HEAD + [[1000, -1], [64000, -1]], "table-range": PD_HEAD}
+NO_EMBEDDING = {"embedding": PD_HEAD + [[1000, -1], [64000, -1]],
+                "table-range": PD_HEAD[:4] + [[998, 0], [999, 1e-3]]}
 
 
 @pytest.mark.parametrize("table", NO_EMBEDDING.values(), ids=NO_EMBEDDING)

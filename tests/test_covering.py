@@ -211,8 +211,9 @@ def test_greedy_net_matches_reference_at_lattice_ties(d, extent, spacing):
 def test_field_growth_under_a_low_cap_matches_uncapped(monkeypatch):
     smooth = CovarianceModel("gaussian_smooth", lam2=2.0)
     want = estimate_field_growth(smooth, 2, 60.0, batch=40, seed=3)
-    # 40 rows of the 61 x 61 circulant draw need ~19 MB; one row is ~0.5 MB
-    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(16 * 10**6))
+    # 40 rows of the 61 x 61 grid's 72 x 72 circulant draw need ~6.6 MB; one
+    # row is ~166 KB
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(5 * 10**6))
     assert estimate_field_growth(smooth, 2, 60.0, batch=40, seed=3) == want
 
 

@@ -130,10 +130,15 @@ def test_validate_counts_the_singleton_covering(tmp_path, monkeypatch):
 def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):
     field = dict(kind="field_bound", model=SMOOTH,
                  params={"d": 2, "extent": 96.0, "growth_batch": 400})
-    # one path of the 97 x 97 grid needs ~1.2 MB; 400 rows would need ~480 MB
-    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(2 * 10**6))
+    # one path of the 97 x 97 grid's 108 x 108 embedding needs ~373 KB; 400
+    # rows would need ~149 MB
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(400_000))
     assert validate(_cfg(tmp_path, **field)) == []
-    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(10**6))
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(350_000))
+    assert any(d.startswith("capacity") for d in validate(_cfg(tmp_path, **field)))
+    # at spacing 0.5 the same 97 x 97 points embed at 120 x 120, ~461 KB a path
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(400_000))
+    field["params"].update(extent=48.0, spacing=0.5)
     assert any(d.startswith("capacity") for d in validate(_cfg(tmp_path, **field)))
 
 

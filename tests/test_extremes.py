@@ -160,18 +160,18 @@ def test_sample_maxima_on_a_field_matches_direct(gs, method):
     d, extent = (1, 100.0) if method == "cholesky" else (2, 40.0)
     full = grid_geometry(d, extent, 1.0)
     plan = make_plan(gs, full)
-    # BLAS rounds a Cholesky row by the rows in the product: those 30 paths
+    # BLAS rounds a Cholesky row by the rows in the product: those 60 paths
     # take one block, the circulant ones two
     assert plan.method == method
-    assert (sampler.block_rows(plan.row_elems) >= 30) == (method == "cholesky")
-    paths = draw_rows(plan, 30, seed=2).reshape(30, *full)
-    scales = covering._dyadic_maxima(gs, d, extent, 1.0, 30, 2)
+    assert (sampler.block_rows(plan.row_elems) >= 60) == (method == "cholesky")
+    paths = draw_rows(plan, 60, seed=2).reshape(60, *full)
+    scales = covering._dyadic_maxima(gs, d, extent, 1.0, 60, 2)
     assert len(scales) == (6 if d == 1 else 5)
     for k, (n_a, m) in enumerate(scales):
         assert n_a == covering.covering_number_box(extent / 2**k, d)
         corner = paths[(slice(None),) + tuple(slice(0, s) for s in
                                               grid_geometry(d, extent / 2**k, 1.0))]
-        assert m.tobytes() == corner.reshape(30, -1).max(axis=1).tobytes()
+        assert m.tobytes() == corner.reshape(60, -1).max(axis=1).tobytes()
 
 
 def test_sample_maxima_matches_direct(ou):
@@ -246,8 +246,8 @@ def _cpus(monkeypatch, count):
 
 
 @pytest.mark.parametrize("model, shape, batch, pooled", [
-    ("ou", (1024,), 300, True),
-    ("gs", (40, 40), 100, True),
+    ("ou", (2000,), 300, True),
+    ("gs", (72, 72), 100, True),
     ("ou", (500,), 1100, False),
 ])
 def test_sample_maxima_ignore_the_cpu_count(model, shape, batch, pooled, request,
@@ -257,8 +257,10 @@ def test_sample_maxima_ignore_the_cpu_count(model, shape, batch, pooled, request
         def draw():
             return sample_maxima(model, shape[0], batch, seed=7)
     else:  # the field growth stage: every dyadic scale of one draw of the box
+        extent = shape[0] - 1.0
+
         def draw():
-            return [m for _, m in covering._dyadic_maxima(model, 2, 39.0, 1.0, batch, 7)]
+            return [m for _, m in covering._dyadic_maxima(model, 2, extent, 1.0, batch, 7)]
     pools = []
 
     class Pool(sampler.ThreadPoolExecutor):
@@ -282,22 +284,22 @@ def test_sample_maxima_ignore_the_cpu_count(model, shape, batch, pooled, request
     finally:
         sys.setswitchinterval(interval)
     assert pools == ([4] if pooled else [])
-    assert len(one) == (2 if len(shape) == 1 else 5)
+    assert len(one) == (2 if len(shape) == 1 else 6)
     assert [x.tobytes() for x in four] == [x.tobytes() for x in one]
 
 
 def test_draw_workers_keep_blocks_in_flight_within_the_cap(ou, monkeypatch):
-    # a block of 64 rows of the 2048-point embedding of 1024 points is 4 MiB;
+    # a block of 64 rows of the 2048-point embedding of 2000 points is 4 MiB;
     # a cap of 6 MiB holds one such block but not two, and leaves it 64 rows
-    plan = make_plan(ou, (1024,))
+    plan = make_plan(ou, (2000,))
     block = sampler.block_rows(plan.row_elems)
     assert block * plan.row_bytes == 4 * 2**20
     _cpus(monkeypatch, 4)
-    m, a = sample_maxima(ou, 1024, 300, seed=5)
+    m, a = sample_maxima(ou, 2000, 300, seed=5)
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(6 * 2**20))
     assert sampler.block_rows(plan.row_elems) == block
     assert sampler.draw_workers(plan, block) == 1
-    mc, ac = sample_maxima(ou, 1024, 300, seed=5)
+    mc, ac = sample_maxima(ou, 2000, 300, seed=5)
     assert mc.tobytes() == m.tobytes() and ac.tobytes() == a.tobytes()
 
 
@@ -343,3 +345,33 @@ def test_run_ignores_the_cpu_count(kind, model, fields, tmp_path, monkeypatch):
         paths = run(cfg)
         outputs.append([paths[k].read_bytes() for k in ("csv", "summary")])
     assert outputs[0] == outputs[1]
+
+
+def test_short_embedding_maxima_have_the_cholesky_law(ou):
+    from scipy.stats import ks_2samp
+
+    # 1000 OU points embed at 1080, not 2000: 1e4 maxima of the default
+    # circulant and 1e4 of the Cholesky factor, on disjoint streams, are two
+    # samples of one law at the 99.9 % two-sample KS critical value
+    n, batch = 1000, 10**4
+    assert make_plan(ou, (n,)).embed_shape == (1080,)
+    m, _ = sample_maxima(ou, n, batch, seed=11)
+    cholesky = make_plan(ou, (n,), method="cholesky")
+    ref = np.concatenate(sampler.reduce_blocks(cholesky, batch, 11,
+                                               lambda x: x.max(axis=1), offset=batch))
+    # c(alpha) sqrt(2 / batch), with c(alpha) = sqrt(-log(alpha / 2) / 2)
+    assert ks_2samp(m, ref).statistic <= math.sqrt(-math.log(0.001 / 2) / batch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1024, 10**6, 10**8])
+def test_log_scale_quantile_matches_scipy(n):
+    from scipy.special import ndtri_exp
+
+    # the iid draw's own map of 2e5 words, and of the extreme words 0 and 2^64 - 1
+    words = np.random.default_rng(n).integers(0, 2**64, size=2 * 10**5, dtype=np.uint64)
+    words[:2] = [0, 2**64 - 1]
+    y = np.log(((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52) / n
+    got, want = extremes._ndtri_exp(y), ndtri_exp(y)
+    far = np.abs(want) > 0.5
+    assert np.all(np.abs(got - want)[far] <= 8 * np.spacing(np.abs(want[far])))
+    assert np.all(np.abs(got - want)[~far] <= 1e-14)

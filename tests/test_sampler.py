@@ -97,12 +97,13 @@ def test_default_draws_above_the_switch_have_the_lag_covariances(model):
 
 # phi(0..3) = 1, 0.5, 0.2, 0 is positive definite on the integers (its symbol
 # 1 + cos w + 0.4 cos 2w stays above 0.28), so Cholesky factors the 1000-point
-# gram; the table then ends at lag 999, short of the 2000-point embedding's
-# lag 1000, or turns to -1 from lag 1000 on, which leaves a negative
-# eigenvalue at every doubling up to the table's last lag
+# gram; a table that goes on above 2^-53 to its last lag embeds from the
+# 2000-point size.  One turns to -1 from lag 1000 on, which leaves a negative
+# eigenvalue at every doubling up to the table's last lag; the other ends at
+# lag 999 with 0.001 there, short of the 2000-point embedding's lag 1000
 PD_HEAD = ((0.0, 1.0), (1.0, 0.5), (2.0, 0.2), (3.0, 0.0), (999.0, 0.0))
 NEGATIVE_TAIL = CovarianceModel("table", table=PD_HEAD + ((1000.0, -1.0), (64000.0, -1.0)))
-SHORT_TABLE = CovarianceModel("table", table=PD_HEAD)
+SHORT_TABLE = CovarianceModel("table", table=PD_HEAD[:4] + ((998.0, 0.0), (999.0, 1e-3)))
 
 
 @pytest.mark.parametrize("model, error", [(NEGATIVE_TAIL, EmbeddingError),
@@ -125,35 +126,39 @@ def test_fallback_over_the_cap_raises_before_the_gram(monkeypatch):
         make_plan(SHORT_TABLE, (1000,))
 
 
-# The 7 x 8 x 14 lattice embeds at 12 x 15 x 27 points, and each doubling
-# takes 8 times the memory: one path at 24 x 30 x 54 needs 1.24 MB, at
-# 48 x 60 x 108 9.95 MB, just over the 9.83 MB of the 784-point gram and its
-# Cholesky factor, and at 96 x 120 x 216 79.6 MB.
+# The 7 x 8 x 14 lattice of a model whose phi is 0 past lag 1 embeds at
+# 8 x 9 x 15 points, and each doubling takes 8 times the memory: one path at
+# 32 x 36 x 60 needs 2.21 MB, at 64 x 72 x 120 17.7 MB, over the 9.83 MB of
+# the 784-point gram and its Cholesky factor.
 BOX = (7, 8, 14)
-BOX_EMBEDDINGS = [(12, 15, 27), (24, 30, 54), (48, 60, 108)]
+BOX_EMBEDDINGS = [(8, 9, 15), (16, 18, 30), (32, 36, 60), (64, 72, 120)]
+# A model whose phi stays above 2^-53 past every lag of the box embeds it at
+# 12 x 15 x 27 points, then 24 x 30 x 54 (1.24 MB a path) and 48 x 60 x 108
+# (9.95 MB, just over the Cholesky factor)
+LONG_BOX_EMBEDDINGS = [(12, 15, 27), (24, 30, 54), (48, 60, 108)]
 # phi = 1, 0.172 at lag 1 and 0 past it: the gram is I + 0.172 times the grid
 # graph's adjacency, positive definite since that adjacency's top eigenvalue
 # is 5.68 < 1 / 0.172.  On the torus of every embedding the adjacency reaches
-# -5.94 or below, so no embedding is nonnegative
+# -5.83 or below, so no embedding is nonnegative
 NO_EMBEDDING = CovarianceModel(
     "table", table=((0.0, 1.0), (1.0, 0.172), (1.2, 0.0), (1e4, 0.0)))
 
 
 def test_3d_default_falls_back_before_the_embedding_outgrows_the_cap(monkeypatch):
-    # under a 9.9 MB cap an explicit circulant stops before 48 x 60 x 108,
-    # while the fallback's gram and factor fit.  Two doublings at most, so
-    # that a broken cap check costs 10 MB here, not 768 x 960 x 1728 points
+    # under a 9.9 MB cap an explicit circulant stops before 64 x 72 x 120,
+    # while the fallback's gram and factor fit.  Three doublings at most, so
+    # that a broken cap check costs 18 MB here, not 512 x 576 x 960 points
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(9_900_000))
-    monkeypatch.setattr("superconc.sampler.EMBED_MAX_DOUBLINGS", 2)
+    monkeypatch.setattr("superconc.sampler.EMBED_MAX_DOUBLINGS", 3)
     with pytest.raises(EmbeddingError) as exc:
         make_plan(NO_EMBEDDING, BOX, method="circulant")
-    assert exc.value.sizes == BOX_EMBEDDINGS[:2]
+    assert exc.value.sizes == BOX_EMBEDDINGS[:3]
     assert make_plan(NO_EMBEDDING, BOX).method == "cholesky"
 
 
 def test_default_route_tries_no_embedding_heavier_than_its_fallback(monkeypatch):
-    # under a 20 MB cap an explicit circulant tries up to 48 x 60 x 108; the
-    # default route stops at 24 x 30 x 54, under the 9.83 MB of the Cholesky
+    # under a 20 MB cap an explicit circulant tries up to 64 x 72 x 120; the
+    # default route stops at 32 x 36 x 60, under the 9.83 MB of the Cholesky
     # factor it falls back to
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(20 * 10**6))
     with pytest.raises(EmbeddingError) as exc:
@@ -170,7 +175,7 @@ def test_default_route_tries_no_embedding_heavier_than_its_fallback(monkeypatch)
 
     monkeypatch.setattr("superconc.sampler.circulant_embedding", recording)
     plan = make_plan(NO_EMBEDDING, BOX)
-    assert tried == [BOX_EMBEDDINGS[:2]]
+    assert tried == [BOX_EMBEDDINGS[:3]]
     assert plan.method == "cholesky"
     gram = gram_matrix(NO_EMBEDDING, grid_points(3, [6.0, 7.0, 13.0], 1.0))
     assert np.allclose(plan.factor @ plan.factor.T, gram, rtol=0, atol=1e-12)
@@ -179,12 +184,12 @@ def test_default_route_tries_no_embedding_heavier_than_its_fallback(monkeypatch)
 def test_default_route_embeds_past_its_fallback_when_cholesky_fails():
     # the Gaussian-smooth gram of the box fails Cholesky at minor 546, so the
     # default route goes on past 24 x 30 x 54 to the 48 x 60 x 108 embedding
-    # an explicit circulant finds
+    # an explicit circulant finds (phi stays above 2^-53 to lag 22)
     gs = CovarianceModel("gaussian_smooth", lam2=0.15)
     with pytest.raises(DecompositionError):
         make_plan(gs, BOX, method="cholesky")
     plan = make_plan(gs, BOX)
-    assert plan.method == "circulant" and plan.embed_shape == BOX_EMBEDDINGS[2]
+    assert plan.method == "circulant" and plan.embed_shape == LONG_BOX_EMBEDDINGS[2]
     explicit = make_plan(gs, BOX, method="circulant")
     assert np.array_equal(draw_rows(plan, 2, seed=1), draw_rows(explicit, 2, seed=1))
 
@@ -203,14 +208,14 @@ def test_default_route_embeds_at_or_below_the_switch_when_cholesky_fails():
     assert np.array_equal(draw_rows(plan, 2, seed=1), draw_rows(explicit, 2, seed=1))
 
 
-@pytest.mark.parametrize("rate, default", [(0.3, BOX_EMBEDDINGS[1]), (0.2, None)])
+@pytest.mark.parametrize("rate, default", [(0.3, LONG_BOX_EMBEDDINGS[1]), (0.2, None)])
 def test_default_route_prefers_cholesky_to_an_embedding_heavier_than_it(rate, default):
     # at spacing 1.5 and rate 0.3 the OU box embeds at 24 x 30 x 54, 1.24 MB
     # a path; at rate 0.2 only at 48 x 60 x 108, 9.95 MB a path against the
-    # 9.83 MB Cholesky factor
+    # 9.83 MB Cholesky factor (phi stays above 2^-53 to lag 81 or further)
     ou = CovarianceModel("ornstein_uhlenbeck", rate=rate)
     explicit = make_plan(ou, BOX, 1.5, method="circulant")
-    assert explicit.embed_shape == (default or BOX_EMBEDDINGS[2])
+    assert explicit.embed_shape == (default or LONG_BOX_EMBEDDINGS[2])
     plan = make_plan(ou, BOX, 1.5)
     assert plan.embed_shape == default
     assert plan.method == ("circulant" if default else "cholesky")
@@ -255,9 +260,10 @@ def test_circulant_embedding_base_size(ou):
 
 
 def test_circulant_embedding_smooth_model_pads(gs):
-    # 16 points embed at the 5-smooth 30 or a doubling of it
+    # phi = exp(-t^2 / 2) stays above 2^-53 to lag 8, so 16 points embed at
+    # the 5-smooth 24 >= 16 + 8 or a doubling of it
     eig, m = circulant_embedding(gs, 16, max_bytes=DEFAULT_CAP_BYTES)
-    assert m in [30 << k for k in range(EMBED_MAX_DOUBLINGS + 1)]
+    assert m in [24 << k for k in range(EMBED_MAX_DOUBLINGS + 1)]
     assert np.all(eig >= 0)
 
 
@@ -293,7 +299,7 @@ def test_cropped_circulant_is_the_gram(model, shape):
     # the circulant the plan draws from has first row irfftn(lambda); at the
     # base size, read at every pair of lattice points, it is their gram entry
     plan = make_plan(model, shape, method="circulant")
-    assert plan.embed_shape == base_embedding(shape)
+    assert plan.embed_shape == base_embedding(shape, model)
     row = np.fft.irfftn(plan.factor**2, s=plan.embed_shape, axes=range(len(shape)))
     index = np.indices(shape).reshape(len(shape), -1)
     lags = (index[:, None, :] - index[:, :, None]) % np.array(plan.embed_shape)[:, None, None]
@@ -308,14 +314,83 @@ def test_cropped_circulant_is_the_gram(model, shape):
                          ids=["ou", "smooth"])
 def test_plan_bytes_counts_the_first_embedding(model, shape):
     plan = make_plan(model, shape)
-    assert plan.embed_shape == base_embedding(shape)
+    assert plan.embed_shape == base_embedding(shape, model)
     assert plan_bytes(model, shape) == DRAW_BYTES_PER_ELEM * math.prod(plan.embed_shape)
 
 
-def test_power_of_two_sequences_keep_their_embedding(ou):
-    # 2 (n - 1) rounds up to 2n for these: their draws and bytes stay put
-    assert make_plan(ou, (2048,)).embed_shape == (4096,)
-    assert make_plan(ou, (4096,)).embed_shape == (8192,)
+@pytest.mark.parametrize("shape, spacing", [((1000,), 1.0), ((40, 40), 0.5), ((10, 10, 10), 2.0)],
+                         ids=["1d", "2d", "3d"])
+def test_plan_bytes_counts_the_embedding_at_the_spacing(shape, spacing):
+    # a finer spacing puts more lattice lags inside the range of phi
+    smooth = CovarianceModel("gaussian_smooth", lam2=1.0)
+    plan = make_plan(smooth, shape, spacing, method="circulant")
+    assert plan.embed_shape == base_embedding(shape, smooth, spacing)
+    assert plan_bytes(smooth, shape, spacing) == DRAW_BYTES_PER_ELEM * math.prod(plan.embed_shape)
+
+
+def test_iid_plan_bytes_count_the_full_embedding(iid):
+    # an iid plan embeds nothing; its runs are sized at 2(s - 1) per axis,
+    # which holds sequence_bound's covering and Monte Carlo rho
+    for shape in [(769,), (10**6,), (29, 29)]:
+        assert plan_bytes(iid, shape) == DRAW_BYTES_PER_ELEM * math.prod(base_embedding(shape))
+    assert base_embedding((10**6,), iid) == (10**6,)
+
+
+def test_the_bench_lattices_embed_at_about_n_plus_their_range(ou):
+    # OU at rate 1 is above 2^-53 to lag 36 and Gaussian-smooth at lam2 = 2 to
+    # lag 6, so each axis embeds at the 5-smooth size >= s + L, not 2(s - 1)
+    assert make_plan(ou, (2048,)).embed_shape == (2160,)
+    assert make_plan(ou, (4096,)).embed_shape == (4320,)
+    smooth = CovarianceModel("gaussian_smooth", lam2=2.0)
+    assert make_plan(smooth, (97, 97)).embed_shape == (108, 108)
+
+
+# Gaussian-smooth at lam2 = 0.3 is above 2^-53 to lag 15, longer than the
+# 12-point axis, and the table dips below 0 and back before it ends
+SHORT_RANGE = [CovarianceModel("ornstein_uhlenbeck", rate=2.0),
+               CovarianceModel("gaussian_smooth", lam2=2.0),
+               CovarianceModel("gaussian_smooth", lam2=0.3),
+               CovarianceModel("table", table=((0.0, 1.0), (1.0, -0.2), (2.5, 0.1), (3.5, 0.0),
+                                               (400.0, 0.0)))]
+
+
+@pytest.mark.parametrize("shape, spacing", [((300,), 1.0), ((40, 50), 0.75), ((30, 12, 25), 1.0)],
+                         ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("model", SHORT_RANGE, ids=["ou", "smooth", "smooth-long", "table"])
+def test_wrapped_lags_of_the_first_embedding_are_the_lags_to_rounding(model, shape, spacing):
+    # the circulant's first row holds phi at the wrapped lags min(k, m - k);
+    # at each lattice offset k it is phi at the true lag within 2^-53
+    ms = base_embedding(shape, model, spacing)
+    assert math.prod(ms) < math.prod(base_embedding(shape))
+    k = np.indices(shape).reshape(len(shape), -1)
+    wrapped = np.minimum(k, np.array(ms)[:, None] - k)
+    assert not np.array_equal(wrapped, k)
+    gap = (evaluate(model, spacing * np.sqrt((wrapped**2).sum(axis=0)))
+           - evaluate(model, spacing * np.sqrt((k**2).sum(axis=0))))
+    assert np.abs(gap).max() <= 2.0**-53
+
+
+def test_a_negative_short_embedding_doubles():
+    # Gaussian-smooth at lam2 = 0.05 is above 2^-53 to lag 38, past the 12^3
+    # grid's lags, and its first embedding, 24^3, is negative; the doublings
+    # still reach a nonnegative one, at 96^3
+    smooth = CovarianceModel("gaussian_smooth", lam2=0.05)
+    assert base_embedding((12, 12, 12), smooth) == (24, 24, 24)
+    with pytest.raises(EmbeddingError) as exc:
+        circulant_embedding(smooth, (12, 12, 12), max_bytes=DRAW_BYTES_PER_ELEM * 24**3)
+    assert exc.value.sizes == [(24, 24, 24)]
+    eig, m = circulant_embedding(smooth, (12, 12, 12), max_bytes=DEFAULT_CAP_BYTES)
+    assert eig.shape == (96, 96, 96) and m == 96**3 and eig.min() >= 0
+
+
+def test_a_table_zero_to_its_end_embeds_at_the_short_size():
+    # PD_HEAD is 0 from lag 3 to its last lag, 999, so 1000 points embed at
+    # 1024 >= 1000 + 2, whose lags end at 512, and the crop is the gram
+    model = CovarianceModel("table", table=PD_HEAD)
+    plan = make_plan(model, (1000,), method="circulant")
+    assert plan.embed_shape == (1024,)
+    row = np.fft.irfft(plan.factor**2, n=1024)
+    assert np.allclose(row[:1000], evaluate(model, np.arange(1000.0)), rtol=0, atol=1e-12)
 
 
 def test_cholesky_failure_names_minor_order():
@@ -344,13 +419,13 @@ def test_capacity_cap(monkeypatch, ou):
 
 
 def test_an_embedding_over_the_cap_is_refused_before_it_is_computed(monkeypatch, ou):
-    # 10^5 points embed at 200 000, 6.4 MB a path: make_plan raises at a
+    # 10^5 points embed at 101 250, 3.24 MB a path: make_plan raises at a
     # 1 MB cap, by either route, without computing the embedding's FFT
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", "1000000")
     tracemalloc.start()
     try:
         for method in (None, "circulant"):
-            with pytest.raises(CapacityError, match="needs ~6400000 bytes a path"):
+            with pytest.raises(CapacityError, match="needs ~3240000 bytes a path"):
                 make_plan(ou, (100_000,), method=method)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
