@@ -273,32 +273,76 @@ def covering_number_box(extent, d: int) -> int:
     return int(np.prod([math.ceil(e / 2.0) for e in box_extents(d, extent)]))
 
 
+def _first_coordinate_windows(pts: np.ndarray, queries: np.ndarray, r: float):
+    """The points sorted by first coordinate (stable), their order, and for
+    each query point the slice [lo, hi) of that order that holds every point
+    whose first coordinate the distance test at radius r can accept.
+
+    The test rounds x_c - x_i, its square and the sum of squares, and
+    rounding is monotone, so a sum at most fl(r * r) has
+    |x_c - x_i| <= r (1 + 4u) + 2^-535 (u = 2^-53; the second term is a
+    difference whose square underflows to 0).  The half-width h widens r by
+    a relative 2^-20 for the first term and by sqrt(tiny) for the second,
+    and adds (|x_i| + r) 2^-50, at least 4 ulps of it, as slack on top.
+    Rounding x_i -+ h is monotone too, so the bounds still hold every such
+    x_c.  A NaN radius, which the test meets nowhere, windows every point.
+    """
+    x = pts[:, 0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    xq = x[queries]
+    r = math.inf if math.isnan(r) else abs(r)
+    h = r * (1.0 + 2.0**-20) + (np.abs(xq) + r) * 2.0**-50 + math.sqrt(np.finfo(float).tiny)
+    lo = np.searchsorted(xs, xq - h, side="left")
+    hi = np.searchsorted(xs, xq + h, side="right")
+    return pts[order], order, lo, hi
+
+
 def greedy_net(points: np.ndarray, s0: float) -> np.ndarray:
     """Indices of a maximal s0-separated subset, grown greedily in order.
 
     Kept points are mutually separated by distance > s0; maximality means
     every input point is within s0 of some kept point.  A point is kept
-    when it is still free, and keeping it takes every later point within
-    s0 of it out of the free set.
+    when it is still free, and keeping it takes every point within s0 of it
+    out of the free set.  Only the points whose first coordinate lies in a
+    window around the kept point's are tested
+    (:func:`_first_coordinate_windows`); the window holds every point the
+    test could take out, and the test is the squared distance against
+    s0 * s0 as before, so the net is the one a test against every point
+    gives.  Points are finite.
     """
     pts = np.asarray(points, dtype=float)
     pts = pts[:, None] if pts.ndim == 1 else pts
-    free = np.ones(pts.shape[0], dtype=bool)
+    n = pts.shape[0]
+    sorted_pts, order, lo, hi = _first_coordinate_windows(pts, np.arange(n), s0)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    free = np.ones(n, dtype=bool)  # by rank: free[rank[i]] is point i's
     kept: list[int] = []
-    for i in range(pts.shape[0]):
-        if free[i]:
+    for i in range(n):
+        if free[rank[i]]:
             kept.append(i)
-            free[i:] &= np.sum((pts[i:] - pts[i]) ** 2, axis=1) > s0 * s0
+            a, b = lo[i], hi[i]
+            free[a:b] &= np.sum((sorted_pts[a:b] - pts[i]) ** 2, axis=1) > s0 * s0
     return np.array(kept)
 
 
 def net_ball_covering(points: np.ndarray, net_idx: np.ndarray, radius: float,
                       r0: float) -> Covering:
-    """Blocks = balls of the given radius around net points."""
+    """Blocks = balls of the given radius around net points.
+
+    A ball holds the points at squared distance at most radius * radius from
+    its centre.  Only the points whose first coordinate lies in a window
+    around the centre's are tested (:func:`_first_coordinate_windows`), a
+    window that holds every point the test can accept, so each ball is the
+    one a test against every point gives.  Points are finite.
+    """
     pts = np.asarray(points, dtype=float)
     pts = pts[:, None] if pts.ndim == 1 else pts
-    blocks = [np.nonzero(np.sum((pts - pts[i]) ** 2, axis=1) <= radius * radius)[0]
-              for i in net_idx]
+    net_idx = np.asarray(net_idx, dtype=np.int64)
+    sorted_pts, order, lo, hi = _first_coordinate_windows(pts, net_idx, radius)
+    blocks = [order[a:b][np.sum((sorted_pts[a:b] - pts[i]) ** 2, axis=1) <= radius * radius]
+              for i, a, b in zip(net_idx, lo, hi)]
     cov = Covering.from_blocks(blocks, r0=r0, provenance="field-net", n=pts.shape[0])
     cov.multiplicity = int(np.bincount(cov.indices, minlength=cov.n).max())
     return cov

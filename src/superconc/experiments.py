@@ -166,8 +166,8 @@ NOT_NUMBERS = {"sets", "delta_grid", "method"}
 # the params that count points, paths, trials or vectors, with their least value
 COUNTS = {"n": 1, "t_points": 1, "theta_points": 1, "growth_batch": 1, "trials": 1,
           "N_target": 2}
-# the params that scale a bound or a tail rate, which must be positive
-POSITIVE = {"K", "c", "table_c"}
+# the params that scale a bound, a tail rate or a lattice, which must be positive
+POSITIVE = {"K", "c", "table_c", "spacing"}
 
 
 def _params(cfg) -> dict:

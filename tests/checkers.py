@@ -1,8 +1,12 @@
 """Exhaustive checkers of the constructions in ``superconc.covering``: an
 s0-net's separation and maximality, and a sign-vector set's pairwise dot
-products.  Only the tests call them, so they live beside the tests."""
+products; and dense references for the windowed s0-net and ball covering,
+which test each kept point against every point.  Only the tests call them,
+so they live beside the tests."""
 
 import numpy as np
+
+from superconc.covering import Covering
 
 
 def verify_net(points: np.ndarray, net_idx: np.ndarray, s0: float):
@@ -42,3 +46,34 @@ def verify_sign_vectors(vectors: np.ndarray, threshold: float):
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         return False, (int(i), int(j))
     return True, None
+
+
+def greedy_net_dense(points: np.ndarray, s0: float) -> np.ndarray:
+    """Indices of a maximal s0-separated subset, grown greedily in order.
+
+    Kept points are mutually separated by distance > s0; maximality means
+    every input point is within s0 of some kept point.  A point is kept
+    when it is still free, and keeping it takes every later point within
+    s0 of it out of the free set.
+    """
+    pts = np.asarray(points, dtype=float)
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    free = np.ones(pts.shape[0], dtype=bool)
+    kept: list[int] = []
+    for i in range(pts.shape[0]):
+        if free[i]:
+            kept.append(i)
+            free[i:] &= np.sum((pts[i:] - pts[i]) ** 2, axis=1) > s0 * s0
+    return np.array(kept)
+
+
+def net_ball_covering_dense(points: np.ndarray, net_idx: np.ndarray, radius: float,
+                            r0: float) -> Covering:
+    """Blocks = balls of the given radius around net points."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[:, None] if pts.ndim == 1 else pts
+    blocks = [np.nonzero(np.sum((pts - pts[i]) ** 2, axis=1) <= radius * radius)[0]
+              for i in net_idx]
+    cov = Covering.from_blocks(blocks, r0=r0, provenance="field-net", n=pts.shape[0])
+    cov.multiplicity = int(np.bincount(cov.indices, minlength=cov.n).max())
+    return cov

@@ -98,7 +98,11 @@ def test_commands_share_the_default_out(tmp_path, capsys, monkeypatch):
     (["--d", "2", "--extent", "0.5"], "field 'params': extent/spacing"),
     (["--d", "2", "--n", "16"], "field 'sizes': a sample with params.d"),
     (["--extent", "5"], "field 'params.extent': a sample without params.d"),
-], ids=["n", "batch", "extent", "n-with-d", "extent-without-d"])
+    (["--spacing", "-1", "--cov", OU_JSON], "field 'params.spacing': -1.0 is not a positive"),
+    (["--spacing", "0", "--cov", OU_JSON], "field 'params.spacing': 0.0 is not a positive"),
+    (["--d", "2", "--spacing", "0"], "field 'params.spacing': 0.0 is not a positive"),
+], ids=["n", "batch", "extent", "n-with-d", "extent-without-d", "spacing-negative",
+        "spacing-zero", "spacing-zero-with-d"])
 def test_sample_mistake_exit_code(tmp_path, capsys, argv, named):
     out = tmp_path / "o"
     assert main(["--out", str(out), "sample", *argv]) == 2
@@ -641,11 +645,22 @@ def _run(args, tmp_path):
 
 
 def test_import_loads_no_scipy(tmp_path):
-    # scipy.special alone adds about 0.2 s to every start; only iid maxima need it
-    code = "import sys, superconc; print(sorted({m.split('.')[0] for m in sys.modules}))"
-    res = _run(["-c", code], tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert "'scipy'" not in res.stdout and "'superconc'" in res.stdout
+    # importing scipy adds about 0.2-0.3 s to every start, and no run needs it:
+    # the iid draw takes its normal quantile from numpy code, and the field
+    # covering finds near points by a sorted coordinate, not a k-d tree
+    (tmp_path / "field.json").write_text(json.dumps({
+        "kind": "field_bound", "out": "f",
+        "model": {"kind": "gaussian_smooth", "params": {"lam2": 2.0}},
+        "params": {"d": 2, "extent": 16.0, "growth_batch": 20},
+    }))
+    modules = "print(sorted({m.split('.')[0] for m in sys.modules}))"
+    for code in (f"import sys, superconc; {modules}",
+                 "import sys; from superconc.cli import main; "
+                 f"assert main(['--config', 'field.json']) == 0; {modules}"):
+        res = _run(["-c", code], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "'scipy'" not in res.stdout and "'superconc'" in res.stdout
+    assert (tmp_path / "f" / "summary.json").is_file()
 
 
 def test_every_public_name_resolves():

@@ -38,7 +38,7 @@ from superconc.covering import (
     verify_covering,
 )
 
-from checkers import verify_net, verify_sign_vectors
+from checkers import greedy_net_dense, net_ball_covering_dense, verify_net, verify_sign_vectors
 
 
 def test_block_construction_worked_example():
@@ -193,9 +193,11 @@ def test_greedy_net_matches_per_candidate_reference(d, seed):
         assert np.array_equal(greedy_net(pts, s0), _greedy_net_per_candidate(pts, s0))
 
 
-@pytest.mark.parametrize("d, extent, spacing", [
-    (1, 40.0, 1.0), (1, 4.0, 0.1), (2, 12.0, 1.0), (2, [9.0, 5.0], 1.0), (3, 4.0, 1.0),
-])
+LATTICE_TIE_GRIDS = [(1, 40.0, 1.0), (1, 4.0, 0.1), (2, 12.0, 1.0), (2, [9.0, 5.0], 1.0),
+                     (3, 4.0, 1.0)]
+
+
+@pytest.mark.parametrize("d, extent, spacing", LATTICE_TIE_GRIDS)
 def test_greedy_net_matches_reference_at_lattice_ties(d, extent, spacing):
     from superconc.sampler import grid_points
 
@@ -206,6 +208,101 @@ def test_greedy_net_matches_reference_at_lattice_ties(d, extent, spacing):
     for k in (0, 1, 2, 3, 4, 5, 6, 9, 13, 18):
         s0 = spacing * math.sqrt(k)
         assert np.array_equal(greedy_net(pts, s0), _greedy_net_per_candidate(pts, s0))
+
+
+def _assert_same_covering(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.indices.dtype == want.indices.dtype == np.int64
+    assert (got.multiplicity, got.r0, got.provenance, got.n) == (
+        want.multiplicity, want.r0, want.provenance, want.n)
+
+
+def _assert_windowed_equals_dense(pts, s0, radii=None):
+    net = greedy_net(pts, s0)
+    assert np.array_equal(net, greedy_net_dense(pts, s0))
+    for radius in radii or (s0, 2.0 * s0):
+        _assert_same_covering(net_ball_covering(pts, net, radius, 0.25),
+                              net_ball_covering_dense(pts, net, radius, 0.25))
+
+
+@pytest.mark.parametrize("d, extent, spacing", LATTICE_TIE_GRIDS)
+def test_windowed_net_and_balls_match_dense_at_lattice_ties(d, extent, spacing):
+    from superconc.sampler import grid_points
+
+    pts = grid_points(d, extent, spacing)
+    # s0 and 2 s0 at lattice distances: the window must hold every point the
+    # float test accepts at exactly the radius
+    for k in range(19):
+        _assert_windowed_equals_dense(pts, spacing * math.sqrt(k))
+
+
+@pytest.mark.parametrize("shift", [-1e6, 1e6])
+@pytest.mark.parametrize("d, extent, spacing", LATTICE_TIE_GRIDS)
+def test_windowed_net_and_balls_match_dense_far_from_the_origin(d, extent, spacing, shift):
+    from superconc.sampler import grid_geometry
+
+    # at 1e6 a coordinate carries ~1e-10 of rounding, so the differences of
+    # lattice points land on either side of the lattice distances
+    pts = sampler._lattice_points(grid_geometry(d, extent, spacing), 0.1) + shift
+    for k in range(19):
+        _assert_windowed_equals_dense(pts, 0.1 * math.sqrt(k))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_windowed_net_and_balls_match_dense_on_shuffled_points(d, seed):
+    from superconc.sampler import grid_points
+
+    rs = np.random.default_rng(seed)
+    uniform = rs.uniform(-5.0, 5.0, (400, d))
+    # a shuffled grid: many equal first coordinates, in no index order
+    grid = rs.permutation(grid_points(d, 6.0 if d < 3 else 4.0, 0.5))
+    for pts in (uniform, grid):
+        pts = pts[:, 0] if d == 1 else pts
+        for s0 in (0.05, 0.5, 0.5 * math.sqrt(2.0), 1.3, 3.0):
+            _assert_windowed_equals_dense(pts, s0)
+
+
+def test_windowed_net_and_balls_match_dense_at_zero_radius_and_duplicates():
+    from superconc.sampler import grid_points
+
+    rs = np.random.default_rng(5)
+    grid = grid_points(2, 5.0, 1.0)
+    pts = rs.permutation(np.concatenate([grid, grid[rs.integers(len(grid), size=30)]]))
+    for s0 in (0.0, 1.0, 1.5):
+        _assert_windowed_equals_dense(pts, s0, radii=(0.0, s0, 2.0 * s0))
+    # points a subnormal apart: their squared distance rounds to 0
+    tiny = np.array([0.0, 1e-300, -1e-300, 5e-324, 0.0, 1.0])
+    for s0 in (0.0, 1e-310, 0.5):
+        _assert_windowed_equals_dense(tiny, s0, radii=(0.0, s0))
+
+
+def test_windowed_net_and_balls_match_dense_past_the_box():
+    from superconc.sampler import grid_points
+
+    for pts in (grid_points(2, 10.0, 1.0), grid_points(3, 4.0, 0.5)):
+        net = greedy_net(pts, 100.0)
+        assert list(net) == [0]
+        _assert_windowed_equals_dense(pts, 100.0, radii=(100.0, 1e6, math.inf))
+        _assert_windowed_equals_dense(pts, math.nan, radii=(math.nan,))
+        cov = net_ball_covering(pts, greedy_net(pts, 1.0), 1e3, 0.0)
+        assert np.array_equal(np.diff(cov.indptr), np.full(len(cov.indptr) - 1, len(pts)))
+
+
+@pytest.mark.parametrize("d, extent, ratio", [(2, 24.0, None), (2, 30.0, 0.2),
+                                              (3, 12.0, None)])
+def test_field_bound_covering_is_the_dense_one(monkeypatch, d, extent, ratio):
+    from superconc.sampler import grid_points
+
+    smooth = CovarianceModel("gaussian_smooth", lam2=2.0)
+    monkeypatch.setattr(covering, "estimate_field_growth",
+                        lambda *a: (1.0, 2.0, 0.5, []))
+    rep = field_bound(smooth, d, extent, exponent_ratio=ratio)
+    pts = grid_points(d, extent, 1.0)
+    net = greedy_net_dense(pts, rep.s0)
+    _assert_same_covering(rep.covering,
+                          net_ball_covering_dense(pts, net, 2.0 * rep.s0, rep.r0))
 
 
 def test_field_growth_under_a_low_cap_matches_uncapped(monkeypatch):
@@ -464,9 +561,7 @@ def test_verify_net_matches_dense_reference(d, spacing):
                     assert verify_net(pts, cand, s) == _verify_net_dense(pts, cand, s)
 
 
-@pytest.mark.parametrize("d, extent, spacing", [
-    (1, 40.0, 1.0), (1, 4.0, 0.1), (2, 12.0, 1.0), (2, [9.0, 5.0], 1.0), (3, 4.0, 1.0),
-])
+@pytest.mark.parametrize("d, extent, spacing", LATTICE_TIE_GRIDS)
 def test_verify_net_matches_dense_reference_at_lattice_ties(d, extent, spacing):
     from superconc.sampler import grid_points
 

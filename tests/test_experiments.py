@@ -157,7 +157,9 @@ def test_validate_counts_the_cholesky_factor(tmp_path, monkeypatch):
                                     {"extent": 0.5}])
 def test_validate_bad_field_grid(tmp_path, params):
     diags = validate(_cfg(tmp_path, kind="field_bound", params=params))
-    assert len(diags) == 1 and diags[0].startswith("field 'params'")
+    # spacing is checked with the other positive params, the grid as a whole after
+    field = "field 'params.spacing'" if "spacing" in params else "field 'params'"
+    assert len(diags) == 1 and diags[0].startswith(field)
 
 
 def test_validate_scan_trials_within_the_stream_block(tmp_path):
