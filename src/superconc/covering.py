@@ -24,8 +24,8 @@ import numpy as np
 
 from . import rng
 from .covariance import CovarianceModel, check_hypotheses, evaluate
-from .extremes import _stable_mean, sample_maxima
-from .sampler import box_extents, grid_geometry, grid_points, make_plan, reduce_blocks
+from .extremes import _stable_mean, corner_maxima, sample_maxima
+from .sampler import box_extents, grid_geometry, grid_points, make_plan
 
 # Sudakov minoration constant C: E[max] >= C * delta_gap * sqrt(log n)
 DEFAULT_C_SUD = 1.0 / math.sqrt(2.0 * math.pi * math.log(2.0))
@@ -350,19 +350,16 @@ def net_ball_covering(points: np.ndarray, net_idx: np.ndarray, radius: float,
 
 def _dyadic_maxima(model, d: int, extent, spacing: float, batch: int, seed: int) -> list:
     """(N, per-path maxima) of each dyadic sub-box [0, A/2^k] with N > 1, from
-    A down.  Each sub-box's lattice is a corner of A's, so one draw of A,
-    factored once with path i on stream i, gives every scale its exact law."""
+    A down, read as the corners of one draw of A (:func:`corner_maxima`)."""
     scales, scale = [], np.array(box_extents(d, extent))
     while (n_a := covering_number_box(scale, d)) > 1 and min(scale) >= spacing:
         scales.append((n_a, grid_geometry(d, scale, spacing)))
         scale = scale / 2.0
     if len(scales) < 2:
         raise BoundError(f"need at least 2 dyadic scales with N(A) > 1, got {len(scales)}")
-    plan = make_plan(model, scales[0][1], spacing)
-    corners = [(slice(None),) + tuple(slice(0, s) for s in shape) for _, shape in scales]
-    blocks = reduce_blocks(plan, batch, seed, lambda x: [
-        x.reshape(len(x), *plan.shape)[c].max(axis=tuple(range(1, d + 1))) for c in corners])
-    return [(n_a, np.concatenate(m)) for (n_a, _), m in zip(scales, zip(*blocks))]
+    maxima = corner_maxima(make_plan(model, scales[0][1], spacing),
+                           [shape for _, shape in scales], batch, seed)
+    return [(n_a, m) for (n_a, _), m in zip(scales, maxima)]
 
 
 def estimate_field_growth(

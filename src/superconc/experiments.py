@@ -12,6 +12,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .covering import (
     sequence_bound,
     tail_curve,
 )
-from .extremes import centering_gap, ks_to_gumbel, sample_maxima
+from .extremes import centering_gap, corner_maxima, iid_maxima, ks_to_gumbel
 from .sampler import (
     DecompositionError,
     EmbeddingError,
@@ -221,19 +222,19 @@ def _reads(kind: str, p: dict) -> tuple[str, int | None, bool]:
     return kind, None, True
 
 
-def _lattices(cfg, p) -> list[tuple[int, ...]]:
-    """The shapes of the lattices the run factors and draws paths of: the
-    grid of a kind with ``d`` that reads no sizes, else one sequence per size
-    it reads; none where it reads no batch, and none for the iid maxima of
-    the per-size kinds and tail_bounds, which take one raw word and one
-    bounded integer per path.  A grid the params rule out is
-    ``grid_geometry``'s ValueError."""
+def _lattice(cfg, p) -> tuple[int, ...] | None:
+    """The shape of the one lattice the run factors and draws paths of: the
+    grid of a kind with ``d`` that reads no sizes, else the sequence of the
+    largest size it reads, whose prefixes serve the others; None where it
+    reads no batch, and for the iid maxima of the per-size kinds and
+    tail_bounds (a raw word per path and size).  A grid the params rule out
+    is ``grid_geometry``'s ValueError."""
     _, n_read, batch_read = _reads(cfg.kind, p)
     if n_read == 0 and p.get("d") is not None:
-        return [grid_geometry(int(p["d"]), p["extent"], float(p["spacing"]))]
+        return grid_geometry(int(p["d"]), p["extent"], float(p["spacing"]))
     if not batch_read or cfg.model.kind == "iid" and (n_read is None or cfg.kind == "tail_bounds"):
-        return []
-    return [(s,) for s in cfg.sizes[:n_read]]
+        return None
+    return (max(cfg.sizes[:n_read]),)
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -300,17 +301,15 @@ def validate(config: ExperimentConfig) -> list[str]:
     if not sizes_ok:
         return diags
     try:
-        shapes = _lattices(config, p)
+        shape = _lattice(config, p)
     except (TypeError, ValueError) as exc:
         diags.append(f"field 'params': {exc}")
         return diags
-    # a block holds at least one path (sampler.block_rows), so each lattice
+    # a block holds at least one path (sampler.block_rows), so the lattice
     # has to fit its factor and one path (a sample's one draw meets the cap
     # when it is drawn)
     spacing = float(p.get("spacing", 1.0))
-    need, shape = max(((plan_bytes(config.model, s, spacing), s) for s in shapes),
-                      default=(0, ()))
-    if need > capacity_bytes():
+    if shape and (need := plan_bytes(config.model, shape, spacing)) > capacity_bytes():
         diags.append(
             f"capacity: factoring the lattice of {math.prod(shape)} points and "
             f"drawing one path needs ~{need} bytes, cap is {capacity_bytes()}"
@@ -321,10 +320,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(f"capacity: the singleton covering of {config.sizes[0]} points needs "
                      f"~{cover} bytes, cap is {capacity_bytes()}")
     return diags
-
-
-def _cell_seed(seed: int, idx: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(1)[0])
 
 
 def write_csv(path: Path, header: list[str], rows):
@@ -352,11 +347,20 @@ def json_text(obj) -> str:
 
 
 def _per_size(cfg, sizes, stat):
-    """``stat(n, maxima)`` for each n in ``sizes``, in order; the i-th size
-    draws ``cfg.batch`` maxima from cell seed i, on the draw threads of
-    :func:`extremes.sample_maxima`."""
-    return [stat(n, sample_maxima(cfg.model, n, cfg.batch, _cell_seed(cfg.seed, i))[0])
-            for i, n in enumerate(sizes)]
+    """``stat(n, maxima)`` for each n in ``sizes``, in order, read off one draw
+    of ``cfg.batch`` paths at the largest size: a correlated run reads the
+    prefixes of one plan, and iid maxima keep the law Phi^n as running maxima
+    of segments between the sorted sizes, segment j on stream 0 for j = 0 and
+    else on j + 1 (stream 1 is ``sample_maxima``'s argmax)."""
+    distinct = sorted(set(sizes))
+    if cfg.model.kind == "iid":
+        maxima = accumulate((iid_maxima(b - a, cfg.batch, cfg.seed, j + (j > 0)) for j, (a, b)
+                             in enumerate(zip([0, *distinct], distinct))), np.maximum)
+    else:
+        maxima = corner_maxima(make_plan(cfg.model, (distinct[-1],)),
+                               [(n,) for n in distinct], cfg.batch, cfg.seed)
+    by_size = dict(zip(distinct, maxima))
+    return [stat(n, by_size[n]) for n in sizes]
 
 
 def _run_variance_scaling(cfg):
@@ -504,7 +508,7 @@ def _run_sign_vectors(cfg):
 def _run_sample_paths(cfg):
     """``cfg.batch`` draws of the lattice, one row per path in C order."""
     p = _params(cfg)
-    [shape] = _lattices(cfg, p)
+    shape = _lattice(cfg, p)
     spacing = float(p["spacing"])
     plan = make_plan(cfg.model, shape, spacing, p["method"])
     paths = draw_rows(plan, cfg.batch, cfg.seed)

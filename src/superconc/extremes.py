@@ -74,29 +74,38 @@ def sample_maxima(
 
     The iid maximum of n points has the exact law Phi^n and its argmax is
     uniform and independent of it, so an iid batch takes path i's maximum
-    from word i of stream 0 and its argmax from draw i of stream 1 instead
-    of drawing n normals; ``method`` and the blocks do not change the result
-    there, and a batch is a prefix of any larger one.
+    from word i of stream 0 (:func:`iid_maxima`) and its argmax from draw i
+    of stream 1 instead of drawing n normals; ``method`` and the blocks do
+    not change the result there, and a batch is a prefix of any larger one.
     """
     plan = make_plan(model, (n,), method=method)  # factors nothing for iid
     if model.kind == "iid":
-        return _iid_maxima(n, batch, seed)
+        return iid_maxima(n, batch, seed, 0), rng.stream_generator(seed, 1).integers(n, size=batch)
     parts = reduce_blocks(plan, batch, seed, lambda x: (x.max(axis=1), x.argmax(axis=1)))
     # the leading empty pair keeps a batch of 0 two empty arrays
     maxima, argmax = zip((np.empty(0), np.empty(0, dtype=np.int64)), *parts)
     return np.concatenate(maxima), np.concatenate(argmax)
 
 
-def _iid_maxima(n: int, batch: int, seed: int):
-    """Exact-law iid (maxima, argmax): word w of stream 0 gives
-    U = ((w >> 12) + 1/2) 2^-52, strictly inside (0, 1), and M = Phi^-1(U^(1/n));
-    the argmax is numpy's exactly uniform ``integers(n)`` on stream 1.  U keeps
-    52 bits: with 53, the top word's (2^53 - 1) + 1/2 rounds to 2^53 and U to 1."""
-    words = rng.stream_generator(seed, 0).bit_generator.random_raw(batch)
+def corner_maxima(plan, corners, batch: int, seed: int) -> list[np.ndarray]:
+    """Per-path maxima of each corner [0, c_1) x ... of the plan's lattice, in
+    order, from one draw of ``batch`` paths, path i on stream i.  A corner of a
+    stationary lattice is the lattice of its shape, so each has its exact law."""
+    cuts = [(slice(None),) + tuple(slice(0, c) for c in corner) for corner in corners]
+    axes = tuple(range(1, len(plan.shape) + 1))
+    blocks = reduce_blocks(plan, batch, seed, lambda x: [
+        x.reshape(len(x), *plan.shape)[c].max(axis=axes) for c in cuts])
+    return [np.concatenate(m) for m in zip(*blocks)]
+
+
+def iid_maxima(n: int, batch: int, seed: int, stream: int) -> np.ndarray:
+    """Exact-law maxima of ``batch`` iid paths of n points: word w of the
+    stream gives U = ((w >> 12) + 1/2) 2^-52, strictly inside (0, 1), and
+    M = Phi^-1(U^(1/n)).  U keeps 52 bits: with 53, the top word's
+    (2^53 - 1) + 1/2 rounds to 2^53 and U to 1."""
+    words = rng.stream_generator(seed, stream).bit_generator.random_raw(batch)
     u = ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
-    maxima = _ndtri_exp(np.log(u) / n)
-    argmax = rng.stream_generator(seed, 1).integers(n, size=batch)
-    return maxima, argmax
+    return _ndtri_exp(np.log(u) / n)
 
 
 # Wichura's AS241 (PPND16, Appl. Statist. 37, 1988): rational approximations

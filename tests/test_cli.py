@@ -820,14 +820,14 @@ def test_batch_below_the_fewest_paths_is_a_config_error(tmp_path, capsys, argv, 
 
 
 def test_tail_fit_on_too_few_maxima_is_a_config_error(tmp_path, capsys):
-    # at seed 0, 3 iid maxima of 1024 points leave fewer than 5 grid points
-    # with survival in [1e-4, 0.5]; 4 maxima leave enough
+    # at seed 0, 4 iid maxima of 1024 points leave fewer than 5 grid points
+    # with survival in [1e-4, 0.5]; 5 maxima leave enough
     out = str(tmp_path / "o")
-    assert main(["--out", out, "verify", "tail_bounds", "--batch", "3"]) == 2
+    assert main(["--out", out, "verify", "tail_bounds", "--batch", "4"]) == 2
     assert capsys.readouterr().err == (
         "config error: tail fit needs >= 5 grid points with survival in [1e-4, 0.5]\n")
     assert not (tmp_path / "o").exists()
-    assert main(["--out", out, "verify", "tail_bounds", "--batch", "4"]) == 0
+    assert main(["--out", out, "verify", "tail_bounds", "--batch", "5"]) == 0
 
 
 def test_verify_iid_maxima_at_a_hundred_million_points(tmp_path, capsys):

@@ -146,10 +146,13 @@ def test_validate_counts_the_cholesky_factor(tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(4 * 10**6))
     ou = CovarianceModel("ornstein_uhlenbeck", rate=1.0)
     # the OU gram and its factor at n = 768 need 9.4 MB; iid factors nothing,
-    # and one path of the 4096-point circulant needs 262 KB
+    # and one path of the 4096-point circulant needs 262 KB.  A run factors
+    # only its largest size, whose prefixes serve the others, so sizes 768
+    # and 4096 factor the circulant alone
     assert validate(_cfg(tmp_path, sizes=(768,))) == []
     assert validate(_cfg(tmp_path, model=ou, sizes=(4096,))) == []
-    diags = validate(_cfg(tmp_path, model=ou, sizes=(768, 4096)))
+    assert validate(_cfg(tmp_path, model=ou, sizes=(768, 4096))) == []
+    diags = validate(_cfg(tmp_path, model=ou, sizes=(512, 768)))
     assert len(diags) == 1 and diags[0].startswith("capacity") and " 768 points" in diags[0]
 
 

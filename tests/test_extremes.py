@@ -15,7 +15,7 @@ from superconc.extremes import (
     norm_constants,
     sample_maxima,
 )
-from superconc import covering, extremes, sampler
+from superconc import covering, experiments, extremes, sampler
 from superconc.covariance import CovarianceModel
 from superconc.experiments import ExperimentConfig, run
 from superconc.sampler import draw_rows, grid_geometry, make_plan, sample_sequence
@@ -325,9 +325,10 @@ def test_sample_maxima_raise_the_first_failing_block(ou, monkeypatch):
     # one 41 x 41 circulant draw gives all five scales, 41 x 41 down to 3 x 3
     ("field_bound", ("gaussian_smooth", {"lam2": 2.0}),
      {"params": {"d": 2, "extent": 40.0, "growth_batch": 200}}),
-    # two circulant cells, one after the other, each with its own pool
+    # sizes on both sides of the Cholesky limit, read as prefixes of one
+    # circulant draw of 1024 points, its blocks on the draw threads
     ("variance_scaling", ("ornstein_uhlenbeck", {"rate": 1.0}),
-     {"sizes": (1024, 2048), "batch": 300}),
+     {"sizes": (512, 1024), "batch": 300}),
 ])
 def test_run_ignores_the_cpu_count(kind, model, fields, tmp_path, monkeypatch):
     """A run writes the same bytes on 1 and 2 CPUs that the process may use.
@@ -361,6 +362,59 @@ def test_short_embedding_maxima_have_the_cholesky_law(ou):
                                                lambda x: x.max(axis=1), offset=batch))
     # c(alpha) sqrt(2 / batch), with c(alpha) = sqrt(-log(alpha / 2) / 2)
     assert ks_2samp(m, ref).statistic <= math.sqrt(-math.log(0.001 / 2) / batch)
+
+
+def _size_maxima(model, sizes, batch, seed):
+    """The per-size maxima a run of ``sizes`` reads, in the order of ``sizes``."""
+    cfg = ExperimentConfig(kind="variance_scaling", model=model, sizes=sizes, batch=batch,
+                           seed=seed)
+    return experiments._per_size(cfg, sizes, lambda n, m: m)
+
+
+def test_per_size_iid_maxima_follow_phi_to_the_n(iid):
+    from scipy.special import log_ndtr
+    from scipy.stats import kstest
+
+    # every size of one run, out of order and repeated, against its exact law
+    # Phi^n at the 99.9 % one-sample KS critical value c(alpha) / sqrt(batch)
+    sizes, batch = (1024, 64, 4096, 64), 20000
+    maxima = _size_maxima(iid, sizes, batch, seed=3)
+    for n, m in zip(sizes, maxima):
+        d = kstest(m, lambda x: np.exp(n * log_ndtr(x))).statistic
+        assert d <= math.sqrt(-math.log(0.001 / 2) / 2 / batch)
+    # a repeated size repeats its maxima; the segments share their paths, so
+    # each size's maxima rise with the size and correlate with the next's,
+    # where independent draws would stay within 0.03 of 0 at this batch
+    assert maxima[1].tobytes() == maxima[3].tobytes()
+    m64, m1024, m4096 = maxima[1], maxima[0], maxima[2]
+    assert np.all(m64 <= m1024) and np.all(m1024 <= m4096)
+    assert np.corrcoef(m64, m1024)[0, 1] > 0.1 and np.corrcoef(m1024, m4096)[0, 1] > 0.1
+
+
+def test_per_size_first_iid_size_is_sample_maxima(iid, ou):
+    # the smallest size is the first segment, on stream 0 like sample_maxima;
+    # a one-size correlated run reads the whole draw of sample_maxima's plan
+    first, _ = _size_maxima(iid, (64, 1024), 500, seed=5)
+    assert first.tobytes() == sample_maxima(iid, 64, 500, seed=5)[0].tobytes()
+    for n in (700, 1024):  # Cholesky and circulant
+        [m] = _size_maxima(ou, (n,), 300, seed=5)
+        assert m.tobytes() == sample_maxima(ou, n, 300, seed=5)[0].tobytes()
+
+
+def test_per_size_prefix_has_the_cholesky_law(ou):
+    from scipy.stats import ks_2samp
+
+    # the 512-point prefix of a 2048-point circulant draw against 1e4
+    # Cholesky maxima at 512 on disjoint streams, at the 99.9 % two-sample KS
+    # critical value; the two sizes share their paths, so they correlate
+    n, batch = 512, 10**4
+    assert make_plan(ou, (2048,)).method == "circulant"
+    m, m2048 = _size_maxima(ou, (n, 2048), batch, seed=11)
+    cholesky = make_plan(ou, (n,), method="cholesky")
+    ref = np.concatenate(sampler.reduce_blocks(cholesky, batch, 11,
+                                               lambda x: x.max(axis=1), offset=batch))
+    assert ks_2samp(m, ref).statistic <= math.sqrt(-math.log(0.001 / 2) / batch)
+    assert np.all(m <= m2048) and np.corrcoef(m, m2048)[0, 1] > 0.1
 
 
 @pytest.mark.parametrize("n", [1, 2, 64, 1024, 10**6, 10**8])
