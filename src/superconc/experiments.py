@@ -12,7 +12,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .covering import (
     sequence_bound,
     tail_curve,
 )
-from .extremes import centering_gap, corner_maxima, iid_maxima, ks_to_gumbel
+from .extremes import centering_gap, corner_maxima, ks_to_gumbel
 from .sampler import (
     DecompositionError,
     EmbeddingError,
@@ -166,7 +165,7 @@ CHOICES = {"tail_bounds": {"center": ("mean", "b_n")},
 NOT_NUMBERS = {"sets", "delta_grid", "method"}
 # the params that count points, paths, trials or vectors, with their least value
 COUNTS = {"n": 1, "t_points": 1, "theta_points": 1, "growth_batch": 1, "trials": 1,
-          "N_target": 2}
+          "N_target": 2, "max_tries": 1}
 # the params that scale a bound, a tail rate or a lattice, which must be positive
 POSITIVE = {"K", "c", "table_c", "spacing"}
 
@@ -227,7 +226,7 @@ def _lattice(cfg, p) -> tuple[int, ...] | None:
     grid of a kind with ``d`` that reads no sizes, else the sequence of the
     largest size it reads, whose prefixes serve the others; None where it
     reads no batch, and for the iid maxima of the per-size kinds and
-    tail_bounds (a raw word per path and size).  A grid the params rule out
+    tail_bounds (a raw word per path and segment).  A grid the params rule out
     is ``grid_geometry``'s ValueError."""
     _, n_read, batch_read = _reads(cfg.kind, p)
     if n_read == 0 and p.get("d") is not None:
@@ -330,37 +329,30 @@ def write_csv(path: Path, header: list[str], rows):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _json_default(o):
-    """``json.dumps`` hook for numpy scalars and arrays."""
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"unserializable {type(o)}")
+def _plain(o):
+    """``o`` in JSON's own types: numpy scalars and arrays as Python ones, and
+    a non-finite float as None, since JSON has no NaN or Infinity."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        o = o.tolist()
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    return None if isinstance(o, float) and not math.isfinite(o) else o
 
 
 def json_text(obj) -> str:
     """Indented, key-sorted JSON of ``obj`` with a final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _per_size(cfg, sizes, stat):
     """``stat(n, maxima)`` for each n in ``sizes``, in order, read off one draw
-    of ``cfg.batch`` paths at the largest size: a correlated run reads the
-    prefixes of one plan, and iid maxima keep the law Phi^n as running maxima
-    of segments between the sorted sizes, segment j on stream 0 for j = 0 and
-    else on j + 1 (stream 1 is ``sample_maxima``'s argmax)."""
-    distinct = sorted(set(sizes))
-    if cfg.model.kind == "iid":
-        maxima = accumulate((iid_maxima(b - a, cfg.batch, cfg.seed, j + (j > 0)) for j, (a, b)
-                             in enumerate(zip([0, *distinct], distinct))), np.maximum)
-    else:
-        maxima = corner_maxima(make_plan(cfg.model, (distinct[-1],)),
-                               [(n,) for n in distinct], cfg.batch, cfg.seed)
-    by_size = dict(zip(distinct, maxima))
-    return [stat(n, by_size[n]) for n in sizes]
+    of ``cfg.batch`` paths at the largest size as its prefixes
+    (:func:`corner_maxima`)."""
+    maxima = corner_maxima(make_plan(cfg.model, (max(sizes),)), [(n,) for n in sizes],
+                           cfg.batch, cfg.seed)
+    return [stat(n, m) for n, m in zip(sizes, maxima)]
 
 
 def _run_variance_scaling(cfg):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,9 +65,7 @@ def centering_gap(maxima, n: int) -> float:
     return _stable_mean(np.abs(nc.a_n * (m - nc.b_n)))
 
 
-def sample_maxima(
-    model, n: int, batch: int, seed: int, method: str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_maxima(model, n: int, batch: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-path (maxima, argmax) of a batch of sequences of ``n`` points, drawn
     block by block with :func:`sampler.reduce_blocks` from one factoring.
     Path i draws from stream i, so only Cholesky maxima move with the blocks,
@@ -74,31 +73,39 @@ def sample_maxima(
 
     The iid maximum of n points has the exact law Phi^n and its argmax is
     uniform and independent of it, so an iid batch takes path i's maximum
-    from word i of stream 0 (:func:`iid_maxima`) and its argmax from draw i
-    of stream 1 instead of drawing n normals; ``method`` and the blocks do
-    not change the result there, and a batch is a prefix of any larger one.
+    from word i of stream 0 (:func:`corner_maxima`) and its argmax from draw
+    i of stream 1 instead of drawing n normals; the blocks do not change the
+    result there, and a batch is a prefix of any larger one.
     """
-    plan = make_plan(model, (n,), method=method)  # factors nothing for iid
-    if model.kind == "iid":
-        return iid_maxima(n, batch, seed, 0), rng.stream_generator(seed, 1).integers(n, size=batch)
-    parts = reduce_blocks(plan, batch, seed, lambda x: (x.max(axis=1), x.argmax(axis=1)))
-    # the leading empty pair keeps a batch of 0 two empty arrays
-    maxima, argmax = zip((np.empty(0), np.empty(0, dtype=np.int64)), *parts)
-    return np.concatenate(maxima), np.concatenate(argmax)
+    plan = make_plan(model, (n,))  # factors nothing for iid
+    if plan.method == "iid":
+        [maxima] = corner_maxima(plan, [(n,)], batch, seed)
+        return maxima, rng.stream_generator(seed, 1).integers(n, size=batch)
+    return reduce_blocks(plan, batch, seed, lambda x: (x.max(axis=1), x.argmax(axis=1)))
 
 
-def corner_maxima(plan, corners, batch: int, seed: int) -> list[np.ndarray]:
+def corner_maxima(plan, corners, batch: int, seed: int) -> tuple[np.ndarray, ...]:
     """Per-path maxima of each corner [0, c_1) x ... of the plan's lattice, in
-    order, from one draw of ``batch`` paths, path i on stream i.  A corner of a
-    stationary lattice is the lattice of its shape, so each has its exact law."""
+    the caller's order, from one draw of ``batch`` paths, path i on stream i.
+    A corner of a stationary lattice is the lattice of its shape, so each has
+    its exact law.  An iid plan draws no normals: the sorted distinct point
+    counts of nested corners (prefixes, dyadic boxes) cut the lattice into
+    segments, segment j of k points is Phi^k of the words of stream j + (j > 0)
+    (:func:`_iid_maxima`; stream 1 is :func:`sample_maxima`'s argmax), and the
+    running maximum of a corner's segments has the corners' exact joint law."""
+    if plan.method == "iid":
+        sizes = sorted({math.prod(c) for c in corners})
+        running = accumulate((_iid_maxima(b - a, batch, seed, j + (j > 0)) for j, (a, b)
+                              in enumerate(zip([0, *sizes], sizes))), np.maximum)
+        by_size = dict(zip(sizes, running))
+        return tuple(by_size[math.prod(c)] for c in corners)
     cuts = [(slice(None),) + tuple(slice(0, c) for c in corner) for corner in corners]
     axes = tuple(range(1, len(plan.shape) + 1))
-    blocks = reduce_blocks(plan, batch, seed, lambda x: [
+    return reduce_blocks(plan, batch, seed, lambda x: [
         x.reshape(len(x), *plan.shape)[c].max(axis=axes) for c in cuts])
-    return [np.concatenate(m) for m in zip(*blocks)]
 
 
-def iid_maxima(n: int, batch: int, seed: int, stream: int) -> np.ndarray:
+def _iid_maxima(n: int, batch: int, seed: int, stream: int) -> np.ndarray:
     """Exact-law maxima of ``batch`` iid paths of n points: word w of the
     stream gives U = ((w >> 12) + 1/2) 2^-52, strictly inside (0, 1), and
     M = Phi^-1(U^(1/n)).  U keeps 52 bits: with 53, the top word's

@@ -366,11 +366,11 @@ def draw_workers(plan: LatticePlan, block: int) -> int:
 
 
 def reduce_blocks(plan: LatticePlan, batch: int, seed: int, reduce, offset: int = 0,
-                  row_elems: int | None = None) -> list:
-    """``reduce(draw_rows(plan, rows, seed, offset + lo))`` for each block of
-    a batch, in block order.  Blocks hold :func:`block_rows` rows of
-    ``row_elems`` elements (default: the plan's); row i draws from stream
-    ``offset + i`` in any block.
+                  row_elems: int | None = None) -> tuple:
+    """The per-row arrays ``reduce(draw_rows(plan, rows, seed, offset + lo))``
+    returns, each joined over the blocks of a batch in block order; a batch of
+    0 reduces an empty (0, n) draw.  Blocks hold :func:`block_rows` rows of
+    ``row_elems`` elements (default: the plan's); row i is stream offset + i.
 
     The blocks run on :func:`draw_workers` threads: one per CPU for a
     circulant plan, whose noise and FFTs release the interpreter lock on
@@ -388,9 +388,11 @@ def reduce_blocks(plan: LatticePlan, batch: int, seed: int, reduce, offset: int 
 
     workers = min(draw_workers(plan, block), len(starts))
     if workers <= 1:  # an interrupt stops here; map submits every block at once
-        return [draw(lo) for lo in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(draw, starts))
+        parts = [draw(lo) for lo in starts] or [reduce(np.empty((0, plan.n)))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(draw, starts))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def draw_rows(plan: LatticePlan, batch: int, seed: int, offset: int = 0) -> np.ndarray:

@@ -116,15 +116,15 @@ def threshold_table(K: int, N: int, e0max: float, deltas, c: float = 1.0):
     return rows
 
 
-def _scan_blocks(cls: ScanClass, trials: int, seed: int, offset: int, reduce) -> list:
-    """``reduce(set sums)`` of each block of null trials; trial i is stream offset + i."""
+def _scan_blocks(cls: ScanClass, trials: int, seed: int, offset: int, reduce) -> tuple:
+    """The arrays of ``reduce(set sums)`` over all null trials; trial i is stream offset + i."""
     # a row holds n normals and N set sums
     return reduce_blocks(make_plan(CovarianceModel("iid"), (cls.n,)), trials, seed,
                          lambda x: reduce(set_sums(x, cls)), offset, row_elems=max(cls.n, cls.N))
 
 
 def _null_scan_maxima(cls: ScanClass, trials: int, seed: int, offset: int = 0) -> np.ndarray:
-    return np.concatenate(_scan_blocks(cls, trials, seed, offset, lambda s: s.max(axis=1)))
+    return _scan_blocks(cls, trials, seed, offset, lambda s: (s.max(axis=1),))[0]
 
 
 def _risk_outcomes(cls: ScanClass, trials: int, seed: int, offset: int, tau: float,
@@ -140,8 +140,8 @@ def _risk_outcomes(cls: ScanClass, trials: int, seed: int, offset: int, tau: flo
             missed += (sums + shift).max(axis=1) < tau
         return sums.max(axis=1) >= tau, missed
 
-    reject, missed = zip(*_scan_blocks(cls, trials, seed, offset, outcomes))
-    return np.concatenate(reject), np.concatenate(missed) / len(shifts)
+    reject, missed = _scan_blocks(cls, trials, seed, offset, outcomes)
+    return reject, missed / len(shifts)
 
 
 def estimate_E0max(cls: ScanClass, trials: int, seed: int) -> tuple[float, float]:

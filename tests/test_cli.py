@@ -216,6 +216,27 @@ def test_signvec_subcommand(tmp_path, capsys):
     assert summary["found"] == 5
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv, key, also", [
+    # rho = 1: the bound is degenerate and K = 1 / (1 - rho) infinite
+    (["bound", "--cov", OU_JSON, "--rho", "analytic", "--alpha", "0.1", "--n", "1024"], "K",
+     {"degenerate": True}),
+    # one try finds one vector and tests no pair, so the pass rate is 0 / 0
+    (["signvec", "--n", "20", "--N", "5", "--max-tries", "1"], "pair_pass_rate",
+     {"tries": 1, "pair_tests": 0}),
+], ids=["infinite-K", "nan-pair-pass-rate"])
+def test_summary_writes_a_non_finite_float_as_null(tmp_path, capsys, argv, key, also):
+    out = tmp_path / "o"
+    assert main(["--out", str(out), *argv]) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_not_json)
+    assert summary[key] is None
+    assert {k: summary[k] for k in also} == also
+    assert json.loads(capsys.readouterr().out, parse_constant=_not_json) == summary
+
+
 def test_signvec_numeric_threshold_on_both_routes(tmp_path, capsys):
     # scan_risk's threshold choices do not apply to sign_vectors' threshold
     assert main(["--out", str(tmp_path / "a"), "signvec", "--n", "16", "--N", "4",
@@ -572,8 +593,13 @@ def test_every_experiment_flag_names_a_param_of_its_kind():
      "field 'params.n': -1 is below 1"),
     (["signvec", "--n", "0"], {"kind": "sign_vectors", "params": {"n": 0}},
      "field 'params.n': 0 is below 1"),
+    (["signvec", "--max-tries", "0"], {"kind": "sign_vectors", "params": {"max_tries": 0}},
+     "field 'params.max_tries': 0 is below 1"),
+    (["signvec", "--max-tries", "-3"], {"kind": "sign_vectors", "params": {"max_tries": -3}},
+     "field 'params.max_tries': -3 is below 1"),
 ], ids=["generator-not-int", "generator-one-int", "generator-window", "t-points",
-        "theta-points", "trials", "N-target", "signvec-n-negative", "signvec-n-0"])
+        "theta-points", "trials", "N-target", "signvec-n-negative", "signvec-n-0",
+        "max-tries-0", "max-tries-negative"])
 def test_mistake_on_both_routes_exit_code(tmp_path, capsys, argv, config, named):
     out = tmp_path / "o"
     assert main(["--out", str(out), *argv]) == 2

@@ -93,14 +93,20 @@ def _block_rows(monkeypatch, model, shape, rows, method):
     monkeypatch.setattr(sampler, "BLOCK_ELEMS", rows * row_elems)
 
 
+def _maxima(model, n, batch, seed, method):
+    """The (maxima, argmax) ``sample_maxima`` draws, from a plan by ``method``."""
+    return sampler.reduce_blocks(make_plan(model, (n,), method=method), batch, seed,
+                                 lambda x: (x.max(axis=1), x.argmax(axis=1)))
+
+
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
 def test_sample_maxima_chunk_invariance(ou, method, monkeypatch):
-    m1, a1 = sample_maxima(ou, 20, 30, seed=6, method=method)
+    m1, a1 = _maxima(ou, 20, 30, 6, method)
     _block_rows(monkeypatch, ou, (20,), 7, method)
-    m2, a2 = sample_maxima(ou, 20, 30, seed=6, method=method)
+    m2, a2 = _maxima(ou, 20, 30, 6, method)
     assert np.array_equal(m1, m2)
     assert np.array_equal(a1, a2)
-    m0, a0 = sample_maxima(ou, 20, 0, seed=6, method=method)  # no blocks at all
+    m0, a0 = _maxima(ou, 20, 0, 6, method)  # no blocks at all
     assert m0.shape == a0.shape == (0,) and a0.dtype == np.int64
 
 
@@ -109,10 +115,10 @@ def test_sample_maxima_chunk_invariance(ou, method, monkeypatch):
 def test_sample_maxima_small_chunks(ou, method, n, monkeypatch):
     # the noise is per path either way; only BLAS rounds a row of the
     # Cholesky product by the number of rows in it
-    m, a = sample_maxima(ou, n, 40, seed=3, method=method)
+    m, a = _maxima(ou, n, 40, 3, method)
     for chunk in (1, 2, 3):
         _block_rows(monkeypatch, ou, (n,), chunk, method)
-        mc, ac = sample_maxima(ou, n, 40, seed=3, method=method)
+        mc, ac = _maxima(ou, n, 40, 3, method)
         if method == "circulant":
             assert np.array_equal(mc, m) and np.array_equal(ac, a)
         else:
@@ -139,14 +145,14 @@ def test_sample_maxima_factors_once(ou, method, monkeypatch):
         fn = getattr(sampler, name)
         monkeypatch.setattr(sampler, name,
                             lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
-    sample_maxima(ou, 20, 30, seed=6, method=method)
+    _maxima(ou, 20, 30, 6, method)
     assert len(calls) == 1
 
 
 def test_sample_maxima_chunks_fit_a_low_cap(ou, monkeypatch):
     # one default chunk of 2000 paths would need ~32 MB; the cap is 1 MiB
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(2**20))
-    m, a = sample_maxima(ou, 256, 2000, seed=1, method="circulant")
+    m, a = _maxima(ou, 256, 2000, 1, "circulant")
     direct = sample_sequence(ou, 256, 5, seed=1, method="circulant", stream_offset=1995)
     assert np.array_equal(m[-5:], direct.paths.max(axis=1))
     assert np.array_equal(a[-5:], direct.paths.argmax(axis=1))
@@ -185,8 +191,9 @@ def test_iid_maxima_ignore_the_blocks_and_method(iid, monkeypatch):
     m, a = sample_maxima(iid, 64, 300, seed=9)
     for chunk in (1, 7, 300):
         _block_rows(monkeypatch, iid, (64,), chunk, "circulant")
-        mc, ac = sample_maxima(iid, 64, 300, seed=9, method="circulant")
-        assert np.array_equal(mc, m) and np.array_equal(ac, a)
+        mc, ac = sample_maxima(iid, 64, 300, seed=9)
+        [mp] = extremes.corner_maxima(make_plan(iid, (64,), method="circulant"), [(64,)], 300, 9)
+        assert np.array_equal(mc, m) and np.array_equal(ac, a) and np.array_equal(mp, m)
 
 
 @pytest.mark.parametrize("n", [1, 1024, 150_000])
@@ -237,6 +244,49 @@ def test_iid_argmax_uniform(iid, n):
     _, a = sample_maxima(iid, n, 200 * n, seed=5)
     assert a.min() >= 0 and a.max() < n
     assert chisquare(np.bincount(a, minlength=n)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("method", ["cholesky", "circulant", "iid"])
+def test_an_empty_batch_reads_one_empty_array_per_corner(ou, iid, method):
+    model, by = (iid, None) if method == "iid" else (ou, method)
+    plan = make_plan(model, (12, 10), method=by)
+    corners = [(12, 10), (3, 4), (6, 5)]
+    maxima = extremes.corner_maxima(plan, corners, 0, 4)
+    assert plan.method == method and len(maxima) == len(corners)
+    assert all(m.shape == (0,) and m.dtype == np.float64 for m in maxima)
+
+
+def test_an_empty_batch_draws_empty_arrays(ou, iid):
+    from superconc.scantest import _null_scan_maxima, disjoint_class
+
+    for model in (ou, iid):
+        m, a = sample_maxima(model, 20, 0, seed=6)
+        assert m.shape == a.shape == (0,) and m.dtype == np.float64 and a.dtype == np.int64
+    scan = _null_scan_maxima(disjoint_class(3, 4), 0, seed=1)
+    assert scan.shape == (0,) and scan.dtype == np.float64
+
+
+def test_iid_growth_stage_has_the_exact_law_of_each_scale(iid):
+    from scipy.special import log_ndtr
+    from scipy.stats import kstest
+
+    # each dyadic scale of [0, 96]^2 against Phi^k, k its point count, at the
+    # 99.9 % one-sample KS critical value c(alpha) / sqrt(batch); the boxes
+    # are nested, so a path's maxima never rise from the full box down
+    batch = 2 * 10**4
+    scales = covering._dyadic_maxima(iid, 2, 96.0, 1.0, batch, 5)
+    shapes = [grid_geometry(2, 96.0 / 2**j, 1.0) for j in range(len(scales))]
+    assert len(scales) == 6
+    for (_, m), shape in zip(scales, shapes):
+        k = math.prod(shape)
+        d = kstest(m, lambda x: np.exp(k * log_ndtr(x))).statistic
+        assert d <= math.sqrt(-math.log(0.001 / 2) / 2 / batch)
+    maxima = [m for _, m in scales]
+    assert all(np.all(small <= big) for big, small in zip(maxima, maxima[1:]))
+    # corners passed largest first, as the growth stage passes them, or
+    # smallest first come back in the caller's order
+    rev = extremes.corner_maxima(make_plan(iid, shapes[0]), shapes[::-1], batch, 5)
+    assert [m.tobytes() for m in rev[::-1]] == [m.tobytes() for m in maxima]
 
 
 def _cpus(monkeypatch, count):
@@ -358,8 +408,7 @@ def test_short_embedding_maxima_have_the_cholesky_law(ou):
     assert make_plan(ou, (n,)).embed_shape == (1080,)
     m, _ = sample_maxima(ou, n, batch, seed=11)
     cholesky = make_plan(ou, (n,), method="cholesky")
-    ref = np.concatenate(sampler.reduce_blocks(cholesky, batch, 11,
-                                               lambda x: x.max(axis=1), offset=batch))
+    [ref] = sampler.reduce_blocks(cholesky, batch, 11, lambda x: (x.max(axis=1),), offset=batch)
     # c(alpha) sqrt(2 / batch), with c(alpha) = sqrt(-log(alpha / 2) / 2)
     assert ks_2samp(m, ref).statistic <= math.sqrt(-math.log(0.001 / 2) / batch)
 
@@ -411,8 +460,7 @@ def test_per_size_prefix_has_the_cholesky_law(ou):
     assert make_plan(ou, (2048,)).method == "circulant"
     m, m2048 = _size_maxima(ou, (n, 2048), batch, seed=11)
     cholesky = make_plan(ou, (n,), method="cholesky")
-    ref = np.concatenate(sampler.reduce_blocks(cholesky, batch, 11,
-                                               lambda x: x.max(axis=1), offset=batch))
+    [ref] = sampler.reduce_blocks(cholesky, batch, 11, lambda x: (x.max(axis=1),), offset=batch)
     assert ks_2samp(m, ref).statistic <= math.sqrt(-math.log(0.001 / 2) / batch)
     assert np.all(m <= m2048) and np.corrcoef(m, m2048)[0, 1] > 0.1
 
