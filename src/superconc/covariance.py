@@ -175,8 +175,9 @@ def gram_matrix(model: CovarianceModel, points) -> np.ndarray:
 
     Points are scalars (1-d index sets) or rows in R^d.  Symmetry is exact
     by construction; positive semi-definiteness is the sampler's problem.
-    Consecutive integers give the Toeplitz matrix of ``toeplitz_lags``,
-    equal to the dense form because their distances are exact.
+    Consecutive integers give the Toeplitz matrix of ``toeplitz_lags`` as a
+    read-only view over its 2n - 1 lags, not n^2 floats: equal to the dense
+    form because their distances are exact.  Copy it to write into it.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -185,11 +186,10 @@ def gram_matrix(model: CovarianceModel, points) -> np.ndarray:
     if (pts.shape[1] == 1 and n and float(pts[0, 0]).is_integer()
             and np.array_equal(pts[:, 0], pts[0, 0] + np.arange(n))):
         lags = toeplitz_lags(model, n)
+        lags[0] = 1.0
         # row i is lags[i], ..., lags[1], lags[0], lags[1], ..., lags[n-1-i]
         both = np.concatenate([lags[:0:-1], lags])
-        gram = np.lib.stride_tricks.sliding_window_view(both, n)[::-1].copy()
-        np.fill_diagonal(gram, 1.0)
-        return gram
+        return np.lib.stride_tricks.sliding_window_view(both, n)[::-1]
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff**2, axis=-1))
     dist = 0.5 * (dist + dist.T)  # exact symmetry despite roundoff

@@ -7,10 +7,16 @@ and :func:`draw_rows` samples it as often as needed.  Two exact methods:
 * ``cholesky`` — factor the gram matrix; reference method, always exact
   when the factorization succeeds.
 * ``circulant`` — embed the gram into a nonnegative-definite (block)
-  circulant C whose eigenvalues lambda are the FFT of its first row, then
-  draw with real noise xi as X = C^{1/2} xi = irfftn(sqrt(lambda) *
-  rfftn(xi)) and crop to the lattice (Wood & Chan 1994; Dietrich & Newsam
-  1997); the fast path for large lattices.  An axis of s points embeds in
+  circulant C of M points whose eigenvalues lambda are the FFT of its first
+  row, then draw straight from the spectrum and crop to the lattice (Wood &
+  Chan 1994; Dietrich & Newsam 1997): X = irfftn(f * Z) with Z complex
+  noise on the rfftn half-spectrum, real and imaginary parts iid N(0, 1),
+  and f = sqrt(M lambda / 2), or sqrt(M lambda) on the planes irfftn reads
+  once (index 0 of the last axis and, for an even last axis, its Nyquist
+  index).  irfftn(H) is Re ifftn(w H) with w = 2 off those planes, so X has
+  covariance C exactly, from 2 prod(half shape) normals a path (m + 2 for
+  an even 1-d embedding of m points) and no forward FFT.  It is the fast
+  path for large lattices.  An axis of s points embeds in
   m >= min(2(s - 1), s + L) points, where |phi| is at most 2^-53 past L
   lattice steps: every lag k < s of the axis either keeps its wrap
   min(k, m - k) = k or has both k and m - k past L, so the cropped circulant
@@ -59,16 +65,19 @@ DEFAULT_CAP_BYTES = 2**31
 # maxima take, Cholesky / circulant: 0.16-0.23 / 0.20-0.23 s at 256 points,
 # 0.34-0.38 / 0.28-0.32 s at 512, 0.75-0.78 / 0.27-0.30 s at 768 and
 # 2.27-2.29 / 0.33 s at 1024 (one draw thread: 0.21 / 0.23, 0.40 / 0.31,
-# 0.81 / 0.43, 2.14 / 0.47), so the break-even lies between 256 and 512.  The
-# switch stays at 768: moving it would change the bytes of every run at the
-# sizes it passes
+# 0.81 / 0.43, 2.14 / 0.47), so the break-even lies between 256 and 512.
+# These timings predate the draw from half-spectrum noise, which runs no
+# forward FFT and so only lowers the circulant side.  The switch stays at
+# 768: moving it would change the bytes of every run at the sizes it passes
 CHOLESKY_MAX_N = 768
 EMBED_REL_TOL = 1e-10
 # |phi| at or below this is the rounding of phi(0) = 1: a lag past it may wrap
 TINY = 2.0**-53
 EMBED_MAX_DOUBLINGS = 6
-# working bytes per element of one path while it is drawn: noise and product
-# take 16, a 2-d embedding's noise, spectrum and transform about 24
+# working bytes per element of one path while it is drawn: a Cholesky draw's
+# noise and product take 16; a circulant draw's half-spectrum noise about 8
+# (it is scaled in place, with no forward spectrum), and the inverse
+# transform's working copy, its output and the crop about 24 more
 DRAW_BYTES_PER_ELEM = 32
 # elements of draw work in one block of a batched draw, 4 MiB of it: with
 # BLAS on one thread, 1e4 OU maxima at n = 500 and 768 draw by Cholesky
@@ -77,7 +86,13 @@ BLOCK_ELEMS = 2**17
 
 
 class CapacityError(MemoryError):
-    """Requested batch would exceed the configured memory cap."""
+    """Requested batch would exceed the configured memory cap: ``needed``
+    bytes against a ``limit``, both ``None`` for a malformed cap."""
+
+    def __init__(self, message: str, needed: int | None = None, limit: int | None = None):
+        self.needed = needed
+        self.limit = limit
+        super().__init__(message)
 
 
 def capacity_bytes() -> int:
@@ -130,15 +145,16 @@ def _check_capacity(nbytes: int):
     if nbytes > cap:
         raise CapacityError(
             f"request needs ~{nbytes} bytes, cap is {cap} "
-            "(override with SUPERCONC_CAP_BYTES)"
+            "(override with SUPERCONC_CAP_BYTES)", nbytes, cap
         )
 
 
 @dataclass(frozen=True, eq=False)
 class LatticePlan:
     """A lattice factored once: the Cholesky lower factor of the gram, or
-    sqrt(lambda) on the rfftn half-spectrum of the circulant embedding of
-    ``embed_shape``; no factor for the iid model, whose gram is the identity.
+    the scale f of the module docstring on the rfftn half-spectrum of the
+    circulant embedding of ``embed_shape``; no factor for the iid model,
+    whose gram is the identity.
     """
 
     method: str
@@ -256,7 +272,7 @@ def circulant_embedding(
         if (nbytes := DRAW_BYTES_PER_ELEM * math.prod(ms)) > max_bytes:
             if not k:
                 raise CapacityError(f"the smallest circulant embedding {ms} needs ~{nbytes} "
-                                    f"bytes a path, limit is {max_bytes}")
+                                    f"bytes a path, limit is {max_bytes}", nbytes, max_bytes)
             break
         sq = sum(np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in ms)))
         eig = np.fft.fftn(evaluate(model, spacing * np.sqrt(sq))).real
@@ -343,9 +359,15 @@ def make_plan(
 
 
 def _circulant_plan(model, shape, spacing, max_bytes) -> LatticePlan:
-    eig, _ = circulant_embedding(model, shape, spacing, max_bytes=max_bytes)
-    half = eig[..., : eig.shape[-1] // 2 + 1]
-    return LatticePlan("circulant", shape, np.sqrt(half), eig.shape)
+    eig, m = circulant_embedding(model, shape, spacing, max_bytes=max_bytes)
+    last = eig.shape[-1]
+    # M lambda / 2 off the planes irfftn reads once (the last axis's index 0
+    # and, for an even axis, its Nyquist index), M lambda on them
+    scale = np.full(last // 2 + 1, m / 2)
+    scale[0] = m
+    if last % 2 == 0:
+        scale[-1] = m
+    return LatticePlan("circulant", shape, np.sqrt(eig[..., : last // 2 + 1] * scale), eig.shape)
 
 
 def _cholesky_plan(model, shape, spacing) -> LatticePlan:
@@ -404,12 +426,11 @@ def draw_rows(plan: LatticePlan, batch: int, seed: int, offset: int = 0) -> np.n
         noise = rng.normal_rows(seed, batch, plan.n, offset=offset)
         return noise if plan.factor is None else noise @ plan.factor.T
     ms = plan.embed_shape
-    axes = tuple(range(1, len(ms) + 1))
-    # rebinding x frees the noise, then the spectrum, as soon as each is used
-    x = rng.normal_rows(seed, batch, plan.row_elems, offset=offset).reshape(batch, *ms)
-    x = np.fft.rfftn(x, axes=axes)
+    # each row's normals are the real and imaginary parts of its half-spectrum
+    x = rng.normal_rows(seed, batch, 2 * plan.factor.size, offset=offset)
+    x = x.view(np.complex128).reshape(batch, *plan.factor.shape)
     x *= plan.factor
-    x = np.fft.irfftn(x, s=ms, axes=axes)
+    x = np.fft.irfftn(x, s=ms, axes=tuple(range(1, len(ms) + 1)))
     crop = (slice(None),) + tuple(slice(0, s) for s in plan.shape)
     return np.ascontiguousarray(x[crop]).reshape(batch, plan.n)
 

@@ -200,6 +200,23 @@ def test_gram_matrix_toeplitz_equals_dense(model, n):
         assert np.array_equal(gram_matrix(model, points), _dense_gram(model, points))
 
 
+def _byte_bounds(a):
+    # numpy 2 moved byte_bounds to numpy.lib.array_utils
+    utils = getattr(np.lib, "array_utils", np)
+    return utils.byte_bounds(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 257, 4096])
+def test_the_sequence_gram_is_a_read_only_view_over_its_lags(ou, n):
+    # n^2 entries, 2n - 1 of them distinct: the view holds those alone
+    gram = gram_matrix(ou, np.arange(n))
+    assert gram.shape == (n, n)
+    with pytest.raises(ValueError):
+        gram[0, -1] = 0.5
+    lo, hi = _byte_bounds(gram)
+    assert hi - lo == (2 * n - 1) * 8
+
+
 def test_gram_matrix_planar_points(gs):
     pts = np.array([[0.0, 0.0], [3.0, 4.0]])
     g = gram_matrix(gs, pts)

@@ -11,6 +11,7 @@ from superconc.sampler import (
     DEFAULT_CAP_BYTES,
     DRAW_BYTES_PER_ELEM,
     EMBED_MAX_DOUBLINGS,
+    EMBED_REL_TOL,
     CapacityError,
     DecompositionError,
     EmbeddingError,
@@ -291,6 +292,17 @@ def _shape_id(shape):
     return "x".join(map(str, shape))
 
 
+def _eigenvalues(plan):
+    """lambda on the half-spectrum, from the plan's f = sqrt(M lambda / 2),
+    or sqrt(M lambda) on the last axis's index-0 and Nyquist planes."""
+    m, last = math.prod(plan.embed_shape), plan.embed_shape[-1]
+    scale = np.full(last // 2 + 1, m / 2)
+    scale[0] = m
+    if last % 2 == 0:
+        scale[-1] = m
+    return plan.factor**2 / scale
+
+
 @pytest.mark.parametrize("shape", [(2,), (3,), (5,), (97,), (769,), (7, 9)], ids=_shape_id)
 @pytest.mark.parametrize("model", [CovarianceModel("ornstein_uhlenbeck", rate=0.5),
                                    CovarianceModel("gaussian_smooth", lam2=2.0)],
@@ -300,7 +312,7 @@ def test_cropped_circulant_is_the_gram(model, shape):
     # base size, read at every pair of lattice points, it is their gram entry
     plan = make_plan(model, shape, method="circulant")
     assert plan.embed_shape == base_embedding(shape, model)
-    row = np.fft.irfftn(plan.factor**2, s=plan.embed_shape, axes=range(len(shape)))
+    row = np.fft.irfftn(_eigenvalues(plan), s=plan.embed_shape, axes=range(len(shape)))
     index = np.indices(shape).reshape(len(shape), -1)
     lags = (index[:, None, :] - index[:, :, None]) % np.array(plan.embed_shape)[:, None, None]
     points = grid_points(len(shape), [s - 1.0 for s in shape], 1.0)
@@ -389,8 +401,123 @@ def test_a_table_zero_to_its_end_embeds_at_the_short_size():
     model = CovarianceModel("table", table=PD_HEAD)
     plan = make_plan(model, (1000,), method="circulant")
     assert plan.embed_shape == (1024,)
-    row = np.fft.irfft(plan.factor**2, n=1024)
+    row = np.fft.irfft(_eigenvalues(plan), n=1024)
     assert np.allclose(row[:1000], evaluate(model, np.arange(1000.0)), rtol=0, atol=1e-12)
+
+
+# embeddings whose last axis is even and odd (135, 15), one that doubles
+# (OU in 3-d), and a table that is 0 from lag 3 to its end
+EXACT_LAW_CASES = [
+    (CovarianceModel("ornstein_uhlenbeck", rate=1.0), (5,), (8,)),
+    (CovarianceModel("ornstein_uhlenbeck", rate=1.0), (97,), (135,)),
+    (CovarianceModel("ornstein_uhlenbeck", rate=1.0), (7, 9), (12, 16)),
+    (CovarianceModel("ornstein_uhlenbeck", rate=1.0), (4, 5, 3), (12, 16, 8)),
+    (CovarianceModel("gaussian_smooth", lam2=2.0), (2,), (2,)),
+    (CovarianceModel("gaussian_smooth", lam2=2.0), (97,), (108,)),
+    (CovarianceModel("gaussian_smooth", lam2=2.0), (7, 9), (12, 15)),
+    (CovarianceModel("gaussian_smooth", lam2=2.0), (6, 5), (10, 8)),
+    (CovarianceModel("gaussian_smooth", lam2=2.0), (5, 6, 9), (8, 10, 15)),
+    (CovarianceModel("table", table=PD_HEAD), (1000,), (1024,)),
+]
+
+
+@pytest.mark.parametrize("model, shape, embed", EXACT_LAW_CASES,
+                         ids=[f"{m.kind}-{_shape_id(s)}" for m, s, _ in EXACT_LAW_CASES])
+def test_the_circulant_draw_has_the_gram_as_its_exact_law(monkeypatch, model, shape, embed):
+    # with the identity's rows for noise, draw_rows returns its linear map A
+    # of the normals, and the draw's covariance is A^T A
+    monkeypatch.setattr("superconc.rng.normal_rows",
+                        lambda seed, rows, cols, offset=0: np.eye(cols)[offset:offset + rows])
+    plan = make_plan(model, shape, method="circulant")
+    assert plan.embed_shape == embed
+    a = draw_rows(plan, 2 * plan.factor.size, seed=0)
+    points = grid_points(len(shape), [s - 1.0 for s in shape], 1.0)
+    assert np.allclose(a.T @ a, gram_matrix(model, points), rtol=0, atol=1e-12)
+
+
+def test_the_cholesky_factor_of_the_gram_view_is_that_of_its_copy(ou):
+    # the sequence gram is a strided view; LAPACK factors a copy of it
+    gram = gram_matrix(ou, np.arange(768))
+    plan = make_plan(ou, (768,), method="cholesky")
+    assert np.array_equal(plan.factor, np.linalg.cholesky(np.ascontiguousarray(gram)))
+
+
+def _factors(gram):
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7))
+def test_decomposition_error_names_the_smallest_failing_minor(values):
+    # phi(k) = values[k - 1] at lags 1, ..., n - 1 of n points
+    model = CovarianceModel("table", table=((0.0, 1.0),) + tuple(
+        (k + 1.0, v) for k, v in enumerate(values)))
+    n = len(values) + 1
+    gram = gram_matrix(model, np.arange(n))
+    failing = [k for k in range(1, n + 1) if not _factors(gram[:k, :k])]
+    if not failing:
+        make_plan(model, (n,), method="cholesky")
+        return
+    with pytest.raises(DecompositionError) as exc:
+        make_plan(model, (n,), method="cholesky")
+    assert exc.value.order == failing[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(3, 8),
+       st.integers(0, EMBED_MAX_DOUBLINGS))
+def test_embedding_error_reports_the_doublings_it_tried(phi1, phi2, n, most):
+    # phi = (1, phi1, phi2, 0, ...); the cap lets the search double `most`
+    # times, and each size's eigenvalues are summed over its wrapped lags
+    model = CovarianceModel("table", table=((0.0, 1.0), (1.0, phi1), (2.0, phi2), (1000.0, 0.0)))
+    (base,) = base_embedding((n,), model)
+    tried, worst = [], math.inf
+    for k in range(most + 1):
+        m = base << k
+        lag = np.minimum(np.arange(m), m - np.arange(m))
+        eig = np.cos(2 * np.pi * np.outer(np.arange(m), np.arange(m)) / m) @ evaluate(model, lag)
+        tried.append((m,))
+        worst = min(worst, eig.min())
+        if eig.min() >= -EMBED_REL_TOL * eig.max():
+            assert circulant_embedding(model, n, max_bytes=DRAW_BYTES_PER_ELEM * m)[1] == m
+            return
+    with pytest.raises(EmbeddingError) as exc:
+        circulant_embedding(model, n, max_bytes=DRAW_BYTES_PER_ELEM * (base << most))
+    assert exc.value.sizes == tried
+    assert exc.value.worst == pytest.approx(worst, rel=0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2**22), st.integers(2, 3000), st.sampled_from(["cholesky", "circulant"]))
+def test_a_capacity_error_carries_the_bytes_it_needed_over_its_limit(cap, n, method):
+    # the plan's own bytes, or else a draw of one row more than the cap holds
+    model = CovarianceModel("ornstein_uhlenbeck", rate=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SUPERCONC_CAP_BYTES", str(cap))
+        need = (2 * n * n * 8 if method == "cholesky"
+                else DRAW_BYTES_PER_ELEM * base_embedding((n,), model)[0])
+        if need > cap:
+            with pytest.raises(CapacityError) as exc:
+                make_plan(model, (n,), method=method)
+        else:
+            plan = make_plan(model, (n,), method=method)
+            batch = cap // plan.row_bytes + 1
+            need = batch * plan.row_bytes
+            with pytest.raises(CapacityError) as exc:
+                draw_rows(plan, batch, seed=0)
+    assert (exc.value.needed, exc.value.limit) == (need, cap)
+    assert exc.value.needed > exc.value.limit
+
+
+def test_a_malformed_cap_carries_no_numbers(monkeypatch, ou):
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", "-1")
+    with pytest.raises(CapacityError, match="is not a positive whole number") as exc:
+        make_plan(ou, (1000,))
+    assert (exc.value.needed, exc.value.limit) == (None, None)
 
 
 def test_cholesky_failure_names_minor_order():
