@@ -9,7 +9,6 @@ from .extremes import (
     ks_to_gumbel,
     centering_gap,
     norm_constants,
-    sample_maxima,
 )
 from .covering import (
     BoundReport,
@@ -46,7 +45,7 @@ __all__ = [
     "CovarianceModel", "check_hypotheses", "evaluate", "gram_matrix",
     "SampleBatch", "sample_sequence",
     "gumbel_cdf", "ks_to_gumbel", "centering_gap",
-    "norm_constants", "sample_maxima",
+    "norm_constants",
     "BoundReport", "Covering", "build_sequence_covering", "correlated_bound",
     "field_bound", "find_sign_vectors", "gaussian_tail_curve", "sequence_bound",
     "tail_curve", "verify_covering",

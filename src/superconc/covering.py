@@ -4,7 +4,7 @@ Three pipelines produce a :class:`BoundReport`:
 
 * sequence pipeline — overlapping blocks of width 2 m, m = floor(n^alpha),
   with multiplicity 3; r_0 = phi(m); rho bounded analytically by 4/n^eta
-  or estimated from argmax histograms.
+  or estimated from argmax histograms (iid points: singletons, rho = 1/n).
 * field pipeline — covering number of a box, greedy maximal s_0-net,
   balls of radius 2 s_0 as blocks.
 * correlated pipeline — singleton covering for vectors with off-diagonal
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import rng
 from .covariance import CovarianceModel, check_hypotheses, evaluate
-from .extremes import _stable_mean, corner_maxima, sample_maxima
-from .sampler import box_extents, grid_geometry, grid_points, make_plan
+from .extremes import _stable_mean, corner_maxima
+from .sampler import box_extents, grid_geometry, grid_points, make_plan, reduce_blocks
 
 # Sudakov minoration constant C: E[max] >= C * delta_gap * sqrt(log n)
 DEFAULT_C_SUD = 1.0 / math.sqrt(2.0 * math.pi * math.log(2.0))
@@ -229,27 +229,26 @@ def sequence_bound(
     batch: int = MC_RHO_MIN_PATHS,
     seed: int = 0,
 ) -> BoundReport:
-    """Assemble the full constant pipeline of the sequence tail bound."""
+    """Assemble the full constant pipeline of the sequence tail bound.  iid
+    points draw nothing: their argmax is uniform, so rho = 1/n on either route."""
     _gate_hypotheses(model)
     phi1 = evaluate(model, 1.0)
     delta = 2.0 * (1.0 - phi1)
 
     m = int(math.floor(n**alpha))
+    if rho_source not in ("monte_carlo", "analytic"):
+        raise ValueError(f"unknown rho source {rho_source!r}")
     if model.kind == "iid":
-        cov, r0 = singleton_covering(n), 0.0
+        cov, r0, rho = singleton_covering(n), 0.0, RhoEstimate(1.0 / n, "analytic")
     else:
         cov = build_sequence_covering(n, alpha)
         cov.r0 = r0 = float(evaluate(model, float(m)))
-    if rho_source == "monte_carlo":
-        _, argmax = sample_maxima(model, n, batch, seed)
-        rho = rho_monte_carlo(cov, argmax)
-    elif model.kind == "iid":
-        # argmax is uniform by exchangeability: rho = 1/n exactly
-        rho = RhoEstimate(1.0 / n, "analytic")
-    elif rho_source == "analytic":
-        rho = rho_analytic_sequence(n, alpha, delta)
-    else:
-        raise ValueError(f"unknown rho source {rho_source!r}")
+        if rho_source == "monte_carlo":
+            [argmax] = reduce_blocks(make_plan(model, (n,)), batch, seed,
+                                     lambda x: (x.argmax(axis=1),))
+            rho = rho_monte_carlo(cov, argmax)
+        else:
+            rho = rho_analytic_sequence(n, alpha, delta)
 
     K = bound_scale(r0, rho.rho)
     K_paper = max(float(evaluate(model, float(n) ** alpha)), 1.0 / math.log(n))
@@ -394,6 +393,8 @@ def field_bound(
     seed: int = 0,
 ) -> BoundReport:
     """Field-pipeline constants: N(A), s_0-net covering and K_{N(A)}."""
+    if exponent_ratio is not None and not exponent_ratio > 0:
+        raise BoundError(f"exponent_ratio must be positive, got {exponent_ratio}")
     n_a = covering_number_box(extent, d)
     if n_a <= 1:
         raise BoundError(f"field bound needs N(A) > 1, got {n_a}")

@@ -167,7 +167,7 @@ NOT_NUMBERS = {"sets", "delta_grid", "method"}
 COUNTS = {"n": 1, "t_points": 1, "theta_points": 1, "growth_batch": 1, "trials": 1,
           "N_target": 2, "max_tries": 1}
 # the params that scale a bound, a tail rate or a lattice, which must be positive
-POSITIVE = {"K", "c", "table_c", "spacing"}
+POSITIVE = {"K", "c", "table_c", "spacing", "exponent_ratio"}
 
 
 def _params(cfg) -> dict:
@@ -205,15 +205,17 @@ def _param_diags(kind: str, p: dict) -> list[str]:
     return diags
 
 
-def _reads(kind: str, p: dict) -> tuple[str, int | None, bool]:
-    """A name for the kind under its params, how many leading entries of
-    ``sizes`` it reads (None for all; 0 where it draws a grid of ``d``,
+def _reads(kind: str, p: dict, model: CovarianceModel) -> tuple[str, int | None, bool]:
+    """A name for the kind under its params and model, how many leading entries
+    of ``sizes`` it reads (None for all; 0 where it draws a grid of ``d``,
     ``extent`` and ``spacing``, or no lattice), and whether it reads ``batch``."""
     if kind == "sample_paths":
         grid = p["d"] is not None
         return f"a sample {'with' if grid else 'without'} params.d", 0 if grid else 1, True
     if kind == "sequence_bound" and p["rho"] == "analytic":
         return "a sequence bound with analytic rho", 1, False
+    if kind == "sequence_bound" and model.kind == "iid":
+        return "an iid sequence bound", 1, False
     if kind in ("field_bound", "scan_risk", "sign_vectors"):
         return kind, 0, False
     if kind in ("tail_bounds", "sequence_bound", "correlated_bound"):
@@ -228,7 +230,7 @@ def _lattice(cfg, p) -> tuple[int, ...] | None:
     reads no batch, and for the iid maxima of the per-size kinds and
     tail_bounds (a raw word per path and segment).  A grid the params rule out
     is ``grid_geometry``'s ValueError."""
-    _, n_read, batch_read = _reads(cfg.kind, p)
+    _, n_read, batch_read = _reads(cfg.kind, p, cfg.model)
     if n_read == 0 and p.get("d") is not None:
         return grid_geometry(int(p["d"]), p["extent"], float(p["spacing"]))
     if not batch_read or cfg.model.kind == "iid" and (n_read is None or cfg.kind == "tail_bounds"):
@@ -252,7 +254,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(f"field 'seed': {config.seed} is below 0")
     p = _params(config)
     # a value the kind does not read passes as the default, like an absent one
-    who, n_read, batch_read = _reads(config.kind, p)
+    who, n_read, batch_read = _reads(config.kind, p, config.model)
     if config.sizes != ExperimentConfig.sizes and config.sizes[:n_read] != config.sizes:
         diags.append(f"field 'sizes': {who} reads {'only sizes[0]' if n_read else 'no sizes'}")
     # a sample may draw one point; every statistic and bound reads log n > 0
@@ -313,9 +315,11 @@ def validate(config: ExperimentConfig) -> list[str]:
             f"capacity: factoring the lattice of {math.prod(shape)} points and "
             f"drawing one path needs ~{need} bytes, cap is {capacity_bytes()}"
         )
-    # a correlated bound draws nothing, but its singleton covering holds two
-    # int64 arrays of n + 1 and n entries
-    if config.kind == "correlated_bound" and (cover := 16 * config.sizes[0]) > capacity_bytes():
+    # a correlated or iid sequence bound draws nothing, but its singleton
+    # covering holds two int64 arrays of n + 1 and n entries
+    singletons = config.kind == "correlated_bound" or (
+        config.kind == "sequence_bound" and config.model.kind == "iid")
+    if singletons and (cover := 16 * config.sizes[0]) > capacity_bytes():
         diags.append(f"capacity: the singleton covering of {config.sizes[0]} points needs "
                      f"~{cover} bytes, cap is {capacity_bytes()}")
     return diags

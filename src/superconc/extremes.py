@@ -1,4 +1,4 @@
-"""Maxima, argmaxima, extreme-value normalization and Gumbel diagnostics."""
+"""Lattice maxima, extreme-value normalization and Gumbel diagnostics."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import rng
-from .sampler import make_plan, reduce_blocks
+from .sampler import reduce_blocks
 
 
 def _stable_mean(x: np.ndarray) -> float:
@@ -65,25 +65,6 @@ def centering_gap(maxima, n: int) -> float:
     return _stable_mean(np.abs(nc.a_n * (m - nc.b_n)))
 
 
-def sample_maxima(model, n: int, batch: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (maxima, argmax) of a batch of sequences of ``n`` points, drawn
-    block by block with :func:`sampler.reduce_blocks` from one factoring.
-    Path i draws from stream i, so only Cholesky maxima move with the blocks,
-    by a few ulp (see :mod:`sampler`).
-
-    The iid maximum of n points has the exact law Phi^n and its argmax is
-    uniform and independent of it, so an iid batch takes path i's maximum
-    from word i of stream 0 (:func:`corner_maxima`) and its argmax from draw
-    i of stream 1 instead of drawing n normals; the blocks do not change the
-    result there, and a batch is a prefix of any larger one.
-    """
-    plan = make_plan(model, (n,))  # factors nothing for iid
-    if plan.method == "iid":
-        [maxima] = corner_maxima(plan, [(n,)], batch, seed)
-        return maxima, rng.stream_generator(seed, 1).integers(n, size=batch)
-    return reduce_blocks(plan, batch, seed, lambda x: (x.max(axis=1), x.argmax(axis=1)))
-
-
 def corner_maxima(plan, corners, batch: int, seed: int) -> tuple[np.ndarray, ...]:
     """Per-path maxima of each corner [0, c_1) x ... of the plan's lattice, in
     the caller's order, from one draw of ``batch`` paths, path i on stream i.
@@ -91,8 +72,8 @@ def corner_maxima(plan, corners, batch: int, seed: int) -> tuple[np.ndarray, ...
     its exact law.  An iid plan draws no normals: the sorted distinct point
     counts of nested corners (prefixes, dyadic boxes) cut the lattice into
     segments, segment j of k points is Phi^k of the words of stream j + (j > 0)
-    (:func:`_iid_maxima`; stream 1 is :func:`sample_maxima`'s argmax), and the
-    running maximum of a corner's segments has the corners' exact joint law."""
+    (:func:`_iid_maxima`; skipping stream 1 keeps the bytes of multi-size iid
+    maxima), and a corner's running maximum has the corners' exact joint law."""
     if plan.method == "iid":
         sizes = sorted({math.prod(c) for c in corners})
         running = accumulate((_iid_maxima(b - a, batch, seed, j + (j > 0)) for j, (a, b)

@@ -1,6 +1,6 @@
 """Statistics of a batch of maxima: variance and tail estimates,
 exponential-rate fitting, and the Laplace-transform variance check.
-Drawing the maxima is the caller's job (``extremes.sample_maxima``)."""
+Drawing the maxima is the caller's job (``extremes.corner_maxima``)."""
 
 from __future__ import annotations
 

@@ -35,7 +35,6 @@ from superconc.extremes import (
     corner_maxima,
     ks_to_gumbel,
     norm_constants,
-    sample_maxima,
     _stable_mean,
 )
 from superconc.sampler import grid_points, make_plan, sample_sequence
@@ -54,6 +53,12 @@ IID = CovarianceModel("iid")
 OU = CovarianceModel("ornstein_uhlenbeck", rate=1.0)
 GS = CovarianceModel("gaussian_smooth", lam2=1.0)
 PD = CovarianceModel("power_decay", amp=1.5, alpha_cov=2.0)
+
+
+def _iid_maxima(n, batch, seed):
+    """The maxima of ``batch`` iid paths of n points, drawn by their exact law."""
+    [m] = corner_maxima(make_plan(IID, (n,)), [(n,)], batch, seed)
+    return m
 
 
 # --------------------------------------------------------------------------
@@ -90,7 +95,7 @@ def test_criterion_01_methods_agree_on_maxima(model):
 
 def test_criterion_02_pair_maximum_closed_form():
     batch = 10**5
-    m, _ = sample_maxima(IID, 2, batch, seed=2)
+    m = _iid_maxima(2, batch, seed=2)
     mean = _stable_mean(m)
     mean_se = np.std(m, ddof=1) / math.sqrt(batch)
     var, var_se = variance_with_se(m)
@@ -111,7 +116,7 @@ def test_criterion_03_variance_scaling():
     sizes = (16, 256, 4096, 65536)
     batch = 2 * 10**4
     for i, n in enumerate(sizes):
-        m, _ = sample_maxima(IID, n, batch, seed=100 + i)
+        m = _iid_maxima(n, batch, seed=100 + i)
         var, se = variance_with_se(m)
         scaled, scaled_se = var * math.log(n), se * math.log(n)
         assert 0.4 <= scaled <= 2.5
@@ -128,7 +133,7 @@ def test_criterion_04_gumbel_convergence():
     ks = []
     gaps = []
     for n in sizes:
-        m, _ = sample_maxima(IID, n, batch, seed=31)
+        m = _iid_maxima(n, batch, seed=31)
         ks.append(ks_to_gumbel(m, n))
         gaps.append(centering_gap(m, n))
     assert ks[0] > ks[1] > ks[2]
@@ -149,7 +154,7 @@ def test_criterion_04_gumbel_convergence():
 def test_criterion_05_laplace_inequality(n):
     batch = 10**5
     K = 1.0 / math.log(n)
-    m, _ = sample_maxima(IID, n, batch, seed=13)
+    m = _iid_maxima(n, batch, seed=13)
     chk = laplace_check(m, K, theta_points=21)
     assert not chk.overflow.any()
     assert np.all(chk.margin <= 1.0 + 5.0 * chk.margin_se)
@@ -171,7 +176,7 @@ def test_criterion_05_lognormal_synthetic_oracle():
 def test_criterion_06_tail_shape():
     n, batch = 4096, 10**5
     K = 1.0 / math.log(n)
-    m, _ = sample_maxima(IID, n, batch, seed=21)
+    m = _iid_maxima(n, batch, seed=21)
     t_grid = np.linspace(0.0, 2.0, 41)
     tail = estimate_tail(m, n, "mean", t_grid)
     exp_fit = fit_tail_rate(tail, K)
@@ -312,6 +317,6 @@ def test_criterion_11_byte_identical_rerun(tmp_path):
 
 def test_criterion_11_seed_sensitivity():
     for n in (16, 64):
-        v1, s1 = variance_with_se(sample_maxima(IID, n, 4000, seed=11)[0])
-        v2, s2 = variance_with_se(sample_maxima(IID, n, 4000, seed=12)[0])
+        v1, s1 = variance_with_se(_iid_maxima(n, 4000, seed=11))
+        v2, s2 = variance_with_se(_iid_maxima(n, 4000, seed=12))
         assert abs(v1 - v2) <= 5 * math.hypot(s1, s2)

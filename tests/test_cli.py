@@ -141,7 +141,8 @@ def test_bound_sequence_json_and_csv(tmp_path, capsys):
     stdout = capsys.readouterr().out
     report = json.loads(stdout)
     assert report["pipeline"] == "sequence"
-    assert report["K"] == pytest.approx(1 / math.log(1024))
+    assert report["rho"] == 1 / 1024 and report["rho_se"] == 0.0
+    assert report["K"] == report["K_paper"] == 1 / math.log(1024)
     assert (out / "summary.json").read_text() == stdout
     lines = (out / "data.csv").read_text().splitlines()
     assert lines[0] == "t,bound,gaussian_bound"
@@ -150,6 +151,11 @@ def test_bound_sequence_json_and_csv(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["kind"] == "sequence_bound"
     assert manifest["config"]["sizes"] == [1024]
+    # the iid rho is exact on the default route too
+    mc = tmp_path / "mc"
+    assert main(["--out", str(mc), "bound", "--n", "1024"]) == 0
+    assert capsys.readouterr().out == stdout
+    assert (mc / "data.csv").read_bytes() == (out / "data.csv").read_bytes()
 
 
 def test_bound_correlated(tmp_path, capsys):
@@ -416,6 +422,19 @@ def test_scan_param_out_of_range_exit_code(tmp_path, capsys, argv, params, named
     assert not out.exists()
 
 
+# a ratio of 0 wrote rho = 1 beside a finite K, and one below 0 an s0 below
+# the grid spacing; the bound subcommand has no flag for it
+@pytest.mark.parametrize("ratio", [0, -0.5])
+def test_field_exponent_ratio_not_above_0_exit_code(tmp_path, capsys, ratio):
+    out = tmp_path / "o"
+    config = {"kind": "field_bound", "model": {"kind": "gaussian_smooth", "params": {"lam2": 2.0}},
+              "params": {"d": 1, "extent": 100.0, "exponent_ratio": ratio}}
+    assert main(["--out", str(out), "--config", _config_file(tmp_path, json.dumps(config))]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: field 'params.exponent_ratio': {ratio} is not a positive number\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sets", [[[0.2, 0.7], [2, 3]], [[True, 2], [0, 3]]],
                          ids=["fractions", "bool"])
 def test_scan_class_file_with_indices_that_are_not_whole_numbers_exit_code(tmp_path, capsys,
@@ -619,7 +638,7 @@ GAP_TABLE = {"kind": "table", "table": [[0, 1], [0.3, 0.2], [0.6, 0.4], [1, 0.1]
 
 # each bound mistake, through the bound subcommand and the same config file
 @pytest.mark.parametrize("argv, config, named", [
-    (["--batch", "2000"], {"kind": "sequence_bound", "batch": 2000},
+    (["--cov", OU_JSON, "--batch", "2000"], {"kind": "sequence_bound", "model": OU, "batch": 2000},
      "field 'batch': Monte Carlo rho needs >= 10000 paths, got 2000"),
     (["--cov", json.dumps(OU_SLOW)], {"kind": "sequence_bound", "model": OU_SLOW},
      "phi(1) < 1/2 violated: phi(1) = 0.606531"),
@@ -670,23 +689,44 @@ def _run(args, tmp_path):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_import_loads_no_scipy(tmp_path):
-    # importing scipy adds about 0.2-0.3 s to every start, and no run needs it:
-    # the iid draw takes its normal quantile from numpy code, and the field
-    # covering finds near points by a sorted coordinate, not a k-d tree
+def _loaded_modules(tmp_path) -> list[set[str]]:
+    """The top-level modules that ``import superconc``, and then a full CLI
+    run of a field bound, load from files in a fresh interpreter beyond
+    those it starts with (the Cython runtime modules that numpy's extensions
+    register have no file)."""
     (tmp_path / "field.json").write_text(json.dumps({
         "kind": "field_bound", "out": "f",
         "model": {"kind": "gaussian_smooth", "params": {"lam2": 2.0}},
         "params": {"d": 2, "extent": 16.0, "growth_batch": 20},
     }))
-    modules = "print(sorted({m.split('.')[0] for m in sys.modules}))"
-    for code in (f"import sys, superconc; {modules}",
-                 "import sys; from superconc.cli import main; "
-                 f"assert main(['--config', 'field.json']) == 0; {modules}"):
-        res = _run(["-c", code], tmp_path)
+    top = ("{m.split('.')[0] for m, mod in list(sys.modules.items())"
+           " if getattr(mod, '__file__', None)}")
+    loaded = []
+    for code in ("import superconc",
+                 "from superconc.cli import main; assert main(['--config', 'field.json']) == 0"):
+        res = _run(["-c", f"import json, sys; before = {top}; {code}; "
+                          f"print(json.dumps(sorted({top} - before)))"], tmp_path)
         assert res.returncode == 0, res.stderr
-        assert "'scipy'" not in res.stdout and "'superconc'" in res.stdout
+        loaded.append(set(json.loads(res.stdout.splitlines()[-1])))  # after the summary
     assert (tmp_path / "f" / "summary.json").is_file()
+    return loaded
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # importing scipy adds about 0.2-0.3 s to every start, and no run needs it:
+    # the iid draw takes its normal quantile from numpy code, and the field
+    # covering finds near points by a sorted coordinate, not a k-d tree
+    for loaded in _loaded_modules(tmp_path):
+        assert "scipy" not in loaded and "superconc" in loaded
+
+
+def test_runs_load_only_the_declared_dependencies(tmp_path):
+    # scipy serves the tests and the benchmark, so it is a test extra
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]}
+    for loaded in _loaded_modules(tmp_path):
+        assert loaded - {"superconc"} - set(sys.stdlib_module_names) == declared
 
 
 def test_every_public_name_resolves():
@@ -723,6 +763,9 @@ def test_config_file_runs(tmp_path, capsys, path):
     (["bound", "--rho", "analytic", "--batch", "20000"],
      {"kind": "sequence_bound", "batch": 20000, "params": {"rho": "analytic"}},
      ["field 'batch': a sequence bound with analytic rho reads no batch"]),
+    (["bound", "--n", "1024", "--batch", "20000"],
+     {"kind": "sequence_bound", "sizes": [1024], "batch": 20000},
+     ["field 'batch': an iid sequence bound reads no batch"]),
     (None, {"kind": "scan_risk", "sizes": [7], "batch": 3},
      ["field 'sizes': scan_risk reads no sizes", "field 'batch': scan_risk reads no batch"]),
     (None, {"kind": "sign_vectors", "sizes": [], "batch": 3},
@@ -732,7 +775,8 @@ def test_config_file_runs(tmp_path, capsys, path):
      ["field 'sizes': tail_bounds reads only sizes[0]"]),
     (None, {"kind": "correlated_bound", "sizes": [64, 1024]},
      ["field 'sizes': correlated_bound reads only sizes[0]"]),
-], ids=["field-bound", "correlated-batch", "analytic-rho-batch", "scan", "signvec",
+], ids=["field-bound", "correlated-batch", "analytic-rho-batch", "iid-sequence-batch", "scan",
+        "signvec",
         "tail-sizes", "correlated-sizes"])
 def test_value_the_kind_does_not_read_exit_code(tmp_path, capsys, argv, config, named):
     out = tmp_path / "o"

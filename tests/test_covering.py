@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superconc import covering, sampler
+from superconc import covering, rng, sampler
 from superconc.covariance import CovarianceModel, evaluate, gram_matrix
-from superconc.extremes import sample_maxima
-from superconc.sampler import plan_bytes
 from superconc.covering import (
     DEFAULT_C_SUD,
     BoundError,
@@ -369,8 +367,8 @@ def test_singleton_covering_holds_two_arrays():
 
 
 def test_iid_sequence_bound_fits_the_bytes_validate_counts(iid):
-    # validate sizes this run by one path of the lattice; the covering and
-    # Monte Carlo rho have to fit in that
+    # validate sizes this run by its singleton covering, 16 bytes a point; the
+    # run draws nothing, so the covering is all it holds but a fixed 64 KiB
     n = 10**6
     tracemalloc.start()
     try:
@@ -378,7 +376,7 @@ def test_iid_sequence_bound_fits_the_bytes_validate_counts(iid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= plan_bytes(iid, (n,))
+    assert peak <= 16 * n + 64 * 2**10
 
 
 def test_covering_from_blocks_takes_each_block_as_a_set():
@@ -435,30 +433,38 @@ def test_bound_scale():
     assert bound_scale(2.0, 1e-9) == pytest.approx(2.0)
 
 
-def test_sequence_bound_iid_analytic(iid):
+def test_sequence_bound_iid_analytic(iid, monkeypatch):
+    # the iid argmax is uniform, so rho = 1/n exactly on either route, and
+    # the bound draws nothing
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an iid sequence bound draws nothing")
+
+    monkeypatch.setattr(rng, "generators", no_draws)
     n = 1024
-    rep = sequence_bound(iid, n, 0.5, rho_source="analytic")
-    assert rep.rho == pytest.approx(1.0 / n)
-    assert rep.K == pytest.approx(1.0 / math.log(n))
-    assert rep.K_paper == pytest.approx(1.0 / math.log(n))
-    assert rep.r0 == 0.0
-    assert not rep.degenerate
+    for rho_source in ("monte_carlo", "analytic"):
+        rep = sequence_bound(iid, n, 0.5, rho_source=rho_source, batch=MC_RHO_MIN_PATHS)
+        assert (rep.rho, rep.rho_se, rep.rho_source) == (1.0 / n, 0.0, "analytic")
+        assert rep.K == rep.K_paper == 1.0 / math.log(n)
+        assert rep.r0 == 0.0 and not rep.degenerate
+        assert rep.covering.provenance == "singletons" and len(rep.covering.blocks) == n
 
 
-@pytest.mark.parametrize("kind", ["iid", "ornstein_uhlenbeck"])
+@pytest.mark.parametrize("kind", ["ornstein_uhlenbeck"])
 def test_sequence_bound_monte_carlo_rho_is_the_largest_block_share(kind):
     model = CovarianceModel(kind)
     n, batch = 256, MC_RHO_MIN_PATHS
     rep = sequence_bound(model, n, 0.5, rho_source="monte_carlo", batch=batch, seed=4)
-    _, argmax = sample_maxima(model, n, batch, 4)
+    [argmax] = sampler.reduce_blocks(sampler.make_plan(model, (n,)), batch, 4,
+                                     lambda x: (x.argmax(axis=1),))
     hist = np.bincount(argmax, minlength=n)
     assert rep.rho_source == "monte_carlo"
     assert rep.rho == max(hist[b].sum() for b in rep.covering.blocks) / batch
 
 
-def test_sequence_bound_unknown_rho_source(ou):
+@pytest.mark.parametrize("model", ["iid", "ou"])
+def test_sequence_bound_unknown_rho_source(model, request):
     with pytest.raises(ValueError, match="unknown rho source 'bogus'"):
-        sequence_bound(ou, 256, 0.5, rho_source="bogus")
+        sequence_bound(request.getfixturevalue(model), 256, 0.5, rho_source="bogus")
 
 
 def test_sequence_bound_rejects_bad_phi1():
@@ -620,6 +626,11 @@ def test_impossible_bounds_raise_one_error_class():
         rho_analytic_sequence(1024, 0.45, 2 * (1 - math.exp(-1.0)))
     with pytest.raises(BoundError, match="N\\(A\\) > 1, got 1"):
         field_bound(CovarianceModel("iid"), 1, 2.0)
+    # a ratio of 0 puts rho at 1, a negative one s0 below the grid spacing
+    smooth = CovarianceModel("gaussian_smooth", lam2=2.0)
+    for ratio in (0.0, -0.5):
+        with pytest.raises(BoundError, match=f"exponent_ratio must be positive, got {ratio}"):
+            field_bound(smooth, 1, 100.0, exponent_ratio=ratio)
 
 
 def test_find_sign_vectors_deterministic():

@@ -119,12 +119,15 @@ def test_validate_iid_maxima_draw_no_path(tmp_path):
 
 
 def test_validate_counts_the_singleton_covering(tmp_path, monkeypatch):
-    # a correlated bound draws no path but holds its covering, 16 bytes a point
+    # a correlated or iid sequence bound draws no path but holds its
+    # covering, 16 bytes a point
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(10**6))
-    assert validate(_cfg(tmp_path, kind="correlated_bound", sizes=(6 * 10**4,))) == []
-    [diag] = validate(_cfg(tmp_path, kind="correlated_bound", sizes=(7 * 10**4,)))
-    assert diag == ("capacity: the singleton covering of 70000 points needs ~1120000 "
-                    "bytes, cap is 1000000")
+    for kind, params in (("correlated_bound", {}), ("sequence_bound", {}),
+                         ("sequence_bound", {"rho": "analytic"})):
+        assert validate(_cfg(tmp_path, kind=kind, sizes=(6 * 10**4,), params=params)) == []
+        [diag] = validate(_cfg(tmp_path, kind=kind, sizes=(7 * 10**4,), params=params))
+        assert diag == ("capacity: the singleton covering of 70000 points needs ~1120000 "
+                        "bytes, cap is 1000000")
 
 
 def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):
@@ -306,7 +309,7 @@ def test_field_bound_experiment(tmp_path):
 
 
 def test_validate_monte_carlo_rho_batch(tmp_path):
-    seq = dict(kind="sequence_bound", sizes=(64,))
+    seq = dict(kind="sequence_bound", model=OU, sizes=(64,))
     assert validate(_cfg(tmp_path, batch=MC_RHO_MIN_PATHS, **seq)) == []
     diags = validate(_cfg(tmp_path, batch=MC_RHO_MIN_PATHS - 1, **seq))
     assert len(diags) == 1 and diags[0].startswith("field 'batch'")

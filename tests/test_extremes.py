@@ -13,7 +13,6 @@ from superconc.extremes import (
     gumbel_cdf,
     ks_to_gumbel,
     norm_constants,
-    sample_maxima,
 )
 from superconc import covering, experiments, extremes, sampler
 from superconc.covariance import CovarianceModel
@@ -93,10 +92,18 @@ def _block_rows(monkeypatch, model, shape, rows, method):
     monkeypatch.setattr(sampler, "BLOCK_ELEMS", rows * row_elems)
 
 
-def _maxima(model, n, batch, seed, method):
-    """The (maxima, argmax) ``sample_maxima`` draws, from a plan by ``method``."""
+def _maxima(model, n, batch, seed, method=None):
+    """The per-path (maxima, argmax) of ``batch`` paths of n correlated
+    points, from a plan by ``method``."""
     return sampler.reduce_blocks(make_plan(model, (n,), method=method), batch, seed,
                                  lambda x: (x.max(axis=1), x.argmax(axis=1)))
+
+
+def _corner(model, n, batch, seed, method=None):
+    """The per-path maxima of ``batch`` paths of n points, read as the one
+    corner of the lattice (:func:`extremes.corner_maxima`)."""
+    [m] = extremes.corner_maxima(make_plan(model, (n,), method=method), [(n,)], batch, seed)
+    return m
 
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
@@ -129,11 +136,11 @@ def test_sample_maxima_small_chunks(ou, method, n, monkeypatch):
 def test_sample_maxima_ignore_a_cap_of_4_mib_or_more(ou, method, n, monkeypatch):
     # 2000 Cholesky paths of 500 points span 8 blocks of 262 rows at any cap
     # of 4 MiB or more, so the product rounds each row the same way
-    m, a = sample_maxima(ou, n, 2000, seed=3)
+    m, a = _maxima(ou, n, 2000, 3)
     assert make_plan(ou, (n,)).method == method
     for cap in (4 * 2**20, 2**34):
         monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(cap))
-        mc, ac = sample_maxima(ou, n, 2000, seed=3)
+        mc, ac = _maxima(ou, n, 2000, 3)
         assert np.array_equal(mc, m) and np.array_equal(ac, a)
 
 
@@ -181,42 +188,37 @@ def test_sample_maxima_on_a_field_matches_direct(gs, method):
 
 
 def test_sample_maxima_matches_direct(ou):
-    m, a = sample_maxima(ou, 20, 10, seed=6)
+    m, a = _maxima(ou, 20, 10, 6)
     direct = sample_sequence(ou, 20, 10, seed=6)
     assert np.array_equal(m, direct.paths.max(axis=1))
     assert np.array_equal(a, direct.paths.argmax(axis=1))
 
 
 def test_iid_maxima_ignore_the_blocks_and_method(iid, monkeypatch):
-    m, a = sample_maxima(iid, 64, 300, seed=9)
+    m = _corner(iid, 64, 300, 9)
     for chunk in (1, 7, 300):
         _block_rows(monkeypatch, iid, (64,), chunk, "circulant")
-        mc, ac = sample_maxima(iid, 64, 300, seed=9)
-        [mp] = extremes.corner_maxima(make_plan(iid, (64,), method="circulant"), [(64,)], 300, 9)
-        assert np.array_equal(mc, m) and np.array_equal(ac, a) and np.array_equal(mp, m)
+        mc, mp = _corner(iid, 64, 300, 9), _corner(iid, 64, 300, 9, "circulant")
+        assert np.array_equal(mc, m) and np.array_equal(mp, m)
 
 
 @pytest.mark.parametrize("n", [1, 1024, 150_000])
 def test_iid_maxima_finite_at_extreme_words(iid, n, monkeypatch):
     words = np.array([0, 2**64 - 1], dtype=np.uint64)
-    stream_generator = extremes.rng.stream_generator
 
     def stub(seed, stream):
-        if stream == 0:  # the maxima's words
-            return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda k: words[:k]))
-        return stream_generator(seed, stream)
+        assert stream == 0  # the maxima's words
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda k: words[:k]))
 
     monkeypatch.setattr(extremes.rng, "stream_generator", stub)
-    m, a = sample_maxima(iid, n, 2, seed=0)
+    m = _corner(iid, n, 2, 0)
     assert np.all(np.isfinite(m)) and m[0] < m[1]
-    assert a.dtype == np.int64 and np.all((0 <= a) & (a < n))
 
 
 @pytest.mark.parametrize("n", [1, 15, 1024])
 def test_iid_batch_is_a_prefix_of_a_larger_batch(iid, n):
-    m, a = sample_maxima(iid, n, 50, seed=8)
-    m3, a3 = sample_maxima(iid, n, 150, seed=8)
-    assert m.tobytes() == m3[:50].tobytes() and np.array_equal(a, a3[:50])
+    m, m3 = _corner(iid, n, 50, 8), _corner(iid, n, 150, 8)
+    assert m.tobytes() == m3[:50].tobytes()
 
 
 def test_iid_maxima_follow_phi_to_the_n(iid):
@@ -224,7 +226,7 @@ def test_iid_maxima_follow_phi_to_the_n(iid):
     from scipy.stats import kstest
 
     n = 1024
-    m, _ = sample_maxima(iid, n, 20000, seed=3)
+    m = _corner(iid, n, 20000, 3)
     assert kstest(m, lambda x: np.exp(n * log_ndtr(x))).pvalue > 0.01
 
 
@@ -232,18 +234,9 @@ def test_iid_maxima_match_raw_row_maxima(iid):
     from scipy.stats import ks_2samp
 
     n = 256
-    m, _ = sample_maxima(iid, n, 5000, seed=4)
+    m = _corner(iid, n, 5000, 4)
     raw = draw_rows(make_plan(iid, (n,)), 5000, seed=4, offset=5000).max(axis=1)
     assert ks_2samp(m, raw).pvalue > 0.01
-
-
-@pytest.mark.parametrize("n", [16, 15])
-def test_iid_argmax_uniform(iid, n):
-    from scipy.stats import chisquare
-
-    _, a = sample_maxima(iid, n, 200 * n, seed=5)
-    assert a.min() >= 0 and a.max() < n
-    assert chisquare(np.bincount(a, minlength=n)).pvalue > 0.01
 
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant", "iid"])
@@ -256,12 +249,11 @@ def test_an_empty_batch_reads_one_empty_array_per_corner(ou, iid, method):
     assert all(m.shape == (0,) and m.dtype == np.float64 for m in maxima)
 
 
-def test_an_empty_batch_draws_empty_arrays(ou, iid):
+def test_an_empty_batch_draws_empty_arrays(ou):
     from superconc.scantest import _null_scan_maxima, disjoint_class
 
-    for model in (ou, iid):
-        m, a = sample_maxima(model, 20, 0, seed=6)
-        assert m.shape == a.shape == (0,) and m.dtype == np.float64 and a.dtype == np.int64
+    m, a = _maxima(ou, 20, 0, 6)
+    assert m.shape == a.shape == (0,) and m.dtype == np.float64 and a.dtype == np.int64
     scan = _null_scan_maxima(disjoint_class(3, 4), 0, seed=1)
     assert scan.shape == (0,) and scan.dtype == np.float64
 
@@ -305,7 +297,7 @@ def test_sample_maxima_ignore_the_cpu_count(model, shape, batch, pooled, request
     model = request.getfixturevalue(model)
     if len(shape) == 1:
         def draw():
-            return sample_maxima(model, shape[0], batch, seed=7)
+            return _maxima(model, shape[0], batch, 7)
     else:  # the field growth stage: every dyadic scale of one draw of the box
         extent = shape[0] - 1.0
 
@@ -345,11 +337,11 @@ def test_draw_workers_keep_blocks_in_flight_within_the_cap(ou, monkeypatch):
     block = sampler.block_rows(plan.row_elems)
     assert block * plan.row_bytes == 4 * 2**20
     _cpus(monkeypatch, 4)
-    m, a = sample_maxima(ou, 2000, 300, seed=5)
+    m, a = _maxima(ou, 2000, 300, 5)
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(6 * 2**20))
     assert sampler.block_rows(plan.row_elems) == block
     assert sampler.draw_workers(plan, block) == 1
-    mc, ac = sample_maxima(ou, 2000, 300, seed=5)
+    mc, ac = _maxima(ou, 2000, 300, 5)
     assert mc.tobytes() == m.tobytes() and ac.tobytes() == a.tobytes()
 
 
@@ -368,7 +360,7 @@ def test_sample_maxima_raise_the_first_failing_block(ou, monkeypatch):
 
     monkeypatch.setattr(sampler, "draw_rows", failing)
     with pytest.raises(ValueError, match="block 2"):
-        sample_maxima(ou, 1024, 400, seed=1)
+        _maxima(ou, 1024, 400, 1)
 
 
 @pytest.mark.parametrize("kind, model, fields", [
@@ -406,7 +398,7 @@ def test_short_embedding_maxima_have_the_cholesky_law(ou):
     # samples of one law at the 99.9 % two-sample KS critical value
     n, batch = 1000, 10**4
     assert make_plan(ou, (n,)).embed_shape == (1080,)
-    m, _ = sample_maxima(ou, n, batch, seed=11)
+    m = _corner(ou, n, batch, 11)
     cholesky = make_plan(ou, (n,), method="cholesky")
     [ref] = sampler.reduce_blocks(cholesky, batch, 11, lambda x: (x.max(axis=1),), offset=batch)
     # c(alpha) sqrt(2 / batch), with c(alpha) = sqrt(-log(alpha / 2) / 2)
@@ -441,13 +433,13 @@ def test_per_size_iid_maxima_follow_phi_to_the_n(iid):
 
 
 def test_per_size_first_iid_size_is_sample_maxima(iid, ou):
-    # the smallest size is the first segment, on stream 0 like sample_maxima;
-    # a one-size correlated run reads the whole draw of sample_maxima's plan
+    # the smallest size is the first segment, on stream 0 like a one-size
+    # run; a one-size correlated run reads the whole draw of its plan
     first, _ = _size_maxima(iid, (64, 1024), 500, seed=5)
-    assert first.tobytes() == sample_maxima(iid, 64, 500, seed=5)[0].tobytes()
+    assert first.tobytes() == _corner(iid, 64, 500, 5).tobytes()
     for n in (700, 1024):  # Cholesky and circulant
         [m] = _size_maxima(ou, (n,), 300, seed=5)
-        assert m.tobytes() == sample_maxima(ou, n, 300, seed=5)[0].tobytes()
+        assert m.tobytes() == _maxima(ou, n, 300, 5)[0].tobytes()
 
 
 def test_per_size_prefix_has_the_cholesky_law(ou):

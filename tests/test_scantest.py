@@ -164,13 +164,14 @@ def test_threshold_table_structure():
 
 def test_disjoint_null_scan_matches_scaled_extremes(iid):
     # under the null the disjoint scan max is sqrt(K) x (max of N iid normals)
-    from superconc.extremes import sample_maxima
+    from superconc.extremes import corner_maxima
+    from superconc.sampler import make_plan
     from superconc.scantest import _null_scan_maxima
 
     cls = disjoint_class(8, 16)
     trials = 4000
     scan = _null_scan_maxima(cls, trials, seed=1) / math.sqrt(16)
-    ref, _ = sample_maxima(iid, 8, trials, seed=101)
+    [ref] = corner_maxima(make_plan(iid, (8,)), [(8,)], trials, seed=101)
     se = math.sqrt(np.var(scan) / trials + np.var(ref) / trials)
     assert abs(scan.mean() - ref.mean()) <= 4 * se
     v_se = math.sqrt(2 / trials) * max(np.var(scan), np.var(ref))

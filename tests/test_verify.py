@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superconc.extremes import sample_maxima
+from superconc.extremes import corner_maxima
+from superconc.sampler import make_plan
 from superconc.verify import (
     FIT_R2_OK,
     FIT_SURVIVAL_MAX,
@@ -71,14 +72,14 @@ def test_estimate_tail_band_holds_a_survival_of_one(b):
 
 
 def test_estimate_tail_center_validation(iid):
-    m, _ = sample_maxima(iid, 8, 10, seed=0)
+    [m] = corner_maxima(make_plan(iid, (8,)), [(8,)], 10, seed=0)
     with pytest.raises(ValueError):
         estimate_tail(m, 8, "median", [0.0, 1.0])
 
 
 def test_estimate_tail_centers_differ_by_shift(iid):
     t = np.linspace(0, 2, 9)
-    m, _ = sample_maxima(iid, 64, 2000, seed=1)
+    [m] = corner_maxima(make_plan(iid, (64,)), [(64,)], 2000, seed=1)
     a = estimate_tail(m, 64, "mean", t)
     b = estimate_tail(m, 64, "b_n", t)
     assert a.center_value != b.center_value
