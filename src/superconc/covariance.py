@@ -97,7 +97,9 @@ class CovarianceModel:
             )
         if "table" in obj and kind != "table":
             raise ValueError(f"{kind} takes no 'table'")
-        params = dict(obj.get("params", {}))
+        if not isinstance(params := obj.get("params", {}), dict):
+            raise ValueError(f"'params' must be an object, got {params!r}")
+        params = dict(params)
         foreign = sorted(set(params) - set(KIND_PARAMS[kind]))
         if foreign:
             raise ValueError(f"{kind} takes no parameter(s) {foreign}; "

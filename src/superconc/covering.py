@@ -25,7 +25,8 @@ import numpy as np
 from . import rng
 from .covariance import CovarianceModel, check_hypotheses, evaluate
 from .extremes import _stable_mean, corner_maxima
-from .sampler import box_extents, grid_geometry, grid_points, make_plan, reduce_blocks
+from .sampler import (_check_capacity, box_extents, grid_geometry, grid_points, make_plan,
+                      reduce_blocks)
 
 # Sudakov minoration constant C: E[max] >= C * delta_gap * sqrt(log n)
 DEFAULT_C_SUD = 1.0 / math.sqrt(2.0 * math.pi * math.log(2.0))
@@ -56,7 +57,11 @@ class Covering:
 
     @classmethod
     def from_blocks(cls, blocks, **kw) -> Covering:
-        """The covering of the given index arrays, each taken as a set."""
+        """The covering of the given index arrays, each taken as a set; joining
+        them holds 24 bytes an index: the blocks, their sets and the join."""
+        total = sum(map(len, blocks))
+        _check_capacity(24 * total + 8 * (len(blocks) + 1),
+                        f"a covering of {len(blocks)} blocks and {total} indices")
         sets = [np.unique(np.asarray(b, dtype=np.int64)) for b in blocks]
         indptr = np.cumsum([0] + [len(b) for b in sets], dtype=np.int64)
         return cls(indptr, np.concatenate([indptr[:0], *sets]), **kw)
@@ -68,6 +73,7 @@ class Covering:
 
 
 def singleton_covering(n: int, r0: float = 0.0) -> Covering:
+    _check_capacity(16 * n + 8, f"the singleton covering of {n} points")
     return Covering(np.arange(n + 1), np.arange(n), r0=r0, n=n)
 
 
@@ -87,11 +93,15 @@ def build_sequence_covering(n: int, alpha: float) -> Covering:
             f"2*floor(n^alpha) = {2 * m} >= n = {n}: a single block would "
             "cover everything; lower alpha"
         )
-    k = np.arange(1, math.ceil(n / m))
+    blocks = math.ceil(n / m) - 1
+    # int64 entries: up to 2m + 1 a block in the ramp and in its offsets, and six a block besides
+    _check_capacity(8 * (2 * (2 * m + 1) + 6) * blocks, f"the sequence covering of {n} points")
+    k = np.arange(1, blocks + 1)
     lo = np.maximum(1, (k - 1) * m) - 1
     indptr = np.concatenate([[0], np.cumsum(np.minimum(n, (k + 1) * m) - lo)])
     # block b is lo[b], lo[b] + 1, ...: a ramp that restarts at each block
-    indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - lo, np.diff(indptr))
+    indices = np.arange(indptr[-1])
+    indices -= np.repeat(indptr[:-1] - lo, np.diff(indptr))
     return Covering(indptr, indices, r0=math.nan, multiplicity=3,
                     provenance="sequence-blocks", n=n)
 
@@ -235,6 +245,8 @@ def sequence_bound(
     phi1 = evaluate(model, 1.0)
     delta = 2.0 * (1.0 - phi1)
 
+    if not 0 < alpha < 1:
+        raise BoundError(f"alpha must lie in (0, 1), got {alpha}")
     m = int(math.floor(n**alpha))
     if rho_source not in ("monte_carlo", "analytic"):
         raise ValueError(f"unknown rho source {rho_source!r}")

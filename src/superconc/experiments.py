@@ -30,15 +30,7 @@ from .covering import (
     tail_curve,
 )
 from .extremes import centering_gap, corner_maxima, ks_to_gumbel
-from .sampler import (
-    DecompositionError,
-    EmbeddingError,
-    capacity_bytes,
-    draw_rows,
-    grid_geometry,
-    make_plan,
-    plan_bytes,
-)
+from .sampler import DecompositionError, EmbeddingError, draw_rows, grid_geometry, make_plan
 from .scantest import (
     STREAM_BLOCK,
     ScanClass,
@@ -83,6 +75,15 @@ def _whole_list(v) -> tuple[int, ...]:
     return tuple(map(_whole, v))
 
 
+def _json(kind: type, name: str):
+    """A coercion that takes only a JSON value of type ``name`` (``kind`` in Python)."""
+    def take(v):
+        if not isinstance(v, kind):
+            raise ValueError(f"{v!r} is not {name}")
+        return kind(v)
+    return take
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -113,10 +114,9 @@ class ExperimentConfig:
         if unknown:
             raise SchemaError(f"unknown field(s) {unknown}")
         coerce = {
-            "kind": str,
-            "model": CovarianceModel.from_dict,
-            "sizes": _whole_list,
-            "batch": _whole, "seed": _whole, "out": str, "params": dict,
+            "kind": _json(str, "a string"), "model": CovarianceModel.from_dict,
+            "sizes": _whole_list, "batch": _whole, "seed": _whole,
+            "out": _json(str, "a string"), "params": _json(dict, "an object"),
         }
         kw = {}
         for name, value in obj.items():
@@ -223,23 +223,8 @@ def _reads(kind: str, p: dict, model: CovarianceModel) -> tuple[str, int | None,
     return kind, None, True
 
 
-def _lattice(cfg, p) -> tuple[int, ...] | None:
-    """The shape of the one lattice the run factors and draws paths of: the
-    grid of a kind with ``d`` that reads no sizes, else the sequence of the
-    largest size it reads, whose prefixes serve the others; None where it
-    reads no batch, and for the iid maxima of the per-size kinds and
-    tail_bounds (a raw word per path and segment).  A grid the params rule out
-    is ``grid_geometry``'s ValueError."""
-    _, n_read, batch_read = _reads(cfg.kind, p, cfg.model)
-    if n_read == 0 and p.get("d") is not None:
-        return grid_geometry(int(p["d"]), p["extent"], float(p["spacing"]))
-    if not batch_read or cfg.model.kind == "iid" and (n_read is None or cfg.kind == "tail_bounds"):
-        return None
-    return (max(cfg.sizes[:n_read]),)
-
-
 def validate(config: ExperimentConfig) -> list[str]:
-    """Dry-run diagnostics; an empty list means the config is runnable."""
+    """Diagnostics of a config that is not well formed; :func:`run` checks the memory cap."""
     diags = []
     if config.kind not in EXPERIMENT_KINDS:
         diags.append(
@@ -259,8 +244,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(f"field 'sizes': {who} reads {'only sizes[0]' if n_read else 'no sizes'}")
     # a sample may draw one point; every statistic and bound reads log n > 0
     least = 1 if config.kind == "sample_paths" else 2
-    sizes_ok = n_read == 0 or bool(config.sizes) and min(config.sizes) >= least
-    if not sizes_ok:
+    if not (n_read == 0 or bool(config.sizes) and min(config.sizes) >= least):
         diags.append(f"field 'sizes': needs one or more entries, each at least {least}")
     if not batch_read and config.batch != ExperimentConfig.batch:
         diags.append(f"field 'batch': {who} reads no batch")
@@ -299,29 +283,11 @@ def validate(config: ExperimentConfig) -> list[str]:
     }.get(config.kind, ("", 0))
     if batch_read and config.batch < fewest:
         diags.append(f"field 'batch': {what} needs >= {fewest} paths, got {config.batch}")
-    if not sizes_ok:
-        return diags
-    try:
-        shape = _lattice(config, p)
-    except (TypeError, ValueError) as exc:
-        diags.append(f"field 'params': {exc}")
-        return diags
-    # a block holds at least one path (sampler.block_rows), so the lattice
-    # has to fit its factor and one path (a sample's one draw meets the cap
-    # when it is drawn)
-    spacing = float(p.get("spacing", 1.0))
-    if shape and (need := plan_bytes(config.model, shape, spacing)) > capacity_bytes():
-        diags.append(
-            f"capacity: factoring the lattice of {math.prod(shape)} points and "
-            f"drawing one path needs ~{need} bytes, cap is {capacity_bytes()}"
-        )
-    # a correlated or iid sequence bound draws nothing, but its singleton
-    # covering holds two int64 arrays of n + 1 and n entries
-    singletons = config.kind == "correlated_bound" or (
-        config.kind == "sequence_bound" and config.model.kind == "iid")
-    if singletons and (cover := 16 * config.sizes[0]) > capacity_bytes():
-        diags.append(f"capacity: the singleton covering of {config.sizes[0]} points needs "
-                     f"~{cover} bytes, cap is {capacity_bytes()}")
+    if p.get("d") is not None:
+        try:
+            grid_geometry(int(p["d"]), p["extent"], float(p["spacing"]))
+        except (TypeError, ValueError) as exc:
+            diags.append(f"field 'params': {exc}")
     return diags
 
 
@@ -504,8 +470,9 @@ def _run_sign_vectors(cfg):
 def _run_sample_paths(cfg):
     """``cfg.batch`` draws of the lattice, one row per path in C order."""
     p = _params(cfg)
-    shape = _lattice(cfg, p)
     spacing = float(p["spacing"])
+    shape = (cfg.sizes[0],) if p["d"] is None else grid_geometry(int(p["d"]), p["extent"],
+                                                                 spacing)
     plan = make_plan(cfg.model, shape, spacing, p["method"])
     paths = draw_rows(plan, cfg.batch, cfg.seed)
     summary = {"n": plan.n, "shape": list(shape), "spacing": spacing, "batch": cfg.batch,
@@ -531,7 +498,9 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
     """Execute the experiment; writes data.csv, summary.json and manifest.json.
     A bound or a lattice that the inputs rule out (``covering.BoundError``, a
     table model's lag outside its table, a failed factorization or
-    embedding), or maxima too few for the tail fit, is a SchemaError."""
+    embedding), or maxima too few for the tail fit, is a SchemaError.  A factor,
+    draw or covering over the memory cap is a ``sampler.CapacityError`` (its
+    bytes ``needed`` and the cap ``limit``), raised before its array or any file."""
     diags = validate(config)
     if diags:
         raise SchemaError("; ".join(diags))

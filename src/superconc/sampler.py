@@ -140,11 +140,13 @@ class SampleBatch:
     method: str
 
 
-def _check_capacity(nbytes: int):
+def _check_capacity(nbytes: int, what: str):
+    """The one comparison with the memory cap, made before ``what`` (a name
+    such as "the singleton covering of 10 points") allocates its ``nbytes``."""
     cap = capacity_bytes()
     if nbytes > cap:
         raise CapacityError(
-            f"request needs ~{nbytes} bytes, cap is {cap} "
+            f"{what} needs ~{nbytes} bytes, cap is {cap} "
             "(override with SUPERCONC_CAP_BYTES)", nbytes, cap
         )
 
@@ -207,17 +209,15 @@ def fast_size(k: int) -> int:
     return best
 
 
-def _reach(model: CovarianceModel | None, spacing: float, most: int) -> int:
+def _reach(model: CovarianceModel, spacing: float, most: int) -> int:
     """A lag L in lattice steps, at most ``most``, past which |phi| is rounding:
-    |phi(t)| <= ``TINY`` at every t >= spacing (L + 1).  ``most`` without a
-    model, or for a table whose last knot is above ``TINY``.
+    |phi(t)| <= ``TINY`` at every t >= spacing (L + 1).  ``most`` for a table
+    whose last knot is above ``TINY``.
 
     Every kind but ``table`` is non-increasing and nonnegative, so L is the
     last lag above ``TINY``.  A table is linear between its knots, so L is
     the last lag short of the knot after its last knot above ``TINY``.
     Either is found by bisection, without an array of lags."""
-    if model is None:
-        return most
     if model.kind == "table":
         last = max(i for i, (_, v) in enumerate(model.table) if abs(v) > TINY)
         if last + 1 == len(model.table):
@@ -236,8 +236,7 @@ def _reach(model: CovarianceModel | None, spacing: float, most: int) -> int:
     return lo
 
 
-def base_embedding(shape, model: CovarianceModel | None = None,
-                   spacing: float = 1.0) -> tuple[int, ...]:
+def base_embedding(shape, model: CovarianceModel, spacing: float = 1.0) -> tuple[int, ...]:
     """The smallest embedding tried for the lattice of ``shape`` at
     ``spacing``: per axis of s points the 5-smooth m >= max(min(2(s - 1),
     s + L), 2), with L from :func:`_reach`.
@@ -245,8 +244,8 @@ def base_embedding(shape, model: CovarianceModel | None = None,
     A lag k < s whose wrap min(k, m - k) is not k then has k and m - k both
     past L, so the circulant cropped to the lattice differs from its gram
     only where both entries lie within ``TINY`` of 0 (Wood & Chan 1994;
-    Gneiting et al. 2006).  Without a model, m >= 2(s - 1) wraps no lag of
-    the axis at all."""
+    Gneiting et al. 2006).  A model above ``TINY`` past every lag of an axis
+    embeds it at m >= 2(s - 1), which wraps none of its lags."""
     return tuple(fast_size(max(min(2 * (s - 1), s + _reach(model, spacing, s - 2)), 2))
                  for s in shape)
 
@@ -286,32 +285,14 @@ def circulant_embedding(
 
 def _lattice_points(shape, spacing: float = 1.0) -> np.ndarray:
     """Points spacing * index of a regular lattice, one row each, C order."""
+    # the n x d points and the d axes they are stacked from
+    _check_capacity(16 * math.prod(shape) * len(shape), f"the points of the {shape} lattice")
     axes = np.meshgrid(*(spacing * np.arange(s) for s in shape), indexing="ij")
     return np.column_stack([a.ravel() for a in axes])
 
 
-def _default_method(n: int) -> str:
-    return "circulant" if n > CHOLESKY_MAX_N else "cholesky"
-
-
 def _cholesky_bytes(n: int) -> int:
     return 2 * n * n * 8  # the gram and its lower factor
-
-
-def plan_bytes(model: CovarianceModel, shape, spacing: float = 1.0) -> int:
-    """Working bytes to factor the lattice with the default method and draw
-    one path: the gram and its Cholesky factor (none for the iid model), or
-    one path at the smallest embedding (:func:`base_embedding`).  A
-    fallback to Cholesky meets the cap in :func:`make_plan` instead."""
-    n = math.prod(shape)
-    if _default_method(n) == "circulant":
-        # an iid plan embeds nothing, but is counted at 2(s - 1) per axis,
-        # which holds sequence_bound's covering and Monte Carlo rho (48 MB
-        # traced at 10^6 points, against 64 MB)
-        reach = None if model.kind == "iid" else model
-        return DRAW_BYTES_PER_ELEM * math.prod(base_embedding(shape, reach, spacing))
-    factor = 0 if model.kind == "iid" else _cholesky_bytes(n)
-    return max(factor, DRAW_BYTES_PER_ELEM * n)
 
 
 def make_plan(
@@ -371,7 +352,8 @@ def _circulant_plan(model, shape, spacing, max_bytes) -> LatticePlan:
 
 
 def _cholesky_plan(model, shape, spacing) -> LatticePlan:
-    _check_capacity(_cholesky_bytes(math.prod(shape)))
+    n = math.prod(shape)
+    _check_capacity(_cholesky_bytes(n), f"the gram and Cholesky factor of {n} points")
     gram = gram_matrix(model, _lattice_points(shape, spacing))
     return LatticePlan("cholesky", shape, _cholesky_factor(gram))
 
@@ -421,7 +403,7 @@ def draw_rows(plan: LatticePlan, batch: int, seed: int, offset: int = 0) -> np.n
     """(batch, n) exact draws from the plan; row i uses stream offset + i."""
     if batch < 1:
         raise ValueError("batch must be positive")
-    _check_capacity(batch * plan.row_bytes)
+    _check_capacity(batch * plan.row_bytes, f"a draw of {batch} paths of {plan.n} points")
     if plan.embed_shape is None:
         noise = rng.normal_rows(seed, batch, plan.n, offset=offset)
         return noise if plan.factor is None else noise @ plan.factor.T

@@ -1,10 +1,12 @@
 import argparse
+import ast
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,9 @@ import pytest
 import superconc
 from superconc import rng
 from superconc.cli import main
-from superconc.sampler import draw_rows, make_plan, sample_sequence
+from superconc.sampler import CapacityError, draw_rows, make_plan, sample_sequence
 from superconc.covariance import CovarianceModel
-from superconc.experiments import ExperimentConfig, validate
+from superconc.experiments import ExperimentConfig, run, validate
 
 OU_JSON = '{"kind": "ornstein_uhlenbeck", "params": {"rate": 1.0}}'
 
@@ -358,6 +360,53 @@ def test_correlated_bound_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "b").exists()
 
 
+# runs that validate accepts but whose factor, draw or covering is over the
+# cap: the cap (None for the default 2 GiB) and the config fields.  The
+# covering of OU at rate 5 and alpha = 0.2 holds about 36 bytes a point; the
+# 97 x 97 field draws its growth stage a path at a time under 400 KB, then
+# joins 70 589 indices; the 301 x 301 iid field draws nothing, then joins
+# 967 393; the sample draws 10^8 points at 32 bytes each
+OVER_THE_CAP = {
+    "correlated-singletons": (4 * 10**6, dict(kind="correlated_bound", sizes=(10**6,))),
+    "ou-analytic-sequence": (10**7, dict(
+        kind="sequence_bound", model=CovarianceModel("ornstein_uhlenbeck", rate=5.0),
+        sizes=(10**6,), params={"alpha": 0.2, "rho": "analytic"})),
+    "ou-per-size-cholesky": (4 * 10**6, dict(
+        kind="variance_scaling", model=CovarianceModel.from_json(OU_JSON), sizes=(768,))),
+    "smooth-field-covering": (400_000, dict(
+        kind="field_bound", model=CovarianceModel("gaussian_smooth", lam2=2.0),
+        params={"d": 2, "extent": 96.0})),
+    "iid-field-covering": (10**7, dict(kind="field_bound", params={"d": 2, "extent": 300.0})),
+    "iid-sample": (None, dict(kind="sample_paths", sizes=(10**8,), batch=1)),
+}
+
+
+@pytest.mark.parametrize("cap, fields", OVER_THE_CAP.values(), ids=OVER_THE_CAP)
+def test_a_run_over_the_cap_is_refused_before_it_allocates(tmp_path, capsys, monkeypatch,
+                                                          cap, fields):
+    if cap:
+        monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(cap))
+    out = tmp_path / "o"
+    cfg = ExperimentConfig(out=str(out), **fields)
+    assert validate(cfg) == []
+    # the CLI runs first, which also fills numpy's FFT plan cache; the cache
+    # outlives a run, so the traced run below holds only its own arrays
+    assert main(["--config", _config_file(tmp_path, json.dumps(cfg.to_dict()))]) == 2
+    err = capsys.readouterr().err
+    assert not out.exists()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as exc:
+            run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err == f"config error: capacity: {exc.value}\n"
+    assert exc.value.limit == (cap or 2**31) < exc.value.needed
+    assert peak < exc.value.needed
+    assert not out.exists()
+
+
 # Cholesky factors these tables at 1000 points, but no circulant embeds them:
 # one turns to -1 past the lattice's lags, the other ends at lag 999 above
 # 2^-53, short of the 2000-point embedding's lag 1000
@@ -657,8 +706,19 @@ GAP_TABLE = {"kind": "table", "table": [[0, 1], [0.3, 0.2], [0.6, 0.4], [1, 0.1]
     (["--cov", json.dumps(GAP_TABLE), "--n", "16"],
      {"kind": "sequence_bound", "model": GAP_TABLE, "sizes": [16]},
      "phi must be non-increasing; violated near lags (0.3, 0.6)"),
+    (["--alpha", "1.5"], {"kind": "sequence_bound", "params": {"alpha": 1.5}},
+     "alpha must lie in (0, 1), got 1.5"),
+    (["--alpha", "-1"], {"kind": "sequence_bound", "params": {"alpha": -1.0}},
+     "alpha must lie in (0, 1), got -1.0"),
+    (["--cov", OU_JSON, "--alpha", "1.5"],
+     {"kind": "sequence_bound", "model": OU, "params": {"alpha": 1.5}},
+     "alpha must lie in (0, 1), got 1.5"),
+    (["--cov", OU_JSON, "--rho", "analytic", "--alpha", "0"],
+     {"kind": "sequence_bound", "model": OU, "params": {"rho": "analytic", "alpha": 0.0}},
+     "alpha must lie in (0, 1), got 0.0"),
 ], ids=["mc-batch", "phi1", "trivial-covering", "eta", "eps", "one-ball", "foreign-flag",
-        "table-gap"])
+        "table-gap", "iid-alpha-above-1", "iid-alpha-negative", "ou-alpha-above-1",
+        "ou-analytic-alpha-0"])
 def test_bound_mistake_exit_code(tmp_path, capsys, argv, config, named):
     out = tmp_path / "o"
     assert main(["--out", str(out), "bound", *argv]) == 2
@@ -668,6 +728,24 @@ def test_bound_mistake_exit_code(tmp_path, capsys, argv, config, named):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"kind": "sign_vectors", "out": null}', "field 'out': None is not a string"),
+    ('{"kind": "sign_vectors", "out": ["a", "b"]}', "field 'out': ['a', 'b'] is not a string"),
+    ('{"kind": "sign_vectors", "params": [["n", 20]]}',
+     "field 'params': [['n', 20]] is not an object"),
+    ('{"kind": "variance_scaling", "model": {"kind": "ornstein_uhlenbeck", '
+     '"params": [["rate", 1]]}}',
+     "field 'model': 'params' must be an object, got [['rate', 1]]"),
+    ('{"kind": 5}', "field 'kind': 5 is not a string"),
+], ids=["null-out", "list-out", "params-pairs", "model-params-pairs", "number-kind"])
+def test_config_value_of_the_wrong_json_type_exit_code(tmp_path, capsys, monkeypatch, text,
+                                                       named):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", _config_file(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_bound_is_its_config(tmp_path, capsys):
@@ -718,6 +796,25 @@ def test_import_loads_no_scipy(tmp_path):
     # covering finds near points by a sorted coordinate, not a k-d tree
     for loaded in _loaded_modules(tmp_path):
         assert "scipy" not in loaded and "superconc" in loaded
+
+
+def test_only_the_sampler_reads_the_cap():
+    # the cap is compared in one place, sampler._check_capacity, as each array
+    # is allocated; no other module reads it or predicts a run's bytes
+    for path in sorted((ROOT / "src" / "superconc").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        reads = names & {"capacity_bytes", "SUPERCONC_CAP_BYTES"}
+        assert bool(reads) == (path.name == "sampler.py"), (path.name, reads)
 
 
 def test_runs_load_only_the_declared_dependencies(tmp_path):

@@ -367,8 +367,8 @@ def test_singleton_covering_holds_two_arrays():
 
 
 def test_iid_sequence_bound_fits_the_bytes_validate_counts(iid):
-    # validate sizes this run by its singleton covering, 16 bytes a point; the
-    # run draws nothing, so the covering is all it holds but a fixed 64 KiB
+    # the run checks its singleton covering against the cap, 16 bytes a point;
+    # it draws nothing, so the covering is all it holds but a fixed 64 KiB
     n = 10**6
     tracemalloc.start()
     try:

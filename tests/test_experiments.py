@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from superconc.covering import (
     gaussian_tail_curve,
     tail_curve,
 )
+from superconc.sampler import CapacityError
 from superconc.scantest import STREAM_BLOCK
 
 
@@ -102,61 +104,81 @@ OU = CovarianceModel("ornstein_uhlenbeck", rate=1.0)
 SMOOTH = CovarianceModel("gaussian_smooth", lam2=2.0)
 
 
+def _refused(cfg) -> CapacityError:
+    """The CapacityError a well-formed run raises, before it writes anything."""
+    assert validate(cfg) == []
+    with pytest.raises(CapacityError) as exc:
+        run(cfg)
+    assert exc.value.needed > exc.value.limit
+    assert not Path(cfg.out).exists()
+    return exc.value
+
+
 def test_validate_capacity_estimate(tmp_path, monkeypatch):
+    # validate reads no cap: the run refuses the smallest embedding of 4096
+    # points, 4320 points at 32 bytes a path, before computing it
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", "1000")
-    diags = validate(_cfg(tmp_path, model=OU, sizes=(4096,), batch=10**4))
-    assert any(d.startswith("capacity") for d in diags)
+    err = _refused(_cfg(tmp_path, model=OU, sizes=(4096,), batch=10**4))
+    assert (err.needed, err.limit) == (138_240, 1000)
 
 
 def test_validate_iid_maxima_draw_no_path(tmp_path):
     # one raw word and one bounded integer per path at any n; a sample still
-    # draws its 10^8 points, as do OU maxima
-    assert validate(_cfg(tmp_path, sizes=(10**8,), batch=1000)) == []
-    for cfg in (_cfg(tmp_path, kind="sample_paths", sizes=(10**8,), batch=1),
-                _cfg(tmp_path, model=OU, sizes=(10**8,), batch=1000)):
-        [diag] = validate(cfg)
-        assert diag.startswith("capacity: factoring the lattice of 100000000 points")
+    # draws its 10^8 points, and OU maxima embed them, over the 2 GiB cap
+    cfg = _cfg(tmp_path, sizes=(10**8,), batch=1000)
+    assert validate(cfg) == [] and run(cfg)["csv"].is_file()
+    for cfg, need in ((_cfg(tmp_path / "s", kind="sample_paths", sizes=(10**8,), batch=1),
+                       32 * 10**8),
+                      (_cfg(tmp_path / "ou", model=OU, sizes=(10**8,), batch=1000),
+                       32 * 100_663_296)):
+        err = _refused(cfg)
+        assert (err.needed, err.limit) == (need, 2**31)
 
 
 def test_validate_counts_the_singleton_covering(tmp_path, monkeypatch):
     # a correlated or iid sequence bound draws no path but holds its
-    # covering, 16 bytes a point
+    # covering, two int64 arrays of n + 1 and n entries, which the run sizes
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(10**6))
     for kind, params in (("correlated_bound", {}), ("sequence_bound", {}),
                          ("sequence_bound", {"rho": "analytic"})):
-        assert validate(_cfg(tmp_path, kind=kind, sizes=(6 * 10**4,), params=params)) == []
-        [diag] = validate(_cfg(tmp_path, kind=kind, sizes=(7 * 10**4,), params=params))
-        assert diag == ("capacity: the singleton covering of 70000 points needs ~1120000 "
-                        "bytes, cap is 1000000")
+        cfg = _cfg(tmp_path, kind=kind, sizes=(6 * 10**4,), params=params)
+        assert validate(cfg) == [] and run(cfg)["csv"].is_file()
+        err = _refused(_cfg(tmp_path / "over", kind=kind, sizes=(7 * 10**4,), params=params))
+        assert str(err) == ("the singleton covering of 70000 points needs ~1120008 bytes, "
+                            "cap is 1000000 (override with SUPERCONC_CAP_BYTES)")
 
 
 def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):
     field = dict(kind="field_bound", model=SMOOTH,
                  params={"d": 2, "extent": 96.0, "growth_batch": 400})
-    # one path of the 97 x 97 grid's 108 x 108 embedding needs ~373 KB; 400
-    # rows would need ~149 MB
+    # one path of the 97 x 97 grid's 108 x 108 embedding needs ~373 KB, so
+    # the growth stage draws a path at a time under 400 KB; the covering of
+    # 1089 balls, 70 589 indices at 24 bytes each, does not fit
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(400_000))
-    assert validate(_cfg(tmp_path, **field)) == []
+    err = _refused(_cfg(tmp_path, **field))
+    assert err.needed == 24 * 70_589 + 8 * 1090 and str(err).startswith("a covering of 1089")
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(350_000))
-    assert any(d.startswith("capacity") for d in validate(_cfg(tmp_path, **field)))
+    assert _refused(_cfg(tmp_path, **field)).needed == 32 * 108 * 108
     # at spacing 0.5 the same 97 x 97 points embed at 120 x 120, ~461 KB a path
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(400_000))
     field["params"].update(extent=48.0, spacing=0.5)
-    assert any(d.startswith("capacity") for d in validate(_cfg(tmp_path, **field)))
+    assert _refused(_cfg(tmp_path, **field)).needed == 32 * 120 * 120
 
 
 def test_validate_counts_the_cholesky_factor(tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(4 * 10**6))
     ou = CovarianceModel("ornstein_uhlenbeck", rate=1.0)
     # the OU gram and its factor at n = 768 need 9.4 MB; iid factors nothing,
-    # and one path of the 4096-point circulant needs 262 KB.  A run factors
+    # and one path of the 4096-point circulant needs 138 KB.  A run factors
     # only its largest size, whose prefixes serve the others, so sizes 768
     # and 4096 factor the circulant alone
-    assert validate(_cfg(tmp_path, sizes=(768,))) == []
-    assert validate(_cfg(tmp_path, model=ou, sizes=(4096,))) == []
-    assert validate(_cfg(tmp_path, model=ou, sizes=(768, 4096))) == []
-    diags = validate(_cfg(tmp_path, model=ou, sizes=(512, 768)))
-    assert len(diags) == 1 and diags[0].startswith("capacity") and " 768 points" in diags[0]
+    for i, cfg in enumerate((_cfg(tmp_path, sizes=(768,)), _cfg(tmp_path, model=ou, sizes=(4096,)),
+                             _cfg(tmp_path, model=ou, sizes=(768, 4096)))):
+        cfg.out = str(tmp_path / f"run{i}")
+        assert validate(cfg) == [] and run(cfg)["csv"].is_file()
+    err = _refused(_cfg(tmp_path, model=ou, sizes=(512, 768)))
+    assert (err.needed, err.limit) == (2 * 768**2 * 8, 4 * 10**6)
+    assert str(err).startswith("the gram and Cholesky factor of 768 points")
 
 
 @pytest.mark.parametrize("params", [{"spacing": 0.0}, {"d": 0}, {"d": 2, "extent": [4.0]},
@@ -175,6 +197,13 @@ def test_validate_scan_trials_within_the_stream_block(tmp_path):
     scan["params"]["trials"] = STREAM_BLOCK + 1
     diags = validate(_cfg(tmp_path, **scan))
     assert len(diags) == 1 and diags[0].startswith("field 'params.trials'")
+
+
+def test_validate_reads_no_cap(monkeypatch):
+    # a malformed cap is the run's CapacityError, where an array is sized
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", "abc")
+    for kind in EXPERIMENT_KINDS:
+        assert validate(ExperimentConfig(kind=kind)) == [], kind
 
 
 def test_validate_bad_batch_and_sizes(tmp_path):

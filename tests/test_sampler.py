@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superconc.covariance import CovarianceModel, TableRangeError, evaluate, gram_matrix
+from superconc.covering import Covering, build_sequence_covering, singleton_covering
 from superconc.sampler import (
     DEFAULT_CAP_BYTES,
     DRAW_BYTES_PER_ELEM,
@@ -22,11 +23,13 @@ from superconc.sampler import (
     grid_geometry,
     grid_points,
     make_plan,
-    plan_bytes,
     sample_sequence,
 )
 
 NOT_PSD = CovarianceModel("table", table=((0.0, 1.0), (1.0, 0.9), (2.0, 0.0)))
+# 1 / (1 + t^2) stays above 2^-53 for 9.5e7 lags, past every lattice axis
+# here, so each axis of s points embeds at the 5-smooth m >= 2(s - 1)
+LONG_RANGE = CovarianceModel("power_decay", amp=1.0, alpha_cov=2.0)
 
 
 def test_same_seed_same_paths(ou):
@@ -284,8 +287,8 @@ def test_fast_size_is_the_smallest_five_smooth_size():
     assert [fast_size(k) for k in range(1, 10_001)] == [
         _five_smooth_at_least(k) for k in range(1, 10_001)]
     # the 97-point axis of a field grid embeds at 192, not at 2 x 97 = 194
-    assert base_embedding((97, 97)) == (192, 192)
-    assert base_embedding((1, 2, 3, 769)) == (2, 2, 4, 1536)
+    assert base_embedding((97, 97), LONG_RANGE) == (192, 192)
+    assert base_embedding((1, 2, 3, 769), LONG_RANGE) == (2, 2, 4, 1536)
 
 
 def _shape_id(shape):
@@ -325,9 +328,10 @@ def test_cropped_circulant_is_the_gram(model, shape):
                                    CovarianceModel("gaussian_smooth", lam2=2.0)],
                          ids=["ou", "smooth"])
 def test_plan_bytes_counts_the_first_embedding(model, shape):
+    # the bytes a draw of the default plan checks against the cap, a path at a time
     plan = make_plan(model, shape)
     assert plan.embed_shape == base_embedding(shape, model)
-    assert plan_bytes(model, shape) == DRAW_BYTES_PER_ELEM * math.prod(plan.embed_shape)
+    assert plan.row_bytes == DRAW_BYTES_PER_ELEM * math.prod(plan.embed_shape)
 
 
 @pytest.mark.parametrize("shape, spacing", [((1000,), 1.0), ((40, 40), 0.5), ((10, 10, 10), 2.0)],
@@ -337,15 +341,7 @@ def test_plan_bytes_counts_the_embedding_at_the_spacing(shape, spacing):
     smooth = CovarianceModel("gaussian_smooth", lam2=1.0)
     plan = make_plan(smooth, shape, spacing, method="circulant")
     assert plan.embed_shape == base_embedding(shape, smooth, spacing)
-    assert plan_bytes(smooth, shape, spacing) == DRAW_BYTES_PER_ELEM * math.prod(plan.embed_shape)
-
-
-def test_iid_plan_bytes_count_the_full_embedding(iid):
-    # an iid plan embeds nothing; its runs are sized at 2(s - 1) per axis,
-    # which holds sequence_bound's covering and Monte Carlo rho
-    for shape in [(769,), (10**6,), (29, 29)]:
-        assert plan_bytes(iid, shape) == DRAW_BYTES_PER_ELEM * math.prod(base_embedding(shape))
-    assert base_embedding((10**6,), iid) == (10**6,)
+    assert plan.row_bytes == DRAW_BYTES_PER_ELEM * math.prod(plan.embed_shape)
 
 
 def test_the_bench_lattices_embed_at_about_n_plus_their_range(ou):
@@ -373,7 +369,7 @@ def test_wrapped_lags_of_the_first_embedding_are_the_lags_to_rounding(model, sha
     # the circulant's first row holds phi at the wrapped lags min(k, m - k);
     # at each lattice offset k it is phi at the true lag within 2^-53
     ms = base_embedding(shape, model, spacing)
-    assert math.prod(ms) < math.prod(base_embedding(shape))
+    assert math.prod(ms) < math.prod(base_embedding(shape, LONG_RANGE))
     k = np.indices(shape).reshape(len(shape), -1)
     wrapped = np.minimum(k, np.array(ms)[:, None] - k)
     assert not np.array_equal(wrapped, k)
@@ -491,16 +487,43 @@ def test_embedding_error_reports_the_doublings_it_tried(phi1, phi2, n, most):
     assert exc.value.worst == pytest.approx(worst, rel=0, abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 2**22), st.integers(2, 3000), st.sampled_from(["cholesky", "circulant"]))
+# each covering site and the bytes it counts before it allocates: two int64
+# arrays for singletons; for overlapping blocks of n + 1 points, m =
+# floor((n + 1)^0.3), the ramp and its offsets, 2m + 1 entries a block each,
+# and six arrays of one entry a block; 24 bytes an index and an indptr for
+# joined blocks
+COVERINGS = {
+    "singletons": (singleton_covering, lambda n: 16 * n + 8),
+    "sequence": (lambda n: build_sequence_covering(n + 1, 0.3),
+                 lambda n: 8 * (2 * (2 * (m := math.floor((n + 1)**0.3)) + 1) + 6)
+                 * (math.ceil((n + 1) / m) - 1)),
+    "blocks": (lambda n: Covering.from_blocks([np.arange(k, min(n, k + 8)) for k in range(n)],
+                                              n=n),
+               lambda n: 24 * sum(min(n, k + 8) - k for k in range(n)) + 8 * (n + 1)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2**22), st.integers(2, 3000),
+       st.sampled_from(["cholesky", "circulant", *COVERINGS]))
 def test_a_capacity_error_carries_the_bytes_it_needed_over_its_limit(cap, n, method):
-    # the plan's own bytes, or else a draw of one row more than the cap holds
+    # the plan's own bytes, or else a draw of one row more than the cap
+    # holds; a covering's count, which is at least the arrays it keeps
     model = CovarianceModel("ornstein_uhlenbeck", rate=1.0)
+    if method in COVERINGS:
+        build, count = COVERINGS[method]
+        cov = build(n)
+        assert count(n) >= cov.indptr.nbytes + cov.indices.nbytes
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("SUPERCONC_CAP_BYTES", str(cap))
-        need = (2 * n * n * 8 if method == "cholesky"
-                else DRAW_BYTES_PER_ELEM * base_embedding((n,), model)[0])
-        if need > cap:
+        if method in COVERINGS:
+            if (need := count(n)) <= cap:
+                build(n)
+                return
+            with pytest.raises(CapacityError) as exc:
+                build(n)
+        elif (need := 2 * n * n * 8 if method == "cholesky"
+              else DRAW_BYTES_PER_ELEM * base_embedding((n,), model)[0]) > cap:
             with pytest.raises(CapacityError) as exc:
                 make_plan(model, (n,), method=method)
         else:
