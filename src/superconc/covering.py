@@ -7,8 +7,11 @@ Three pipelines produce a :class:`BoundReport`:
   or estimated from argmax histograms (iid points: singletons, rho = 1/n).
 * field pipeline — covering number of a box, greedy maximal s_0-net,
   balls of radius 2 s_0 as blocks.
-* correlated pipeline — singleton covering for vectors with off-diagonal
+* correlated pipeline — singletons for vectors with off-diagonal
   correlations below a given epsilon.
+
+A report carries its covering's block count, multiplicity and provenance;
+only a Monte Carlo rho and a field build the :class:`Covering` itself.
 
 The bound scale is K = max(r_0, 1/log(1/rho)); the resulting tail curve
 is 6 exp(-c t / sqrt(K)), to be compared with the classical Gaussian
@@ -52,7 +55,6 @@ class Covering:
     indices: np.ndarray = field(repr=False)  # int64 0-based index sets, end to end
     r0: float = 0.0
     multiplicity: int = 1
-    provenance: str = "singletons"
     n: int = 0
 
     @classmethod
@@ -72,9 +74,16 @@ class Covering:
         return np.split(self.indices, self.indptr[1:-1]) if len(self.indptr) > 1 else []
 
 
-def singleton_covering(n: int, r0: float = 0.0) -> Covering:
-    _check_capacity(16 * n + 8, f"the singleton covering of {n} points")
-    return Covering(np.arange(n + 1), np.arange(n), r0=r0, n=n)
+def _sequence_blocks(n: int, alpha: float) -> tuple[int, int]:
+    """m = floor(n^alpha) and the count ceil(n/m) - 1 of the blocks
+    {(k-1)m .. (k+1)m}; a single block would cover everything when 2m >= n."""
+    if not 0 < alpha < 1:
+        raise BoundError(f"alpha must lie in (0, 1), got {alpha}")
+    m = int(math.floor(n**alpha))
+    if 2 * m >= n:
+        raise TrivialCoveringError(f"2*floor(n^alpha) = {2 * m} >= n = {n}: a single block "
+                                   "would cover everything; lower alpha")
+    return m, math.ceil(n / m) - 1
 
 
 def build_sequence_covering(n: int, alpha: float) -> Covering:
@@ -83,17 +92,7 @@ def build_sequence_covering(n: int, alpha: float) -> Covering:
     Every pair i < j with j - i <= m shares a block and each index lies in
     at most 3 blocks.  Indices are stored 0-based.
     """
-    if not 0 < alpha < 1:
-        raise BoundError(f"alpha must lie in (0, 1), got {alpha}")
-    m = int(math.floor(n**alpha))
-    if m < 1:
-        raise ValueError("floor(n^alpha) must be at least 1")
-    if 2 * m >= n:
-        raise TrivialCoveringError(
-            f"2*floor(n^alpha) = {2 * m} >= n = {n}: a single block would "
-            "cover everything; lower alpha"
-        )
-    blocks = math.ceil(n / m) - 1
+    m, blocks = _sequence_blocks(n, alpha)
     # int64 entries: up to 2m + 1 a block in the ramp and in its offsets, and six a block besides
     _check_capacity(8 * (2 * (2 * m + 1) + 6) * blocks, f"the sequence covering of {n} points")
     k = np.arange(1, blocks + 1)
@@ -102,8 +101,7 @@ def build_sequence_covering(n: int, alpha: float) -> Covering:
     # block b is lo[b], lo[b] + 1, ...: a ramp that restarts at each block
     indices = np.arange(indptr[-1])
     indices -= np.repeat(indptr[:-1] - lo, np.diff(indptr))
-    return Covering(indptr, indices, r0=math.nan, multiplicity=3,
-                    provenance="sequence-blocks", n=n)
+    return Covering(indptr, indices, r0=math.nan, multiplicity=3, n=n)
 
 
 def verify_covering(cov: Covering, gram: np.ndarray, r0: float):
@@ -203,19 +201,13 @@ class BoundReport:
     exponent_ratio: float | None = None
     epsilon: float | None = None
     degenerate: bool = False
-    covering: Covering | None = field(default=None, repr=False)
+    covering_blocks: int | None = None
+    covering_multiplicity: int | None = None
+    covering_provenance: str | None = None
+    covering: Covering | None = field(default=None, repr=False)  # where a bound reads its sets
 
     def to_dict(self) -> dict:
-        out = {}
-        for k, v in self.__dict__.items():
-            if k == "covering":
-                if v is not None:
-                    out["covering_blocks"] = len(v.indptr) - 1
-                    out["covering_multiplicity"] = v.multiplicity
-                    out["covering_provenance"] = v.provenance
-            elif v is not None:
-                out[k] = v
-        return out
+        return {k: v for k, v in self.__dict__.items() if v is not None and k != "covering"}
 
 
 def _gate_hypotheses(model: CovarianceModel):
@@ -242,8 +234,7 @@ def sequence_bound(
     """Assemble the full constant pipeline of the sequence tail bound.  iid
     points draw nothing: their argmax is uniform, so rho = 1/n on either route."""
     _gate_hypotheses(model)
-    phi1 = evaluate(model, 1.0)
-    delta = 2.0 * (1.0 - phi1)
+    delta = 2.0 * (1.0 - evaluate(model, 1.0))
 
     if not 0 < alpha < 1:
         raise BoundError(f"alpha must lie in (0, 1), got {alpha}")
@@ -251,16 +242,19 @@ def sequence_bound(
     if rho_source not in ("monte_carlo", "analytic"):
         raise ValueError(f"unknown rho source {rho_source!r}")
     if model.kind == "iid":
-        cov, r0, rho = singleton_covering(n), 0.0, RhoEstimate(1.0 / n, "analytic")
+        blocks, mult, kind = n, 1, "singletons"
+        cov, r0, rho = None, 0.0, RhoEstimate(1.0 / n, "analytic")
     else:
-        cov = build_sequence_covering(n, alpha)
-        cov.r0 = r0 = float(evaluate(model, float(m)))
+        (m, blocks), mult, kind = _sequence_blocks(n, alpha), 3, "sequence-blocks"
+        r0 = float(evaluate(model, float(m)))
         if rho_source == "monte_carlo":
+            cov = build_sequence_covering(n, alpha)
+            cov.r0 = r0
             [argmax] = reduce_blocks(make_plan(model, (n,)), batch, seed,
                                      lambda x: (x.argmax(axis=1),))
             rho = rho_monte_carlo(cov, argmax)
         else:
-            rho = rho_analytic_sequence(n, alpha, delta)
+            cov, rho = None, rho_analytic_sequence(n, alpha, delta)
 
     K = bound_scale(r0, rho.rho)
     K_paper = max(float(evaluate(model, float(n) ** alpha)), 1.0 / math.log(n))
@@ -268,6 +262,7 @@ def sequence_bound(
         pipeline="sequence", K=K, r0=r0, rho=rho.rho, rho_source=rho.source,
         n=n, alpha=alpha, m=m, rho_se=rho.se, eta=rho.eta, delta=delta,
         K_paper=K_paper, degenerate=rho.degenerate or not math.isfinite(K),
+        covering_blocks=blocks, covering_multiplicity=mult, covering_provenance=kind,
         covering=cov,
     )
 
@@ -281,7 +276,7 @@ def covering_number_box(extent, d: int) -> int:
     For d = 1 and A = [0, T] this is T/2 (radius-1 balls are length-2
     intervals).
     """
-    return int(np.prod([math.ceil(e / 2.0) for e in box_extents(d, extent)]))
+    return math.prod(math.ceil(e / 2.0) for e in box_extents(d, extent))
 
 
 def _first_coordinate_windows(pts: np.ndarray, queries: np.ndarray, r: float):
@@ -354,7 +349,7 @@ def net_ball_covering(points: np.ndarray, net_idx: np.ndarray, radius: float,
     sorted_pts, order, lo, hi = _first_coordinate_windows(pts, net_idx, radius)
     blocks = [order[a:b][np.sum((sorted_pts[a:b] - pts[i]) ** 2, axis=1) <= radius * radius]
               for i, a, b in zip(net_idx, lo, hi)]
-    cov = Covering.from_blocks(blocks, r0=r0, provenance="field-net", n=pts.shape[0])
+    cov = Covering.from_blocks(blocks, r0=r0, n=pts.shape[0])
     cov.multiplicity = int(np.bincount(cov.indices, minlength=cov.n).max())
     return cov
 
@@ -428,8 +423,9 @@ def field_bound(
     return BoundReport(
         pipeline="field", K=K, r0=r0, rho=rho, rho_source="analytic",
         N_A=n_a, s0=float(s0), c1=c1, c2=c2, fit_slope=slope,
-        exponent_ratio=float(exponent_ratio),
-        degenerate=rho >= 1.0, covering=cov,
+        exponent_ratio=float(exponent_ratio), degenerate=rho >= 1.0,
+        covering_blocks=len(cov.indptr) - 1, covering_multiplicity=cov.multiplicity,
+        covering_provenance="field-net", covering=cov,
     )
 
 
@@ -445,7 +441,8 @@ def correlated_bound(eps: float, n: int) -> BoundReport:
     K = max(eps, 1.0 / math.log(n))
     return BoundReport(
         pipeline="correlated", K=K, r0=eps, rho=1.0 / n, rho_source="analytic",
-        n=n, epsilon=eps, covering=singleton_covering(n, r0=eps),
+        n=n, epsilon=eps, covering_blocks=n, covering_multiplicity=1,
+        covering_provenance="singletons",
     )
 
 

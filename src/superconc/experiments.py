@@ -7,6 +7,7 @@ wall time and the library version and is exempt from that guarantee.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -34,6 +35,7 @@ from .sampler import DecompositionError, EmbeddingError, draw_rows, grid_geometr
 from .scantest import (
     STREAM_BLOCK,
     ScanClass,
+    class_shape,
     disjoint_class,
     estimate_risk,
     sliding_class,
@@ -48,6 +50,10 @@ from .verify import (
     laplace_check,
     variance_with_se,
 )
+
+
+# the most values of a data.csv line formatted at once: a sample's row has one per point
+CSV_SLICE = 4096
 
 
 class SchemaError(ValueError):
@@ -256,7 +262,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         return diags + bad
     if config.kind == "scan_risk":
         try:
-            _scan_class(p)
+            _scan_class(p, build=False)
         except SchemaError as exc:
             diags.append(str(exc))
         if (trials := int(p["trials"])) > STREAM_BLOCK:
@@ -291,12 +297,16 @@ def validate(config: ExperimentConfig) -> list[str]:
     return diags
 
 
-def write_csv(path: Path, header: list[str], rows):
-    """One line per row, written as it is formatted."""
+def write_csv(path: Path, header, rows):
+    """One line for the header's names and one per row, each written as it is
+    formatted, at most ``CSV_SLICE`` values at a time."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for line in itertools.chain([header], (map(fmt, row) for row in rows)):
+            values, sep = iter(line), ""
+            while part := list(itertools.islice(values, CSV_SLICE)):
+                fh.write(sep + ",".join(part))
+                sep = ","
+            fh.write("\n")
 
 
 def _plain(o):
@@ -409,10 +419,11 @@ def _run_bound(cfg):
     return ["t", "bound", "gaussian_bound"], rows, summary
 
 
-def _scan_class(p: dict) -> ScanClass:
+def _scan_class(p: dict, build: bool = True) -> ScanClass | None:
     """The class of the params ``n`` and ``sets``, or else of the
     ``generator`` spec ``disjoint:N,K`` or ``sliding:n,K``; a class they rule
-    out is a SchemaError naming the param."""
+    out is a SchemaError naming the param.  Unless ``build``, a spec's numbers
+    are checked (:func:`class_shape`) and no set is made."""
     if p["sets"] is not None:
         try:
             return ScanClass(int(p["n"]), p["sets"])
@@ -424,9 +435,12 @@ def _scan_class(p: dict) -> ScanClass:
         raise SchemaError(f"field 'params.generator': unknown generator {name!r}")
     try:
         a, b = (int(v) for v in args.split(","))
-        return disjoint_class(a, b, n=p["n"]) if name == "disjoint" else sliding_class(a, b)
+        if build:
+            return disjoint_class(a, b, n=p["n"]) if name == "disjoint" else sliding_class(a, b)
+        class_shape(name, a, b, p["n"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"field 'params.generator': {spec!r}: {exc}") from exc
+    return None
 
 
 def _run_scan_risk(cfg):
@@ -477,7 +491,7 @@ def _run_sample_paths(cfg):
     paths = draw_rows(plan, cfg.batch, cfg.seed)
     summary = {"n": plan.n, "shape": list(shape), "spacing": spacing, "batch": cfg.batch,
                "method": plan.method}
-    return [f"x{i}" for i in range(plan.n)], paths, summary
+    return (f"x{i}" for i in range(plan.n)), paths, summary
 
 
 _RUNNERS = {
@@ -499,8 +513,8 @@ def run(config: ExperimentConfig) -> dict[str, Path]:
     A bound or a lattice that the inputs rule out (``covering.BoundError``, a
     table model's lag outside its table, a failed factorization or
     embedding), or maxima too few for the tail fit, is a SchemaError.  A factor,
-    draw or covering over the memory cap is a ``sampler.CapacityError`` (its
-    bytes ``needed`` and the cap ``limit``), raised before its array or any file."""
+    draw, covering or scan class over the memory cap is a ``sampler.CapacityError``
+    (its bytes ``needed`` and the cap ``limit``), raised before its array or any file."""
     diags = validate(config)
     if diags:
         raise SchemaError("; ".join(diags))

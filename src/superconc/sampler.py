@@ -142,7 +142,7 @@ class SampleBatch:
 
 def _check_capacity(nbytes: int, what: str):
     """The one comparison with the memory cap, made before ``what`` (a name
-    such as "the singleton covering of 10 points") allocates its ``nbytes``."""
+    such as "the sequence covering of 10 points") allocates its ``nbytes``."""
     cap = capacity_bytes()
     if nbytes > cap:
         raise CapacityError(

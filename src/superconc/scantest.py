@@ -19,7 +19,7 @@ import numpy as np
 from . import rng
 from .covariance import CovarianceModel
 from .extremes import _stable_mean
-from .sampler import make_plan, reduce_blocks
+from .sampler import _check_capacity, make_plan, reduce_blocks
 from .verify import estimate_tail, fit_tail_rate
 
 MAX_ALTERNATIVES = 64
@@ -61,21 +61,43 @@ class ScanClass:
         return self.sets.shape[1]
 
 
+def class_shape(name: str, a: int, b: int, n: int | None = None) -> tuple[int, int, int]:
+    """(n, N, K) of the class of the spec ``disjoint:N,K`` (N = a disjoint
+    blocks of K = b indices among n, by default N K) or ``sliding:n,K`` (the
+    windows of K = b among n = a), from the numbers alone; a ValueError for a
+    class they rule out."""
+    if name == "sliding":
+        if b < 1 or b > a - 1:
+            raise ValueError("need 1 <= K <= n - 1")
+        return a, a - b + 1, b
+    n = a * b if n is None else n
+    if n < a * b:
+        raise ValueError("n too small for N disjoint sets of size K")
+    if b < 1:
+        raise ValueError("sets must be an (N, K) index array with K >= 1")
+    if a < 2:
+        raise ValueError("need at least 2 sets (thresholds involve log N)")
+    return n, a, b
+
+
+def _sized_shape(name: str, a: int, b: int, n: int | None = None) -> tuple[int, int, int]:
+    """:func:`class_shape`, with the bytes of the class's sets checked against the cap."""
+    n, N, K = class_shape(name, a, b, n)
+    # the N x K sets, the three copies ScanClass checks them in, and a sliding class's ramps
+    _check_capacity(32 * N * K + 8 * (N + K), f"the sets of the {name}:{a},{b} class")
+    return n, N, K
+
+
 def disjoint_class(N: int, K: int, n: int | None = None) -> ScanClass:
     """N disjoint blocks of K consecutive indices."""
-    if n is None:
-        n = N * K
-    if n < N * K:
-        raise ValueError("n too small for N disjoint sets of size K")
+    n, N, K = _sized_shape("disjoint", N, K, n)
     return ScanClass(n, np.arange(N * K).reshape(N, K))
 
 
 def sliding_class(n: int, K: int) -> ScanClass:
     """All n - K + 1 sliding windows of length K."""
-    if K < 1 or K > n - 1:
-        raise ValueError("need 1 <= K <= n - 1")
-    starts = np.arange(n - K + 1)
-    return ScanClass(n, starts[:, None] + np.arange(K)[None, :])
+    n, N, K = _sized_shape("sliding", n, K)
+    return ScanClass(n, np.arange(N)[:, None] + np.arange(K)[None, :])
 
 
 def set_sums(x: np.ndarray, cls: ScanClass) -> np.ndarray:

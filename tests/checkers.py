@@ -74,6 +74,6 @@ def net_ball_covering_dense(points: np.ndarray, net_idx: np.ndarray, radius: flo
     pts = pts[:, None] if pts.ndim == 1 else pts
     blocks = [np.nonzero(np.sum((pts - pts[i]) ** 2, axis=1) <= radius * radius)[0]
               for i in net_idx]
-    cov = Covering.from_blocks(blocks, r0=r0, provenance="field-net", n=pts.shape[0])
+    cov = Covering.from_blocks(blocks, r0=r0, n=pts.shape[0])
     cov.multiplicity = int(np.bincount(cov.indices, minlength=cov.n).max())
     return cov

@@ -339,38 +339,68 @@ def test_sequence_command_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch
     assert "config error: capacity: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["--pipeline", "correlated"],
-    ["--rho", "analytic", "--alpha", "0.3"],
-], ids=["correlated", "analytic-rho"])
-def test_bound_that_draws_nothing_ignores_the_cap(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
-    fast_ou = '{"kind": "ornstein_uhlenbeck", "params": {"rate": 3.0}}'
-    assert main(["--out", str(tmp_path / "b"), "bound", "--cov", fast_ou,
-                 "--n", "2048", *argv]) == 0
-    assert json.loads(capsys.readouterr().out)["n"] == 2048
+FAST_OU = '{"kind": "ornstein_uhlenbeck", "params": {"rate": 5.0}}'
+# bounds that are closed forms in n: no draw and no covering's sets; a case
+# at 2048 points goes by its bare name
+DRAWS_NOTHING = {
+    "correlated": ["--pipeline", "correlated"],
+    "iid": [],
+    "iid-analytic": ["--rho", "analytic"],
+    "analytic-rho": ["--cov", FAST_OU, "--rho", "analytic", "--alpha", "0.2"],
+}
+
+
+@pytest.mark.parametrize("argv, n", [
+    pytest.param(argv, n, id=name if n == 2048 else f"{name}-{n:.0e}")
+    for name, argv in DRAWS_NOTHING.items() for n in (2048, 10**8, 10**12)])
+def test_bound_that_draws_nothing_ignores_the_cap(tmp_path, capsys, monkeypatch, argv, n):
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(10**6))
+    out = tmp_path / "b"
+    assert main(["--out", str(out), "bound", "--n", str(n), *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == n
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    cfg = ExperimentConfig.from_dict({**config, "out": str(tmp_path / "traced")})
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (tmp_path / "traced" / "summary.json").read_bytes() == (
+        out / "summary.json").read_bytes()
 
 
 def test_correlated_bound_over_a_low_cap_exit_code(tmp_path, capsys, monkeypatch):
-    # the singleton covering of 10^6 points needs 16 MB (2048 points run, above)
+    # 10^6 singletons as index arrays would need 16 MB; the report carries
+    # their numbers and builds none of them
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", LOW_CAP)
     assert main(["--out", str(tmp_path / "b"), "bound", "--pipeline", "correlated",
-                 "--n", str(10**6)]) == 2
-    assert "config error: capacity: the singleton covering" in capsys.readouterr().err
-    assert not (tmp_path / "b").exists()
+                 "--n", str(10**6)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["covering_blocks"], summary["covering_multiplicity"],
+            summary["covering_provenance"]) == (10**6, 1, "singletons")
+    assert json.loads((tmp_path / "b" / "summary.json").read_text()) == summary
 
 
-# runs that validate accepts but whose factor, draw or covering is over the
-# cap: the cap (None for the default 2 GiB) and the config fields.  The
-# covering of OU at rate 5 and alpha = 0.2 holds about 36 bytes a point; the
-# 97 x 97 field draws its growth stage a path at a time under 400 KB, then
-# joins 70 589 indices; the 301 x 301 iid field draws nothing, then joins
-# 967 393; the sample draws 10^8 points at 32 bytes each
+def test_field_bound_past_int64_covering_number_exit_code(tmp_path, capsys):
+    # N(A) = (5 * 10^6)^3 is past int64; the run is refused at its lattice
+    assert main(["--out", str(tmp_path / "f"), "bound", "--pipeline", "field", "--d", "3",
+                 "--extent", "10000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: capacity: the points of the "
+                          "(10000001, 10000001, 10000001) lattice needs ~")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "f").exists()
+
+
+# runs that validate accepts but whose factor, draw, covering or scan class
+# is over the cap: the cap (None for the default 2 GiB) and the config
+# fields.  The 97 x 97 field draws its growth stage a path at a time under
+# 400 KB, then joins 70 589 indices; the 301 x 301 iid field draws nothing,
+# then joins 967 393; the sample draws 10^8 points at 32 bytes each; the
+# sliding class holds 32 bytes an entry of its 10^6 - 9 windows of 10
 OVER_THE_CAP = {
-    "correlated-singletons": (4 * 10**6, dict(kind="correlated_bound", sizes=(10**6,))),
-    "ou-analytic-sequence": (10**7, dict(
-        kind="sequence_bound", model=CovarianceModel("ornstein_uhlenbeck", rate=5.0),
-        sizes=(10**6,), params={"alpha": 0.2, "rho": "analytic"})),
     "ou-per-size-cholesky": (4 * 10**6, dict(
         kind="variance_scaling", model=CovarianceModel.from_json(OU_JSON), sizes=(768,))),
     "smooth-field-covering": (400_000, dict(
@@ -378,6 +408,8 @@ OVER_THE_CAP = {
         params={"d": 2, "extent": 96.0})),
     "iid-field-covering": (10**7, dict(kind="field_bound", params={"d": 2, "extent": 300.0})),
     "iid-sample": (None, dict(kind="sample_paths", sizes=(10**8,), batch=1)),
+    "scan-sliding-class": (10**6, dict(kind="scan_risk",
+                                       params={"generator": "sliding:1000000,10"})),
 }
 
 

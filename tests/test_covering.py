@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from superconc.covering import (
     rho_analytic_sequence,
     rho_monte_carlo,
     sequence_bound,
-    singleton_covering,
     sudakov_exponent,
     tail_curve,
     verify_covering,
@@ -108,7 +106,7 @@ def test_verify_covering_accepts_and_witnesses(ou):
     assert ok and witness is None
     # drop the middle block: some close pair loses its shared block
     broken = Covering.from_blocks(cov.blocks[:1] + cov.blocks[2:], r0=cov.r0,
-                                  multiplicity=3, provenance="broken", n=n)
+                                  multiplicity=3, n=n)
     ok, witness = verify_covering(broken, g, r0)
     assert not ok
     assert witness[0] == "pair"
@@ -212,8 +210,7 @@ def _assert_same_covering(got, want):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.indices.dtype == want.indices.dtype == np.int64
-    assert (got.multiplicity, got.r0, got.provenance, got.n) == (
-        want.multiplicity, want.r0, want.provenance, want.n)
+    assert (got.multiplicity, got.r0, got.n) == (want.multiplicity, want.r0, want.n)
 
 
 def _assert_windowed_equals_dense(pts, s0, radii=None):
@@ -350,33 +347,16 @@ def test_field_run_over_768_points_never_factors_cholesky(monkeypatch):
     assert rep.N_A == 400 and rep.fit_slope >= 0
 
 
-def test_singleton_covering():
-    cov = singleton_covering(5)
-    assert len(cov.blocks) == 5
-    assert cov.multiplicity == 1
-
-
-def test_singleton_covering_holds_two_arrays():
-    n = 10**6
-    cov = singleton_covering(n)
-    assert [f.name for f in fields(cov)][:2] == ["indptr", "indices"]
-    assert [type(getattr(cov, f.name)) for f in fields(cov)] == [
-        np.ndarray, np.ndarray, float, int, str, int]
-    assert np.array_equal(cov.indptr, np.arange(n + 1))
-    assert np.array_equal(cov.indices, np.arange(n))
-
-
 def test_iid_sequence_bound_fits_the_bytes_validate_counts(iid):
-    # the run checks its singleton covering against the cap, 16 bytes a point;
-    # it draws nothing, so the covering is all it holds but a fixed 64 KiB
-    n = 10**6
+    # validate counts nothing and the run allocates nothing it could count:
+    # an iid bound is a closed form in n, with no draw and no covering
     tracemalloc.start()
     try:
-        sequence_bound(iid, n, 0.5, batch=10**4)
+        sequence_bound(iid, 10**6, 0.5, batch=10**4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * n + 64 * 2**10
+    assert peak < 64 * 2**10
 
 
 def test_covering_from_blocks_takes_each_block_as_a_set():
@@ -446,7 +426,75 @@ def test_sequence_bound_iid_analytic(iid, monkeypatch):
         assert (rep.rho, rep.rho_se, rep.rho_source) == (1.0 / n, 0.0, "analytic")
         assert rep.K == rep.K_paper == 1.0 / math.log(n)
         assert rep.r0 == 0.0 and not rep.degenerate
-        assert rep.covering.provenance == "singletons" and len(rep.covering.blocks) == n
+        assert rep.covering is None
+        assert (rep.covering_blocks, rep.covering_multiplicity, rep.covering_provenance) == (
+            n, 1, "singletons")
+
+
+def _assert_numbers_are_the_arrays(rep):
+    d = rep.to_dict()
+    assert "covering" not in d
+    assert d["covering_blocks"] == rep.covering_blocks == len(rep.covering.indptr) - 1
+    assert d["covering_multiplicity"] == rep.covering_multiplicity == rep.covering.multiplicity
+
+
+@pytest.mark.parametrize("n, alpha", [(16, 0.5), (100, 0.3), (257, 0.45), (1000, 0.2),
+                                      (4097, 0.6)])
+def test_a_monte_carlo_report_carries_its_blocks_numbers(ou, n, alpha):
+    rep = sequence_bound(ou, n, alpha, batch=MC_RHO_MIN_PATHS, seed=2)
+    _assert_numbers_are_the_arrays(rep)
+    assert rep.covering_provenance == "sequence-blocks"
+    assert len(rep.covering.indptr) - 1 == math.ceil(n / rep.m) - 1
+
+
+@pytest.mark.parametrize("d, extent", [(1, 100.0), (2, 30.0)])
+def test_a_field_report_carries_its_balls_numbers(d, extent):
+    rep = field_bound(CovarianceModel("gaussian_smooth", lam2=2.0), d, extent, batch=40)
+    _assert_numbers_are_the_arrays(rep)
+    assert rep.covering_provenance == "field-net"
+    counts = np.bincount(rep.covering.indices, minlength=rep.covering.n)
+    assert rep.covering_multiplicity == counts.max()
+
+
+# bounds that are closed forms in n: each reports its covering's numbers at
+# n = 10^12 without building its sets or drawing a path
+CLOSED_FORMS = {
+    "iid-monte-carlo": (lambda: sequence_bound(CovarianceModel("iid"), 10**12, 0.5),
+                        (10**12, 1, "singletons")),
+    "iid-analytic": (lambda: sequence_bound(CovarianceModel("iid"), 10**12, 0.5,
+                                            rho_source="analytic"),
+                     (10**12, 1, "singletons")),
+    "correlated": (lambda: correlated_bound(0.1, 10**12), (10**12, 1, "singletons")),
+    # m = floor(10^(12 * 0.2)) = 251, and ceil(10^12 / 251) - 1 blocks
+    "ou-analytic": (lambda: sequence_bound(CovarianceModel("ornstein_uhlenbeck", rate=5.0),
+                                           10**12, 0.2, rho_source="analytic"),
+                    (math.ceil(10**12 / 251) - 1, 3, "sequence-blocks")),
+}
+
+
+@pytest.mark.parametrize("bound, numbers", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+def test_a_closed_form_bound_builds_no_covering(monkeypatch, bound, numbers):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed-form bound builds no covering and draws nothing")
+
+    monkeypatch.setattr(covering, "build_sequence_covering", refuse)
+    monkeypatch.setattr(Covering, "from_blocks", refuse)
+    monkeypatch.setattr(rng, "generators", refuse)
+    rep = bound()
+    assert rep.covering is None
+    assert (rep.covering_blocks, rep.covering_multiplicity, rep.covering_provenance) == numbers
+    d = rep.to_dict()
+    assert (d["covering_blocks"], d["covering_multiplicity"], d["covering_provenance"]) == numbers
+
+
+def test_analytic_and_monte_carlo_routes_count_the_same_blocks():
+    fast = CovarianceModel("ornstein_uhlenbeck", rate=5.0)
+    for n in (10, 64, 257, 1000, 4097):
+        for alpha in (0.1, 0.2, 0.3):
+            if 2 * math.floor(n**alpha) >= n:
+                continue
+            rep = sequence_bound(fast, n, alpha, rho_source="analytic")
+            assert rep.covering_blocks == len(build_sequence_covering(n, alpha).indptr) - 1
 
 
 @pytest.mark.parametrize("kind", ["ornstein_uhlenbeck"])
@@ -502,6 +550,8 @@ def test_covering_number_box():
     assert covering_number_box(100.0, 1) == 50
     assert covering_number_box([100.0], 1) == 50
     assert covering_number_box([4.0, 6.0], 2) == 6
+    # exact past int64: (5 * 10^6)^3 = 1.25 * 10^20
+    assert covering_number_box(1e7, 3) == 125 * 10**18
     with pytest.raises(ValueError):
         covering_number_box([4.0], 2)
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,14 @@ import pytest
 
 from superconc.covariance import CovarianceModel
 from superconc.experiments import (
+    CSV_SLICE,
     EXPERIMENT_KINDS,
     ExperimentConfig,
     SchemaError,
     fmt,
     run,
     validate,
+    write_csv,
 )
 from superconc.covering import (
     MC_RHO_MIN_PATHS,
@@ -135,17 +139,51 @@ def test_validate_iid_maxima_draw_no_path(tmp_path):
         assert (err.needed, err.limit) == (need, 2**31)
 
 
-def test_validate_counts_the_singleton_covering(tmp_path, monkeypatch):
-    # a correlated or iid sequence bound draws no path but holds its
-    # covering, two int64 arrays of n + 1 and n entries, which the run sizes
+def test_validate_builds_no_scan_class(tmp_path, monkeypatch):
+    # validate reads a generator spec's numbers alone; the run refuses the
+    # sets of the 10^6 - 9 windows of 10, 32 bytes an entry and the two
+    # ramps they are summed from, before it makes them
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(10**6))
-    for kind, params in (("correlated_bound", {}), ("sequence_bound", {}),
-                         ("sequence_bound", {"rho": "analytic"})):
-        cfg = _cfg(tmp_path, kind=kind, sizes=(6 * 10**4,), params=params)
-        assert validate(cfg) == [] and run(cfg)["csv"].is_file()
-        err = _refused(_cfg(tmp_path / "over", kind=kind, sizes=(7 * 10**4,), params=params))
-        assert str(err) == ("the singleton covering of 70000 points needs ~1120008 bytes, "
-                            "cap is 1000000 (override with SUPERCONC_CAP_BYTES)")
+    cfg = _cfg(tmp_path, kind="scan_risk", params={"generator": "sliding:1000000,10"})
+    tracemalloc.start()
+    try:
+        assert validate(cfg) == []
+        validate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(CapacityError) as exc:
+            run(cfg)
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N, K = 10**6 - 9, 10
+    assert validate_peak < 10**6
+    assert (exc.value.needed, exc.value.limit) == (32 * N * K + 8 * (N + K), 10**6)
+    assert run_peak < exc.value.needed
+    assert str(exc.value).startswith("the sets of the sliding:1000000,10 class needs ~")
+    assert not Path(cfg.out).exists()
+
+
+def test_a_sample_row_is_written_a_slice_at_a_time(tmp_path):
+    # one path of 10^6 iid points: the draw holds 8 MB, and neither the
+    # header nor the row is formatted as a list of 10^6 strings
+    cfg = _cfg(tmp_path, kind="sample_paths", sizes=(10**6,), batch=1, seed=3)
+    tracemalloc.start()
+    try:
+        paths = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 10**6
+    text = paths["csv"].read_bytes() + paths["summary"].read_bytes()
+    assert hashlib.sha256(text).hexdigest().startswith("2094eb0c227d2f8f")
+
+
+def test_write_csv_joins_its_slices(tmp_path):
+    names = [f"x{i}" for i in range(2 * CSV_SLICE + 1)]
+    rows = np.arange(3 * len(names)).reshape(3, -1) / 7.0
+    write_csv(tmp_path / "d.csv", iter(names), rows)
+    want = [",".join(names)] + [",".join(fmt(v) for v in row) for row in rows]
+    assert (tmp_path / "d.csv").read_text() == "\n".join(want) + "\n"
 
 
 def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superconc.covariance import CovarianceModel, TableRangeError, evaluate, gram_matrix
-from superconc.covering import Covering, build_sequence_covering, singleton_covering
+from superconc.covering import Covering, build_sequence_covering
 from superconc.sampler import (
     DEFAULT_CAP_BYTES,
     DRAW_BYTES_PER_ELEM,
@@ -487,13 +487,11 @@ def test_embedding_error_reports_the_doublings_it_tried(phi1, phi2, n, most):
     assert exc.value.worst == pytest.approx(worst, rel=0, abs=1e-12)
 
 
-# each covering site and the bytes it counts before it allocates: two int64
-# arrays for singletons; for overlapping blocks of n + 1 points, m =
-# floor((n + 1)^0.3), the ramp and its offsets, 2m + 1 entries a block each,
-# and six arrays of one entry a block; 24 bytes an index and an indptr for
-# joined blocks
+# each covering site and the bytes it counts before it allocates: for
+# overlapping blocks of n + 1 points, m = floor((n + 1)^0.3), the ramp and
+# its offsets, 2m + 1 entries a block each, and six arrays of one entry a
+# block; 24 bytes an index and an indptr for joined blocks
 COVERINGS = {
-    "singletons": (singleton_covering, lambda n: 16 * n + 8),
     "sequence": (lambda n: build_sequence_covering(n + 1, 0.3),
                  lambda n: 8 * (2 * (2 * (m := math.floor((n + 1)**0.3)) + 1) + 6)
                  * (math.ceil((n + 1) / m) - 1)),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,30 @@ def test_generators():
         disjoint_class(3, 4, n=10)
     with pytest.raises(ValueError):
         sliding_class(5, 5)
+
+
+@pytest.mark.parametrize("name", ["disjoint", "sliding"])
+def test_class_shape_is_the_shape_of_the_class_or_its_error(name):
+    # a spec the numbers rule out is refused with the class's own message; a
+    # class the numbers allow is refused a byte below the bytes it counts
+    build = {"disjoint": disjoint_class, "sliding": lambda a, b, n: sliding_class(a, b)}[name]
+    for a in range(0, 8):
+        for b in range(-1, 8):
+            for n in (None, 5, 40):
+                try:
+                    cls = build(a, b, n)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        scantest.class_shape(name, a, b, n)
+                    continue
+                assert scantest.class_shape(name, a, b, n) == (cls.n, cls.N, cls.K)
+                need = 32 * cls.N * cls.K + 8 * (cls.N + cls.K)
+                assert need >= cls.sets.nbytes
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setenv("SUPERCONC_CAP_BYTES", str(need - 1))
+                    with pytest.raises(sampler.CapacityError) as err:
+                        build(a, b, n)
+                assert err.value.needed == need
 
 
 def _pairs_class(n):
