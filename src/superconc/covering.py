@@ -11,7 +11,8 @@ Three pipelines produce a :class:`BoundReport`:
   correlations below a given epsilon.
 
 A report carries its covering's block count, multiplicity and provenance;
-only a Monte Carlo rho and a field build the :class:`Covering` itself.
+only a Monte Carlo rho builds the :class:`Covering` itself.  A field counts
+the balls holding each point, one ball at a time, and keeps none.
 
 The bound scale is K = max(r_0, 1/log(1/rho)); the resulting tail curve
 is 6 exp(-c t / sqrt(K)), to be compared with the classical Gaussian
@@ -28,8 +29,8 @@ import numpy as np
 from . import rng
 from .covariance import CovarianceModel, check_hypotheses, evaluate
 from .extremes import _stable_mean, corner_maxima
-from .sampler import (_check_capacity, box_extents, grid_geometry, grid_points, make_plan,
-                      reduce_blocks)
+from .sampler import (CALL_BYTES, _check_capacity, box_extents, grid_geometry, grid_points,
+                      make_plan, reduce_blocks)
 
 # Sudakov minoration constant C: E[max] >= C * delta_gap * sqrt(log n)
 DEFAULT_C_SUD = 1.0 / math.sqrt(2.0 * math.pi * math.log(2.0))
@@ -204,7 +205,7 @@ class BoundReport:
     covering_blocks: int | None = None
     covering_multiplicity: int | None = None
     covering_provenance: str | None = None
-    covering: Covering | None = field(default=None, repr=False)  # where a bound reads its sets
+    covering: Covering | None = field(default=None, repr=False)  # a Monte Carlo rho's blocks
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None and k != "covering"}
@@ -293,6 +294,10 @@ def _first_coordinate_windows(pts: np.ndarray, queries: np.ndarray, r: float):
     Rounding x_i -+ h is monotone too, so the bounds still hold every such
     x_c.  A NaN radius, which the test meets nowhere, windows every point.
     """
+    # the sorted points, their first coordinates and order, and 4 arrays of the queries
+    (n, d), q = pts.shape, len(queries)
+    _check_capacity(8 * (n * (d + 2) + 4 * q) + CALL_BYTES,
+                    f"the first-coordinate windows of {n} points")
     x = pts[:, 0]
     order = np.argsort(x, kind="stable")
     xs = x[order]
@@ -333,23 +338,28 @@ def greedy_net(points: np.ndarray, s0: float) -> np.ndarray:
     return np.array(kept)
 
 
-def net_ball_covering(points: np.ndarray, net_idx: np.ndarray, radius: float,
-                      r0: float) -> Covering:
-    """Blocks = balls of the given radius around net points.
+def _balls(points: np.ndarray, net_idx: np.ndarray, radius: float):
+    """Each ball of the given radius around a net point, in net order: the
+    indices, distinct and unsorted, of the points at squared distance at most
+    radius * radius from its centre.
 
-    A ball holds the points at squared distance at most radius * radius from
-    its centre.  Only the points whose first coordinate lies in a window
-    around the centre's are tested (:func:`_first_coordinate_windows`), a
-    window that holds every point the test can accept, so each ball is the
-    one a test against every point gives.  Points are finite.
+    Only the points whose first coordinate lies in a window around the
+    centre's are tested (:func:`_first_coordinate_windows`), a window that
+    holds every point the test can accept, so each ball is the one a test
+    against every point gives.  Points are finite.
     """
     pts = np.asarray(points, dtype=float)
     pts = pts[:, None] if pts.ndim == 1 else pts
     net_idx = np.asarray(net_idx, dtype=np.int64)
     sorted_pts, order, lo, hi = _first_coordinate_windows(pts, net_idx, radius)
-    blocks = [order[a:b][np.sum((sorted_pts[a:b] - pts[i]) ** 2, axis=1) <= radius * radius]
-              for i, a, b in zip(net_idx, lo, hi)]
-    cov = Covering.from_blocks(blocks, r0=r0, n=pts.shape[0])
+    for i, a, b in zip(net_idx, lo, hi):
+        yield order[a:b][np.sum((sorted_pts[a:b] - pts[i]) ** 2, axis=1) <= radius * radius]
+
+
+def net_ball_covering(points: np.ndarray, net_idx: np.ndarray, radius: float,
+                      r0: float) -> Covering:
+    """Blocks = the balls of :func:`_balls`, each taken as a set."""
+    cov = Covering.from_blocks(list(_balls(points, net_idx, radius)), r0=r0, n=len(points))
     cov.multiplicity = int(np.bincount(cov.indices, minlength=cov.n).max())
     return cov
 
@@ -415,7 +425,10 @@ def field_bound(
     pts = grid_points(d, extent, spacing)
     net_idx = greedy_net(pts, s0)
     r0 = float(evaluate(model, s0))
-    cov = net_ball_covering(pts, net_idx, 2.0 * s0, r0)
+    # the balls holding each point, 8 bytes a point: less than _balls' windows count
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for ball in _balls(pts, net_idx, 2.0 * s0):
+        counts[ball] += 1  # exact: a ball's indices are distinct
 
     rho = min(1.0, 1.0 / n_a**exponent_ratio)
     K = max(float(evaluate(model, float(n_a) ** exponent_ratio)),
@@ -424,8 +437,8 @@ def field_bound(
         pipeline="field", K=K, r0=r0, rho=rho, rho_source="analytic",
         N_A=n_a, s0=float(s0), c1=c1, c2=c2, fit_slope=slope,
         exponent_ratio=float(exponent_ratio), degenerate=rho >= 1.0,
-        covering_blocks=len(cov.indptr) - 1, covering_multiplicity=cov.multiplicity,
-        covering_provenance="field-net", covering=cov,
+        covering_blocks=len(net_idx), covering_multiplicity=int(counts.max()),
+        covering_provenance="field-net",
     )
 
 

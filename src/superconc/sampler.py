@@ -28,8 +28,9 @@ By default a lattice of more than ``CHOLESKY_MAX_N`` points, in any
 dimension, is drawn by circulant embedding: a path then costs O(m log m)
 for an embedding of m points against 2n^2 for the Cholesky product.
 Where no embedding exists, because it stays negative at every doubling
-whose one path fits the memory cap and the Cholesky factor's bytes, or needs
-lags past a table model's last one, the default falls back to Cholesky.
+whose search fits the memory cap and whose one path fits the cap and the
+Cholesky factor's bytes, or needs lags past a table model's last one, the
+default falls back to Cholesky.
 At any size, a gram that fails Cholesky falls back to any embedding within
 the cap; an explicit ``method`` never falls back.
 
@@ -79,6 +80,12 @@ EMBED_MAX_DOUBLINGS = 6
 # (it is scaled in place, with no forward spectrum), and the inverse
 # transform's working copy, its output and the crop about 24 more
 DRAW_BYTES_PER_ELEM = 32
+# bytes per element of an embedding that its eigenvalue search holds: the
+# squared-lag grid and phi on it, 8 each, and two complex arrays of fftn's
+SEARCH_BYTES_PER_ELEM = 48
+# what a sort or an FFT holds besides its arrays: a few KB at any size,
+# counted once by each site that runs one
+CALL_BYTES = 2**13
 # elements of draw work in one block of a batched draw, 4 MiB of it: with
 # BLAS on one thread, 1e4 OU maxima at n = 500 and 768 draw by Cholesky
 # within 7 % of the time of one product of every row
@@ -258,8 +265,9 @@ def circulant_embedding(
     ``shape`` is the lattice, an int for a sequence.  The embedding starts
     at :func:`base_embedding` and doubles until the FFT eigenvalues are
     nonnegative within a relative tolerance; residual roundoff is clipped.
-    No size is computed whose one path would exceed ``max_bytes``: a
-    doubling over it ends the search, and a smallest embedding over it is a
+    No size is computed whose one path would exceed ``max_bytes``, or whose
+    search would exceed the memory cap: a doubling over either ends the
+    search, and a smallest embedding over either is a
     :class:`CapacityError`.  Returns the eigenvalues, shaped like the
     embedding, and their count m.
     """
@@ -268,11 +276,14 @@ def circulant_embedding(
     worst = math.inf
     for k in range(EMBED_MAX_DOUBLINGS + 1):
         ms = tuple(m << k for m in base)
-        if (nbytes := DRAW_BYTES_PER_ELEM * math.prod(ms)) > max_bytes:
-            if not k:
-                raise CapacityError(f"the smallest circulant embedding {ms} needs ~{nbytes} "
-                                    f"bytes a path, limit is {max_bytes}", nbytes, max_bytes)
-            break
+        size = math.prod(ms)
+        path, search = DRAW_BYTES_PER_ELEM * size, SEARCH_BYTES_PER_ELEM * size + CALL_BYTES
+        if path > max_bytes or search > capacity_bytes():
+            if k:
+                break
+            _check_capacity(search, f"the eigenvalue search of the {ms} embedding")
+            raise CapacityError(f"the smallest circulant embedding {ms} needs ~{path} "
+                                f"bytes a path, limit is {max_bytes}", path, max_bytes)
         sq = sum(np.ix_(*(np.minimum(np.arange(m), m - np.arange(m)) ** 2 for m in ms)))
         eig = np.fft.fftn(evaluate(model, spacing * np.sqrt(sq))).real
         tried.append(ms)
@@ -280,6 +291,7 @@ def circulant_embedding(
         worst = min(worst, neg)
         if neg >= -EMBED_REL_TOL * float(eig.max()):
             return np.clip(eig, 0.0, None), eig.size
+        del sq, eig  # the next size holds only its own arrays
     raise EmbeddingError(worst, tried)
 
 
@@ -308,8 +320,8 @@ def make_plan(
     ``CHOLESKY_MAX_N`` points only), the Cholesky factor, and any embedding
     within the cap; an embedding fails with :class:`EmbeddingError` or
     :class:`TableRangeError`.  If all fail, the Cholesky failure is raised.
-    An embedding whose smallest size is over its byte limit is never
-    computed; it raises :class:`CapacityError`.
+    An embedding whose smallest size's search or path is over its byte
+    limit is never computed; it raises :class:`CapacityError`.
     The plan's ``method`` is the one used, or ``"iid"`` for the iid model.
     """
     if min(shape) < 1:

@@ -394,23 +394,43 @@ def test_field_bound_past_int64_covering_number_exit_code(tmp_path, capsys):
     assert not (tmp_path / "f").exists()
 
 
-# runs that validate accepts but whose factor, draw, covering or scan class
-# is over the cap: the cap (None for the default 2 GiB) and the config
-# fields.  The 97 x 97 field draws its growth stage a path at a time under
-# 400 KB, then joins 70 589 indices; the 301 x 301 iid field draws nothing,
-# then joins 967 393; the sample draws 10^8 points at 32 bytes each; the
-# sliding class holds 32 bytes an entry of its 10^6 - 9 windows of 10
+# runs that validate accepts but whose factor, embedding search, draw or
+# scan class is over the cap: the cap (None for the default 2 GiB) and the
+# config fields.  The 97 x 97 field's search of its 108 x 108 embedding holds
+# ~568 KB; the sample draws 10^8 points at 32 bytes each; the sliding class
+# holds 32 bytes an entry of its 10^6 - 9 windows of 10
 OVER_THE_CAP = {
     "ou-per-size-cholesky": (4 * 10**6, dict(
         kind="variance_scaling", model=CovarianceModel.from_json(OU_JSON), sizes=(768,))),
     "smooth-field-covering": (400_000, dict(
         kind="field_bound", model=CovarianceModel("gaussian_smooth", lam2=2.0),
         params={"d": 2, "extent": 96.0})),
-    "iid-field-covering": (10**7, dict(kind="field_bound", params={"d": 2, "extent": 300.0})),
     "iid-sample": (None, dict(kind="sample_paths", sizes=(10**8,), batch=1)),
     "scan-sliding-class": (10**6, dict(kind="scan_risk",
                                        params={"generator": "sliding:1000000,10"})),
 }
+
+
+def test_an_iid_field_counts_its_balls_under_a_low_cap(tmp_path, monkeypatch):
+    # the 301 x 301 iid field draws nothing and counts its 10 201 balls, whose
+    # 967 393 indices it never holds at once: under 10 MB it writes the
+    # summary and data it writes under the default cap, within the cap
+    fields = dict(kind="field_bound", params={"d": 2, "extent": 300.0})
+    want = tmp_path / "default"
+    assert main(["--config", _config_file(tmp_path, json.dumps(
+        ExperimentConfig(out=str(want), **fields).to_dict()))]) == 0
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(10**7))
+    out = tmp_path / "capped"
+    tracemalloc.start()
+    try:
+        run(ExperimentConfig(out=str(out), **fields))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+    for name in ("summary.json", "data.csv"):
+        assert (out / name).read_bytes() == (want / name).read_bytes()
+    assert json.loads((out / "summary.json").read_text())["covering_blocks"] == 10_201
 
 
 @pytest.mark.parametrize("cap, fields", OVER_THE_CAP.values(), ids=OVER_THE_CAP)

@@ -288,16 +288,11 @@ def test_windowed_net_and_balls_match_dense_past_the_box():
 @pytest.mark.parametrize("d, extent, ratio", [(2, 24.0, None), (2, 30.0, 0.2),
                                               (3, 12.0, None)])
 def test_field_bound_covering_is_the_dense_one(monkeypatch, d, extent, ratio):
-    from superconc.sampler import grid_points
-
     smooth = CovarianceModel("gaussian_smooth", lam2=2.0)
     monkeypatch.setattr(covering, "estimate_field_growth",
                         lambda *a: (1.0, 2.0, 0.5, []))
     rep = field_bound(smooth, d, extent, exponent_ratio=ratio)
-    pts = grid_points(d, extent, 1.0)
-    net = greedy_net_dense(pts, rep.s0)
-    _assert_same_covering(rep.covering,
-                          net_ball_covering_dense(pts, net, 2.0 * rep.s0, rep.r0))
+    _assert_dense_balls_numbers(rep, d, extent)
 
 
 def test_field_growth_under_a_low_cap_matches_uncapped(monkeypatch):
@@ -431,6 +426,20 @@ def test_sequence_bound_iid_analytic(iid, monkeypatch):
             n, 1, "singletons")
 
 
+def _assert_dense_balls_numbers(rep, d, extent):
+    # the report counts the balls of the dense reference and keeps none
+    from superconc.sampler import grid_points
+
+    pts = grid_points(d, extent, 1.0)
+    want = net_ball_covering_dense(pts, greedy_net_dense(pts, rep.s0), 2.0 * rep.s0, rep.r0)
+    assert rep.covering is None
+    assert (rep.covering_blocks, rep.covering_multiplicity, rep.covering_provenance) == (
+        len(want.indptr) - 1, want.multiplicity, "field-net")
+    out = rep.to_dict()
+    assert (out["covering_blocks"], out["covering_multiplicity"]) == (
+        rep.covering_blocks, rep.covering_multiplicity)
+
+
 def _assert_numbers_are_the_arrays(rep):
     d = rep.to_dict()
     assert "covering" not in d
@@ -450,10 +459,25 @@ def test_a_monte_carlo_report_carries_its_blocks_numbers(ou, n, alpha):
 @pytest.mark.parametrize("d, extent", [(1, 100.0), (2, 30.0)])
 def test_a_field_report_carries_its_balls_numbers(d, extent):
     rep = field_bound(CovarianceModel("gaussian_smooth", lam2=2.0), d, extent, batch=40)
-    _assert_numbers_are_the_arrays(rep)
-    assert rep.covering_provenance == "field-net"
-    counts = np.bincount(rep.covering.indices, minlength=rep.covering.n)
-    assert rep.covering_multiplicity == counts.max()
+    _assert_dense_balls_numbers(rep, d, extent)
+
+
+FIELDS = {f"{name}-{d}d": (model, d, extent)
+          for name, model in (("iid", CovarianceModel("iid")),
+                              ("smooth", CovarianceModel("gaussian_smooth", lam2=2.0)))
+          for d, extent in ((1, 200.0), (2, 40.0), (3, 12.0))}
+
+
+@pytest.mark.parametrize("model, d, extent", FIELDS.values(), ids=FIELDS)
+def test_a_field_bound_builds_no_covering(model, d, extent):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field bound counts its balls and builds no covering")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "net_ball_covering", refuse)
+        mp.setattr(Covering, "from_blocks", refuse)
+        rep = field_bound(model, d, extent, batch=20, seed=1)
+    _assert_dense_balls_numbers(rep, d, extent)
 
 
 # bounds that are closed forms in n: each reports its covering's numbers at

@@ -24,7 +24,7 @@ from superconc.covering import (
     gaussian_tail_curve,
     tail_curve,
 )
-from superconc.sampler import CapacityError
+from superconc.sampler import CALL_BYTES, CapacityError
 from superconc.scantest import STREAM_BLOCK
 
 
@@ -119,22 +119,24 @@ def _refused(cfg) -> CapacityError:
 
 
 def test_validate_capacity_estimate(tmp_path, monkeypatch):
-    # validate reads no cap: the run refuses the smallest embedding of 4096
-    # points, 4320 points at 32 bytes a path, before computing it
+    # validate reads no cap: the run refuses the search of the smallest
+    # embedding of 4096 points, 48 bytes each of its 4320 and a few KB,
+    # before computing it
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", "1000")
     err = _refused(_cfg(tmp_path, model=OU, sizes=(4096,), batch=10**4))
-    assert (err.needed, err.limit) == (138_240, 1000)
+    assert (err.needed, err.limit) == (48 * 4320 + CALL_BYTES, 1000)
 
 
 def test_validate_iid_maxima_draw_no_path(tmp_path):
     # one raw word and one bounded integer per path at any n; a sample still
-    # draws its 10^8 points, and OU maxima embed them, over the 2 GiB cap
+    # draws its 10^8 points, and OU maxima search an embedding of them, over
+    # the 2 GiB cap
     cfg = _cfg(tmp_path, sizes=(10**8,), batch=1000)
     assert validate(cfg) == [] and run(cfg)["csv"].is_file()
     for cfg, need in ((_cfg(tmp_path / "s", kind="sample_paths", sizes=(10**8,), batch=1),
                        32 * 10**8),
                       (_cfg(tmp_path / "ou", model=OU, sizes=(10**8,), batch=1000),
-                       32 * 100_663_296)):
+                       48 * 100_663_296 + CALL_BYTES)):
         err = _refused(cfg)
         assert (err.needed, err.limit) == (need, 2**31)
 
@@ -189,18 +191,23 @@ def test_write_csv_joins_its_slices(tmp_path):
 def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):
     field = dict(kind="field_bound", model=SMOOTH,
                  params={"d": 2, "extent": 96.0, "growth_batch": 400})
-    # one path of the 97 x 97 grid's 108 x 108 embedding needs ~373 KB, so
-    # the growth stage draws a path at a time under 400 KB; the covering of
-    # 1089 balls, 70 589 indices at 24 bytes each, does not fit
+    # the search of the 97 x 97 grid's 108 x 108 embedding holds 48 bytes an
+    # element and a few KB, ~568 KB, so under 400 KB it is refused before its
+    # FFT
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(400_000))
     err = _refused(_cfg(tmp_path, **field))
-    assert err.needed == 24 * 70_589 + 8 * 1090 and str(err).startswith("a covering of 1089")
-    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(350_000))
-    assert _refused(_cfg(tmp_path, **field)).needed == 32 * 108 * 108
-    # at spacing 0.5 the same 97 x 97 points embed at 120 x 120, ~461 KB a path
-    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(400_000))
+    assert err.needed == 48 * 108 * 108 + CALL_BYTES
+    assert str(err).startswith("the eigenvalue search of the (108, 108) embedding")
+    # under 600 KB the growth stage draws a path, ~373 KB, at a time; the
+    # net's windows around each of the 9409 points, 8 arrays of 8 bytes a
+    # point and a few KB, do not fit
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(600_000))
+    err = _refused(_cfg(tmp_path, **field))
+    assert err.needed == 8 * 8 * 9409 + CALL_BYTES
+    assert str(err).startswith("the first-coordinate windows of 9409 points")
+    # at spacing 0.5 the same 97 x 97 points embed at 120 x 120, ~699 KB to search
     field["params"].update(extent=48.0, spacing=0.5)
-    assert _refused(_cfg(tmp_path, **field)).needed == 32 * 120 * 120
+    assert _refused(_cfg(tmp_path, **field)).needed == 48 * 120 * 120 + CALL_BYTES
 
 
 def test_validate_counts_the_cholesky_factor(tmp_path, monkeypatch):

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superconc.covariance import CovarianceModel, TableRangeError, evaluate, gram_matrix
-from superconc.covering import Covering, build_sequence_covering
+from superconc.covering import Covering, _first_coordinate_windows, build_sequence_covering
 from superconc.sampler import (
+    CALL_BYTES,
     DEFAULT_CAP_BYTES,
     DRAW_BYTES_PER_ELEM,
     EMBED_MAX_DOUBLINGS,
     EMBED_REL_TOL,
+    SEARCH_BYTES_PER_ELEM,
     CapacityError,
     DecompositionError,
     EmbeddingError,
@@ -160,11 +162,50 @@ def test_3d_default_falls_back_before_the_embedding_outgrows_the_cap(monkeypatch
     assert make_plan(NO_EMBEDDING, BOX).method == "cholesky"
 
 
-def test_default_route_tries_no_embedding_heavier_than_its_fallback(monkeypatch):
-    # under a 20 MB cap an explicit circulant tries up to 64 x 72 x 120; the
-    # default route stops at 32 x 36 x 60, under the 9.83 MB of the Cholesky
-    # factor it falls back to
+def test_a_doubling_whose_search_is_over_the_cap_ends_the_search(monkeypatch):
+    # under 20 MB one path of 64 x 72 x 120 fits, 17.7 MB, but its search,
+    # 26.5 MB, does not; no size holds more than its own search's count
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(20 * 10**6))
+    with pytest.raises(EmbeddingError):  # fills numpy's FFT plan cache, which outlives it
+        make_plan(NO_EMBEDDING, BOX, method="circulant")
+    tracemalloc.start()
+    try:
+        with pytest.raises(EmbeddingError) as exc:
+            make_plan(NO_EMBEDDING, BOX, method="circulant")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.sizes == BOX_EMBEDDINGS[:3]
+    assert peak <= SEARCH_BYTES_PER_ELEM * math.prod(BOX_EMBEDDINGS[2]) + CALL_BYTES
+
+
+SEARCHES = {
+    "ou-2000": (CovarianceModel("ornstein_uhlenbeck", rate=1.0), (2000,)),
+    "ou-4096": (CovarianceModel("ornstein_uhlenbeck", rate=1.0), (4096,)),
+    "power-3000": (LONG_RANGE, (3000,)),
+    "smooth-97x97": (CovarianceModel("gaussian_smooth", lam2=2.0), (97, 97)),
+    "smooth-41x41x41": (CovarianceModel("gaussian_smooth", lam2=2.0), (41, 41, 41)),
+}
+
+
+@pytest.mark.parametrize("model, shape", SEARCHES.values(), ids=SEARCHES)
+def test_an_embedding_search_holds_no_more_than_it_counts(model, shape):
+    # the first search fills numpy's FFT plan cache, which outlives it
+    circulant_embedding(model, shape, max_bytes=DEFAULT_CAP_BYTES)
+    tracemalloc.start()
+    try:
+        _, m = circulant_embedding(model, shape, max_bytes=DEFAULT_CAP_BYTES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SEARCH_BYTES_PER_ELEM * m + CALL_BYTES
+
+
+def test_default_route_tries_no_embedding_heavier_than_its_fallback(monkeypatch):
+    # under a 30 MB cap an explicit circulant tries up to 64 x 72 x 120, whose
+    # search holds 26.5 MB; the default route stops at 32 x 36 x 60, under
+    # the 9.83 MB of the Cholesky factor it falls back to
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(30 * 10**6))
     with pytest.raises(EmbeddingError) as exc:
         make_plan(NO_EMBEDDING, BOX, method="circulant")
     assert exc.value.sizes == BOX_EMBEDDINGS
@@ -490,7 +531,9 @@ def test_embedding_error_reports_the_doublings_it_tried(phi1, phi2, n, most):
 # each covering site and the bytes it counts before it allocates: for
 # overlapping blocks of n + 1 points, m = floor((n + 1)^0.3), the ramp and
 # its offsets, 2m + 1 entries a block each, and six arrays of one entry a
-# block; 24 bytes an index and an indptr for joined blocks
+# block; 24 bytes an index and an indptr for joined blocks; for the windows
+# of n points in the plane around every other one, 4 arrays of n points and
+# 4 of the queries, and a sort's few KB
 COVERINGS = {
     "sequence": (lambda n: build_sequence_covering(n + 1, 0.3),
                  lambda n: 8 * (2 * (2 * (m := math.floor((n + 1)**0.3)) + 1) + 6)
@@ -498,20 +541,29 @@ COVERINGS = {
     "blocks": (lambda n: Covering.from_blocks([np.arange(k, min(n, k + 8)) for k in range(n)],
                                               n=n),
                lambda n: 24 * sum(min(n, k + 8) - k for k in range(n)) + 8 * (n + 1)),
+    "windows": (lambda n: _first_coordinate_windows(
+                    np.column_stack([np.arange(n) % 7, np.arange(n)]).astype(float),
+                    np.arange(0, n, 2), 3.0),
+                lambda n: 8 * (4 * n + 4 * len(range(0, n, 2))) + CALL_BYTES),
 }
+
+
+def _held(site):
+    """The arrays a site keeps: a covering's two, or the tuple it returns."""
+    return (site.indptr, site.indices) if isinstance(site, Covering) else site
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 2**22), st.integers(2, 3000),
        st.sampled_from(["cholesky", "circulant", *COVERINGS]))
 def test_a_capacity_error_carries_the_bytes_it_needed_over_its_limit(cap, n, method):
-    # the plan's own bytes, or else a draw of one row more than the cap
-    # holds; a covering's count, which is at least the arrays it keeps
+    # the plan's own bytes (a circulant's eigenvalue search), or else a draw
+    # of one row more than the cap holds; a covering's count, which is at
+    # least the arrays it keeps
     model = CovarianceModel("ornstein_uhlenbeck", rate=1.0)
     if method in COVERINGS:
         build, count = COVERINGS[method]
-        cov = build(n)
-        assert count(n) >= cov.indptr.nbytes + cov.indices.nbytes
+        assert count(n) >= sum(a.nbytes for a in _held(build(n)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("SUPERCONC_CAP_BYTES", str(cap))
         if method in COVERINGS:
@@ -521,7 +573,7 @@ def test_a_capacity_error_carries_the_bytes_it_needed_over_its_limit(cap, n, met
             with pytest.raises(CapacityError) as exc:
                 build(n)
         elif (need := 2 * n * n * 8 if method == "cholesky"
-              else DRAW_BYTES_PER_ELEM * base_embedding((n,), model)[0]) > cap:
+              else SEARCH_BYTES_PER_ELEM * base_embedding((n,), model)[0] + CALL_BYTES) > cap:
             with pytest.raises(CapacityError) as exc:
                 make_plan(model, (n,), method=method)
         else:
@@ -567,13 +619,15 @@ def test_capacity_cap(monkeypatch, ou):
 
 
 def test_an_embedding_over_the_cap_is_refused_before_it_is_computed(monkeypatch, ou):
-    # 10^5 points embed at 101 250, 3.24 MB a path: make_plan raises at a
-    # 1 MB cap, by either route, without computing the embedding's FFT
+    # 10^5 points embed at 101 250, 3.24 MB a path and 4.87 MB to search for:
+    # make_plan raises at a 1 MB cap, by either route, without computing the
+    # embedding's FFT
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", "1000000")
     tracemalloc.start()
     try:
         for method in (None, "circulant"):
-            with pytest.raises(CapacityError, match="needs ~3240000 bytes a path"):
+            with pytest.raises(CapacityError, match=r"the eigenvalue search of the \(101250,\) "
+                                                    "embedding needs ~4868192 bytes, cap is"):
                 make_plan(ou, (100_000,), method=method)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
