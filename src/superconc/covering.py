@@ -29,8 +29,8 @@ import numpy as np
 from . import rng
 from .covariance import CovarianceModel, check_hypotheses, evaluate
 from .extremes import _stable_mean, corner_maxima
-from .sampler import (CALL_BYTES, _check_capacity, box_extents, grid_geometry, grid_points,
-                      make_plan, reduce_blocks)
+from .sampler import (CALL_BYTES, _check_capacity, block_rows, box_extents, grid_geometry,
+                      grid_points, make_plan, reduce_blocks)
 
 # Sudakov minoration constant C: E[max] >= C * delta_gap * sqrt(log n)
 DEFAULT_C_SUD = 1.0 / math.sqrt(2.0 * math.pi * math.log(2.0))
@@ -108,8 +108,11 @@ def build_sequence_covering(n: int, alpha: float) -> Covering:
 def verify_covering(cov: Covering, gram: np.ndarray, r0: float):
     """Exhaustively check the two covering hypotheses against a gram matrix.
 
-    Returns (ok, witness); witness is None, ("pair", i, j) for a correlated
-    pair sharing no block, or ("multiplicity", i) for an over-covered index.
+    Returns (ok, witness); witness is None, ("pair", i, j) for the first
+    correlated pair in row-major order that shares no block, or
+    ("multiplicity", i) for an over-covered index.  Pairs are checked
+    ``block_rows(n)`` rows at a time, so the check holds a mask of that many
+    rows of n bytes, counted against the cap, and never an n x n one.
     """
     n = gram.shape[0]
     if cov.n != n:
@@ -118,15 +121,27 @@ def verify_covering(cov: Covering, gram: np.ndarray, r0: float):
     if counts.max(initial=0) > cov.multiplicity:
         return False, ("multiplicity", int(np.argmax(counts)))
 
-    # pairs whose correlation exceeds r0 must share a block; ties at r0 are
-    # separated (matters when phi underflows to 0 at large lags)
-    bad = gram > r0
-    np.fill_diagonal(bad, False)
-    for idx in cov.blocks:
-        bad[np.ix_(idx, idx)] = False
-    if bad.any():
-        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return False, ("pair", int(i), int(j))
+    # each nonempty block's slice of indices and its least and greatest
+    # index: reduceat reads an empty block as the next block's first index
+    starts, ends = cov.indptr[:-1], cov.indptr[1:]
+    starts, ends = starts[ends > starts], ends[ends > starts]
+    lo, hi = np.minimum.reduceat(cov.indices, starts), np.maximum.reduceat(cov.indices, starts)
+    rows = block_rows(max(n, 1))
+    _check_capacity(rows * n, f"the {rows} x {n} pair mask")
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        # pairs whose correlation exceeds r0 must share a block; ties at r0 are
+        # separated (matters when phi underflows to 0 at large lags)
+        bad = gram[a:b] > r0
+        diag = np.arange(b - a)
+        bad[diag, a + diag] = False
+        meets = (lo < b) & (hi >= a)
+        for s, e in zip(starts[meets], ends[meets]):
+            idx = cov.indices[s:e]
+            bad[np.ix_(idx[(idx >= a) & (idx < b)] - a, idx)] = False
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), n)
+            return False, ("pair", a + i, j)
     return True, None
 
 
@@ -280,10 +295,13 @@ def covering_number_box(extent, d: int) -> int:
     return math.prod(math.ceil(e / 2.0) for e in box_extents(d, extent))
 
 
-def _first_coordinate_windows(pts: np.ndarray, queries: np.ndarray, r: float):
+def _first_coordinate_windows(pts: np.ndarray, queries: np.ndarray | None, r: float,
+                              held: int = 0):
     """The points sorted by first coordinate (stable), their order, and for
-    each query point the slice [lo, hi) of that order that holds every point
-    whose first coordinate the distance test at radius r can accept.
+    each query point (every point for None) the slice [lo, hi) of that order
+    that holds every point whose first coordinate the distance test at
+    radius r can accept.  The ``held`` bytes a caller keeps beside these
+    arrays are counted with them.
 
     The test rounds x_c - x_i, its square and the sum of squares, and
     rounding is monotone, so a sum at most fl(r * r) has
@@ -295,13 +313,14 @@ def _first_coordinate_windows(pts: np.ndarray, queries: np.ndarray, r: float):
     x_c.  A NaN radius, which the test meets nowhere, windows every point.
     """
     # the sorted points, their first coordinates and order, and 4 arrays of the queries
-    (n, d), q = pts.shape, len(queries)
-    _check_capacity(8 * (n * (d + 2) + 4 * q) + CALL_BYTES,
+    n, d = pts.shape
+    q = n if queries is None else len(queries)
+    _check_capacity(8 * (n * (d + 2) + 4 * q) + CALL_BYTES + held,
                     f"the first-coordinate windows of {n} points")
     x = pts[:, 0]
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    xq = x[queries]
+    xq = x if queries is None else x[queries]
     r = math.inf if math.isnan(r) else abs(r)
     h = r * (1.0 + 2.0**-20) + (np.abs(xq) + r) * 2.0**-50 + math.sqrt(np.finfo(float).tiny)
     lo = np.searchsorted(xs, xq - h, side="left")
@@ -325,17 +344,19 @@ def greedy_net(points: np.ndarray, s0: float) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     pts = pts[:, None] if pts.ndim == 1 else pts
     n = pts.shape[0]
-    sorted_pts, order, lo, hi = _first_coordinate_windows(pts, np.arange(n), s0)
+    # beside the windows, 26 bytes a point: rank and the arange it is filled
+    # from, the free and kept masks, and the kept indices
+    sorted_pts, order, lo, hi = _first_coordinate_windows(pts, None, s0, held=26 * n)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     free = np.ones(n, dtype=bool)  # by rank: free[rank[i]] is point i's
-    kept: list[int] = []
+    kept = np.zeros(n, dtype=bool)
     for i in range(n):
         if free[rank[i]]:
-            kept.append(i)
+            kept[i] = True
             a, b = lo[i], hi[i]
             free[a:b] &= np.sum((sorted_pts[a:b] - pts[i]) ** 2, axis=1) > s0 * s0
-    return np.array(kept)
+    return np.flatnonzero(kept)
 
 
 def _balls(points: np.ndarray, net_idx: np.ndarray, radius: float):

@@ -426,6 +426,11 @@ def draw_rows(plan: LatticePlan, batch: int, seed: int, offset: int = 0) -> np.n
     x *= plan.factor
     x = np.fft.irfftn(x, s=ms, axes=tuple(range(1, len(ms) + 1)))
     crop = (slice(None),) + tuple(slice(0, s) for s in plan.shape)
+    # copied, not handed on as a strided view: a field's crop has no
+    # (batch, n) view, a view would keep a caller's rows as wide as the
+    # embedding, and a sequence's reducer gains nothing from one (argmax of
+    # 10^4 OU paths of 4096 points, in blocks of 30 rows of 4320, took 24 ms
+    # on the strided crop and 23 ms copied, on one thread of a 2-core box)
     return np.ascontiguousarray(x[crop]).reshape(batch, plan.n)
 
 

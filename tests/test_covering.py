@@ -135,8 +135,19 @@ def _verify_covering_pairwise(cov, gram, r0):
     return True, None
 
 
+def _row_blocks(monkeypatch, n):
+    """The rows of the pair mask of n points under the default cap, then
+    under caps that make them 1 and 2: the default cap takes up to 32 rows
+    of 4096 points, so fewer than 64 points are one block of rows."""
+    yield sampler.block_rows(n)
+    for rows in (1, 2):
+        monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(sampler.DRAW_BYTES_PER_ELEM * rows * n))
+        assert sampler.block_rows(n) == rows
+        yield rows
+
+
 @pytest.mark.parametrize("seed", range(12))
-def test_verify_covering_matches_pairwise_reference(seed):
+def test_verify_covering_matches_pairwise_reference(monkeypatch, seed):
     rs = np.random.default_rng(seed)
     n = int(rs.integers(8, 40))
     a = rs.uniform(-1.0, 1.0, (n, n))
@@ -148,22 +159,75 @@ def test_verify_covering_matches_pairwise_reference(seed):
         blocks = [b for k, b in enumerate(blocks) if k % 2]  # dropped blocks
     if seed % 4 == 1:
         blocks += [np.array([n - 1])] * 4  # an over-covered index
-    for mult in (1, 2, 3, 16):
-        cov = Covering.from_blocks(blocks, multiplicity=mult, n=n)
-        for r0 in (0.0, 0.6, 0.9, 1.0):
-            assert verify_covering(cov, gram, r0) == _verify_covering_pairwise(cov, gram, r0)
+    empty = np.array([], dtype=np.int64)
+    coverings = [Covering.from_blocks(bl, multiplicity=mult, n=n)
+                 for bl in (blocks, [empty] + blocks[:1] + [empty] + blocks[1:] + [empty])
+                 for mult in (1, 2, 3, 16)]
+    for _ in _row_blocks(monkeypatch, n):
+        for cov in coverings:
+            for r0 in (0.0, 0.6, 0.9, 1.0):
+                assert verify_covering(cov, gram, r0) == _verify_covering_pairwise(cov, gram, r0)
 
 
-def test_verify_covering_matches_pairwise_reference_on_sequence_blocks(ou):
+def test_verify_covering_matches_pairwise_reference_on_sequence_blocks(monkeypatch, ou):
     n = 64
     cov = build_sequence_covering(n, 0.5)
     g = gram_matrix(ou, np.arange(n))
     r0 = float(evaluate(ou, 8.0))
-    for drop in range(len(cov.blocks)):
-        broken = Covering.from_blocks(cov.blocks[:drop] + cov.blocks[drop + 1:],
-                                      multiplicity=3, n=n)
-        assert verify_covering(broken, g, r0) == _verify_covering_pairwise(broken, g, r0)
-    assert verify_covering(cov, g, r0) == (True, None)
+    broken = [Covering.from_blocks(cov.blocks[:drop] + cov.blocks[drop + 1:],
+                                   multiplicity=3, n=n) for drop in range(len(cov.blocks))]
+    for rows in _row_blocks(monkeypatch, n):
+        first_rows = set()
+        for b in broken:
+            ok, witness = verify_covering(b, g, r0)
+            assert (ok, witness) == _verify_covering_pairwise(b, g, r0)
+            first_rows.add(witness[1] % rows)
+        assert verify_covering(cov, g, r0) == (True, None)
+        # at 1 or 2 rows, the witnesses fall on each row of a block of rows
+        assert rows > 2 or first_rows == set(range(rows))
+
+
+def test_verify_covering_of_4096_points_holds_no_square_mask(ou):
+    n = 4096
+    cov = build_sequence_covering(n, 0.5)
+    g = gram_matrix(ou, np.arange(n))
+    r0 = float(evaluate(ou, 64.0))
+    tracemalloc.start()
+    try:
+        assert verify_covering(cov, g, r0) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the dense mask alone was n^2 bytes, 16.8 MB
+
+
+class _Unread:
+    """A gram of n points whose rows must not be read."""
+
+    def __init__(self, n):
+        self.shape = (n, n)
+
+    def __getitem__(self, key):
+        raise AssertionError("a row of the gram was read")
+
+
+def test_a_cap_below_one_row_refuses_the_pair_mask_before_it_exists(monkeypatch):
+    n = 100
+    cov = build_sequence_covering(n, 0.5)
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(n - 1))
+    with pytest.raises(sampler.CapacityError, match="the 1 x 100 pair mask") as exc:
+        verify_covering(cov, _Unread(n), 0.5)
+    assert (exc.value.needed, exc.value.limit) == (n, n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**22))
+def test_no_cap_of_one_row_or_more_trips_the_pair_mask(n, extra):
+    cov = Covering(np.arange(n + 1), np.arange(n), multiplicity=1, n=n)  # singletons
+    g = gram_matrix(CovarianceModel("iid"), np.arange(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SUPERCONC_CAP_BYTES", str(n + extra))
+        assert verify_covering(cov, g, 0.5) == (True, None)
 
 
 def _greedy_net_per_candidate(points, s0):
@@ -204,6 +268,30 @@ def test_greedy_net_matches_reference_at_lattice_ties(d, extent, spacing):
     for k in (0, 1, 2, 3, 4, 5, 6, 9, 13, 18):
         s0 = spacing * math.sqrt(k)
         assert np.array_equal(greedy_net(pts, s0), _greedy_net_per_candidate(pts, s0))
+
+
+@pytest.mark.parametrize("s0", [0.5, 2.72])
+def test_greedy_net_holds_no_more_than_it_counts(monkeypatch, s0):
+    from superconc.sampler import CALL_BYTES, grid_points
+
+    # s0 = 0.5 keeps every point of the grid; the windows hold 8 arrays of
+    # 8 bytes a point, and the net 26 bytes a point beside them
+    pts = grid_points(2, 100.0, 1.0)
+    n = len(pts)
+    count = 8 * 8 * n + 26 * n + CALL_BYTES
+    greedy_net(pts, s0)
+    tracemalloc.start()
+    try:
+        net = greedy_net(pts, s0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= count
+    assert np.array_equal(net, greedy_net_dense(pts, s0))
+    monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(count - 1))
+    with pytest.raises(sampler.CapacityError, match="first-coordinate windows") as exc:
+        greedy_net(pts, s0)
+    assert (exc.value.needed, exc.value.limit) == (count, count - 1)
 
 
 def _assert_same_covering(got, want):

@@ -200,10 +200,10 @@ def test_validate_field_needs_one_path_to_fit(tmp_path, monkeypatch):
     assert str(err).startswith("the eigenvalue search of the (108, 108) embedding")
     # under 600 KB the growth stage draws a path, ~373 KB, at a time; the
     # net's windows around each of the 9409 points, 8 arrays of 8 bytes a
-    # point and a few KB, do not fit
+    # point and a few KB, and the net's own 26 bytes a point, do not fit
     monkeypatch.setenv("SUPERCONC_CAP_BYTES", str(600_000))
     err = _refused(_cfg(tmp_path, **field))
-    assert err.needed == 8 * 8 * 9409 + CALL_BYTES
+    assert err.needed == (8 * 8 + 26) * 9409 + CALL_BYTES
     assert str(err).startswith("the first-coordinate windows of 9409 points")
     # at spacing 0.5 the same 97 x 97 points embed at 120 x 120, ~699 KB to search
     field["params"].update(extent=48.0, spacing=0.5)
